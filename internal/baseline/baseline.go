@@ -130,8 +130,8 @@ type pairEntry struct {
 func lessPairNull(x, y pairEntry) uint64 { return obliv.Less(x.Null, y.Null) }
 
 func condSwapPair(c uint64, x, y *pairEntry) {
-	obliv.CondSwapBytes(c, x.P.D1[:], y.P.D1[:])
-	obliv.CondSwapBytes(c, x.P.D2[:], y.P.D2[:])
+	table.CondSwapData(c, &x.P.D1, &y.P.D1)
+	table.CondSwapData(c, &x.P.D2, &y.P.D2)
 	obliv.CondSwap(c, &x.Null, &y.Null)
 }
 
@@ -202,14 +202,14 @@ func OpaqueJoin(sp *memory.Space, rows1, rows2 []table.Row) ([]table.Pair, error
 		m += matched
 		var p pairEntry
 		p.P.D2 = e.D
-		obliv.CondCopyBytes(matched, p.P.D1[:], lastD[:])
+		table.CondCopyData(matched, &p.P.D1, lastD)
 		p.Null = obliv.Not(matched)
 		cand.Set(i, p)
 
 		// Update the remembered primary.
 		take := isPrim
 		lastJ = obliv.Select(take, e.J, lastJ)
-		obliv.CondCopyBytes(take, lastD[:], e.D[:])
+		table.CondCopyData(take, &lastD, e.D)
 		havePrim = obliv.Or(havePrim, take)
 	}
 	if dupPrim == 1 {

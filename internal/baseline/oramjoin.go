@@ -57,12 +57,12 @@ func (r *oramRows) Set(i int, v table.Row) { r.set(i, v) }
 func lessRowJD(x, y table.Row) uint64 {
 	ltJ := obliv.Less(x.J, y.J)
 	eqJ := obliv.Eq(x.J, y.J)
-	return obliv.Or(ltJ, obliv.And(eqJ, obliv.LessBytes(x.D[:], y.D[:])))
+	return obliv.Or(ltJ, obliv.And(eqJ, table.LessData(x.D, y.D)))
 }
 
 func condSwapRow(c uint64, x, y *table.Row) {
 	obliv.CondSwap(c, &x.J, &y.J)
-	obliv.CondSwapBytes(c, x.D[:], y.D[:])
+	table.CondSwapData(c, &x.D, &y.D)
 }
 
 // ORAMJoin runs the standard sort-merge join with every table access

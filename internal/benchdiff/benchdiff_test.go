@@ -334,7 +334,7 @@ func TestAgainstCommittedBaseline(t *testing.T) {
 		// may mix families (BENCH_sql.json: sql rows carry 4, planner
 		// comparator rows carry 5)
 	}{
-		{"BENCH_join.json", []int{2}},
+		{"BENCH_join.json", []int{4}}, // wall ×2 + the gauge's peak and total bytes
 		{"BENCH_sql.json", []int{4, 5}},
 		{"BENCH_sealed.json", []int{6}},
 		{"BENCH_service.json", []int{4}},

@@ -15,12 +15,20 @@
 // returning 0/1 words (see internal/obliv and internal/table); the
 // conditional swap is likewise supplied so element types control their
 // own constant-time swapping.
+//
+// One round executor (exec.go) runs both networks and the routing
+// network of internal/core: it loads a chunk of the store into a local
+// block and applies a Kernel to each comparator segment, as two
+// equal-length sub-slices of that block. The sorting kernel branches on
+// Segment.Dir to pick the operand order and then evaluates Less once per
+// pair. That branch is oblivious: Dir is the schedule, a pure function
+// of the public length n, so every input of that length takes it the
+// same way. The result of Less is the opposite case — it depends on
+// entry contents, so nothing may branch or index on it; it only feeds
+// the constant-time swap.
 package bitonic
 
-import (
-	"oblivjoin/internal/memory"
-	"oblivjoin/internal/obliv"
-)
+import "oblivjoin/internal/memory"
 
 // Array is the storage a sorting network operates on: indexed element
 // access with public indices. *memory.Array[T] implements it directly;
@@ -56,14 +64,20 @@ func Sort[T any](a Array[T], less LessFunc[T], swap CondSwapFunc[T], st *Stats) 
 	SortParallel(a, less, swap, st, 1)
 }
 
-// compareExchangeOp builds the PairOp of a sorting network: order the
-// pair towards dir, touching both elements regardless.
-func compareExchangeOp[T any](less LessFunc[T], swap CondSwapFunc[T]) PairOp[T] {
-	return func(_, _ int, dir uint64, x, y *T) {
-		// Ascending (dir=1): out of order when y < x.
-		// Descending (dir=0): out of order when x < y.
-		c := obliv.Select(dir, less(*y, *x), less(*x, *y))
-		swap(c, x, y)
+// compareExchange builds the Kernel of a sorting network: order every
+// pair of the segment towards s.Dir, touching both elements regardless.
+// Ascending, a pair is out of order when y < x; descending, when x < y —
+// the same test with the sides exchanged, so the (public) direction is
+// resolved once per segment and less runs once per pair.
+func compareExchange[T any](less LessFunc[T], swap CondSwapFunc[T]) Kernel[T] {
+	return func(s Segment, x, y []T) {
+		if s.Dir == 0 {
+			x, y = y, x
+		}
+		y = y[:len(x)]
+		for k := range x {
+			swap(less(y[k], x[k]), &x[k], &y[k])
+		}
 	}
 }
 

@@ -35,10 +35,13 @@ type Sharder interface {
 	Shard(rec trace.Recorder) any
 }
 
-// PairOp is the branch-free operation applied to one comparator pair:
-// element x at index i, element y at index j = i+hop, ordering towards
-// dir. It must touch both elements regardless of their values.
-type PairOp[T any] func(i, j int, dir uint64, x, y *T)
+// Kernel is the operation applied to one run of comparators: for every
+// k, x[k] is the element at index s.Lo+k and y[k] the element at
+// s.Lo+s.Hop+k, with len(x) == len(y) == s.Cnt. The executor hands it
+// sub-slices of its local block, never the store. A kernel may branch on
+// s — the schedule is a pure function of the public length — but must
+// touch every pair and be branch-free on the elements' contents.
+type Kernel[T any] func(s Segment, x, y []T)
 
 // chunkSize is the number of comparators one batched block processes:
 // the unit of GetRange/SetRange batching and therefore of the canonical
@@ -164,14 +167,19 @@ func (c chunk) comparators() int {
 }
 
 // lane is one worker's execution context: a shard alias of the store, a
-// private event buffer replayed at round barriers, and reusable value
-// blocks for batched compare–exchange.
+// private event buffer replayed at round barriers, and a reusable value
+// block for batched compare–exchange.
+//
+// The block holds one chunk's entries — a span, or a pair chunk's low
+// sides then high sides — so min(n, spanChunk) entries always suffice: a
+// span covers at most spanChunk entries, a pair chunk 2·chunkSize, and
+// neither more than the store's n (a segment's two sides are disjoint
+// ranges of it). n is public, so sizing by it changes no access.
 type lane[T any] struct {
-	arr        Array[T]
-	rng        RangeArray[T] // arr as RangeArray, or nil
-	buf        *trace.Buffer // nil when the store is untraced
-	bufX, bufY []T           // pair-form blocks (chunkSize each)
-	bufS       []T           // span-form block (spanChunk)
+	arr Array[T]
+	rng RangeArray[T] // arr as RangeArray, or nil
+	buf *trace.Buffer // nil when the store is untraced
+	blk []T
 }
 
 // roundExec executes rounds of disjoint comparator segments over one
@@ -182,7 +190,7 @@ type lane[T any] struct {
 // the store's recorder in lane order at the round barrier — which
 // reproduces exactly the sequential canonical trace.
 type roundExec[T any] struct {
-	op      PairOp[T]
+	op      Kernel[T]
 	workers int
 	check   func()    // cancellation probe; nil = never cancelled
 	seq     lane[T]   // direct-access lane for sequential execution
@@ -192,7 +200,7 @@ type roundExec[T any] struct {
 	count   uint64 // comparators executed
 }
 
-func newRoundExec[T any](a Array[T], op PairOp[T], workers int, check func()) *roundExec[T] {
+func newRoundExec[T any](a Array[T], op Kernel[T], workers int, check func()) *roundExec[T] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -208,10 +216,8 @@ func newRoundExec[T any](a Array[T], op PairOp[T], workers int, check func()) *r
 		}
 	}
 	// The direct lane also serves single-chunk rounds in parallel mode,
-	// so it always needs its value blocks.
-	ex.seq.bufX = make([]T, chunkSize)
-	ex.seq.bufY = make([]T, chunkSize)
-	ex.seq.bufS = make([]T, spanChunk)
+	// so it always needs its value block.
+	ex.seq.blk = make([]T, min(a.Len(), spanChunk))
 	return ex
 }
 
@@ -248,11 +254,7 @@ func makeLanes[T any](a Array[T], wantRange bool, workers int) []lane[T] {
 		if !wantRange {
 			rng = nil
 		}
-		lanes[w] = lane[T]{
-			arr: arr, rng: rng, buf: buf,
-			bufX: make([]T, chunkSize), bufY: make([]T, chunkSize),
-			bufS: make([]T, spanChunk),
-		}
+		lanes[w] = lane[T]{arr: arr, rng: rng, buf: buf, blk: make([]T, min(a.Len(), spanChunk))}
 	}
 	return lanes
 }
@@ -355,69 +357,66 @@ func (ex *roundExec[T]) runRound(segs []Segment) {
 	}
 }
 
-// runChunk applies the op to every comparator of one chunk, batching
-// the store accesses when the store supports ranges. The emitted event
-// pattern — R-run(span), W-run(span) for span chunks; R-run(low side),
-// R-run(high side), W-run(low side), W-run(high side) for pair chunks;
-// or the interleaved per-pair pattern on stores without range support —
-// is a function of the chunk alone.
-func (l *lane[T]) runChunk(op PairOp[T], c chunk) {
+// runChunk applies the kernel to every comparator of one chunk,
+// batching the store accesses when the store supports ranges. The
+// emitted event pattern — R-run(span), W-run(span) for span chunks;
+// R-run(low side), R-run(high side), W-run(low side), W-run(high side)
+// for pair chunks; or the interleaved per-pair pattern on stores without
+// range support — is a function of the chunk alone.
+func (l *lane[T]) runChunk(op Kernel[T], c chunk) {
 	if c.span != nil {
 		l.runSpan(op, c)
 		return
 	}
-	loX := c.seg.Lo + c.off
-	loY := loX + c.seg.Hop
+	s := Segment{Lo: c.seg.Lo + c.off, Cnt: c.cnt, Hop: c.seg.Hop, Dir: c.seg.Dir}
 	if l.rng != nil {
-		x, y := l.bufX[:c.cnt], l.bufY[:c.cnt]
-		l.rng.GetRange(loX, x)
-		l.rng.GetRange(loY, y)
-		for k := 0; k < c.cnt; k++ {
-			op(loX+k, loY+k, c.seg.Dir, &x[k], &y[k])
-		}
-		l.rng.SetRange(loX, x)
-		l.rng.SetRange(loY, y)
+		x, y := l.blk[:s.Cnt], l.blk[s.Cnt:2*s.Cnt]
+		l.rng.GetRange(s.Lo, x)
+		l.rng.GetRange(s.Lo+s.Hop, y)
+		op(s, x, y)
+		l.rng.SetRange(s.Lo, x)
+		l.rng.SetRange(s.Lo+s.Hop, y)
 		return
 	}
-	for k := 0; k < c.cnt; k++ {
-		i, j := loX+k, loY+k
-		x, y := l.arr.Get(i), l.arr.Get(j)
-		op(i, j, c.seg.Dir, &x, &y)
-		l.arr.Set(i, x)
-		l.arr.Set(j, y)
+	one := Segment{Cnt: 1, Hop: s.Hop, Dir: s.Dir}
+	x, y := l.blk[0:1], l.blk[1:2]
+	for k := 0; k < s.Cnt; k++ {
+		one.Lo = s.Lo + k
+		x[0], y[0] = l.arr.Get(one.Lo), l.arr.Get(one.Lo+one.Hop)
+		op(one, x, y)
+		l.arr.Set(one.Lo, x[0])
+		l.arr.Set(one.Lo+one.Hop, y[0])
 	}
 }
 
 // runSpan executes a span chunk: one contiguous read of the covered
 // entry range, every segment's compare–exchanges in local memory, one
 // contiguous write back.
-func (l *lane[T]) runSpan(op PairOp[T], c chunk) {
-	buf := l.bufS[:c.n]
+func (l *lane[T]) runSpan(op Kernel[T], c chunk) {
+	blk := l.blk[:c.n]
 	if l.rng != nil {
-		l.rng.GetRange(c.lo, buf)
+		l.rng.GetRange(c.lo, blk)
 	} else {
-		for k := range buf {
-			buf[k] = l.arr.Get(c.lo + k)
+		for k := range blk {
+			blk[k] = l.arr.Get(c.lo + k)
 		}
 	}
 	for _, s := range c.span {
 		base := s.Lo - c.lo
-		for k := 0; k < s.Cnt; k++ {
-			op(s.Lo+k, s.Lo+s.Hop+k, s.Dir, &buf[base+k], &buf[base+s.Hop+k])
-		}
+		op(s, blk[base:base+s.Cnt], blk[base+s.Hop:base+s.Hop+s.Cnt])
 	}
 	if l.rng != nil {
-		l.rng.SetRange(c.lo, buf)
+		l.rng.SetRange(c.lo, blk)
 	} else {
-		for k := range buf {
-			l.arr.Set(c.lo+k, buf[k])
+		for k := range blk {
+			l.arr.Set(c.lo+k, blk[k])
 		}
 	}
 }
 
 // RunTasks runs every fn to completion on the shared persistent pool
 // (fns[0] on the calling goroutine). It is the raw fork–join primitive
-// behind RunRounds, exported for the blocked parallel scans of
+// behind RunRoundsCheck, exported for the blocked parallel scans of
 // internal/core, which partition linear passes the same way rounds are
 // partitioned.
 func RunTasks(fns []func()) {
@@ -427,25 +426,21 @@ func RunTasks(fns []func()) {
 	sharedPool().do(fns)
 }
 
-// RunRounds executes a round schedule over a with op, using up to
+// RunRoundsCheck executes a round schedule over a with op, using up to
 // workers lanes (≤ 0 means GOMAXPROCS), and returns the number of
 // comparator applications. schedule must call its argument once per
 // round with segments whose pairs are disjoint within the round;
-// RunRounds barriers between rounds. It is the execution engine behind
-// the sorting networks and the routing network of internal/core.
-func RunRounds[T any](a Array[T], op PairOp[T], workers int, schedule func(round func([]Segment))) uint64 {
-	return RunRoundsCheck(a, op, workers, nil, schedule)
-}
-
-// RunRoundsCheck is RunRounds with a cancellation probe: check (when
-// non-nil) is invoked on the scheduling goroutine at every round
-// barrier — and between chunks of sequential rounds — and may panic to
-// abort the run. Because the probe never runs on a pool worker, an
-// abort unwinds only the caller's stack: lanes always finish the round
-// they started, no store access is torn, and the shared pool keeps its
-// workers. This is how a cancelled query stops an in-flight oblivious
-// sort within one round.
-func RunRoundsCheck[T any](a Array[T], op PairOp[T], workers int, check func(), schedule func(round func([]Segment))) uint64 {
+// RunRoundsCheck barriers between rounds. It is the one execution engine
+// behind the sorting networks and the routing network of internal/core.
+//
+// check (when non-nil) is a cancellation probe invoked on the scheduling
+// goroutine at every round barrier — and between chunks of sequential
+// rounds — and may panic to abort the run. Because the probe never runs
+// on a pool worker, an abort unwinds only the caller's stack: lanes
+// always finish the round they started, no store access is torn, and the
+// shared pool keeps its workers. This is how a cancelled query stops an
+// in-flight oblivious sort within one round.
+func RunRoundsCheck[T any](a Array[T], op Kernel[T], workers int, check func(), schedule func(round func([]Segment))) uint64 {
 	ex := newRoundExec(a, op, workers, check)
 	schedule(ex.runRound)
 	return ex.count

@@ -32,7 +32,7 @@ func SortParallelCheck[T any](a Array[T], less LessFunc[T], swap CondSwapFunc[T]
 	if n <= 1 {
 		return
 	}
-	c := RunRoundsCheck(a, compareExchangeOp(less, swap), workers, check, func(round func([]Segment)) {
+	c := RunRoundsCheck(a, compareExchange(less, swap), workers, check, func(round func([]Segment)) {
 		bitonicRounds(n, round)
 	})
 	if st != nil {
@@ -56,7 +56,7 @@ func MergeExchangeSortParallelCheck[T any](a Array[T], less LessFunc[T], swap Co
 	if n <= 1 {
 		return
 	}
-	c := RunRoundsCheck(a, compareExchangeOp(less, swap), workers, check, func(round func([]Segment)) {
+	c := RunRoundsCheck(a, compareExchange(less, swap), workers, check, func(round func([]Segment)) {
 		mergeExchangeRounds(n, round)
 	})
 	if st != nil {

@@ -63,7 +63,7 @@ func ExtObliviousDistribute(cfg *Config, x table.Store, m int) table.Store {
 // j; iteration i only depends on iterations ≥ i+j (the sole earlier
 // writer of a position it reads), so any j consecutive iterations form
 // a wave of disjoint pairs. Each wave is one round for the shared
-// round executor (bitonic.RunRounds): waves run top-down with a
+// round executor (bitonic.RunRoundsCheck): waves run top-down with a
 // barrier between them, wave members execute batched and in parallel.
 // The dataflow — and hence Theorem 1's invariant — is exactly that of
 // the sequential loop.
@@ -71,12 +71,16 @@ func routeDown(cfg *Config, a table.Store, l int, st *Stats) {
 	if l <= 1 {
 		return
 	}
-	op := func(_, j int, _ uint64, y, y2 *table.Entry) {
-		// Hop when the (1-based) destination of y is at or past the
-		// absolute position of the high side (1-based j+1). Null
+	op := func(s bitonic.Segment, y, y2 []table.Entry) {
+		// Hop when the (1-based) destination of y[k] is at or past the
+		// absolute 1-based position of its high side y2[k]. Null
 		// entries have F = 0 and never hop.
-		c := obliv.GreaterEq(y.F, uint64(j+1))
-		table.CondSwapEntry(c, y, y2)
+		pos := uint64(s.Lo + s.Hop + 1)
+		y2 = y2[:len(y)]
+		for k := range y {
+			c := obliv.GreaterEq(y[k].F, pos+uint64(k))
+			table.CondSwapEntry(c, &y[k], &y2[k])
+		}
 	}
 	st.RouteOps += bitonic.RunRoundsCheck[table.Entry](a, op, cfg.workerCount(), cfg.checkFn(),
 		func(round func([]bitonic.Segment)) {

@@ -12,6 +12,22 @@
 // for ensuring that the "condition" arguments are already normalized to
 // 0 or 1; the helpers in this package that produce conditions (Less, Eq,
 // and friends) always return normalized values.
+//
+// Secret means entry contents and everything computed from them — in
+// particular every 0/1 word Less or Eq returns, which may feed only
+// Select, CondSwap, CondCopy and arithmetic, never a branch, an index or
+// a loop bound. Public values may be branched on freely: the input
+// length and what is a pure function of it, such as a sorting network's
+// comparator schedule and each segment's direction (bitonic.Segment.Dir).
+// Every input of that length takes the same branch, so it reveals
+// nothing.
+//
+// Everything here works on 64-bit words. Fixed-width byte payloads are
+// compared, swapped and copied by their owner as big-endian words
+// (table.LessData and friends): big-endian puts byte 0 in the most
+// significant position, so the first differing byte decides the numeric
+// order of the words exactly as it decides the byte-lexicographic order
+// of the payload, and no per-byte loop is needed.
 package obliv
 
 // Bool converts a Go bool to a 0/1 word without branching on the result's
@@ -146,75 +162,3 @@ func Or(a, b uint64) uint64 { return a | b }
 
 // Not returns the logical negation of a 0/1 condition.
 func Not(a uint64) uint64 { return a ^ 1 }
-
-// CmpBytes lexicographically compares two equal-length byte slices in
-// constant time, returning -1, 0 or 1. It panics if the lengths differ,
-// since the length is public (all entries in a table are fixed-width).
-func CmpBytes(a, b []byte) int {
-	if len(a) != len(b) {
-		panic("obliv: CmpBytes on unequal lengths")
-	}
-	var lt, gt uint64 // sticky: first difference wins
-	for i := 0; i < len(a); i++ {
-		ai, bi := uint64(a[i]), uint64(b[i])
-		undecided := Not(Or(lt, gt))
-		lt = Or(lt, And(undecided, Less(ai, bi)))
-		gt = Or(gt, And(undecided, Greater(ai, bi)))
-	}
-	return int(gt) - int(lt)
-}
-
-// LessBytes reports, in constant time, whether a orders lexicographically
-// strictly before b (1) or not (0). Panics if lengths differ.
-func LessBytes(a, b []byte) uint64 {
-	if len(a) != len(b) {
-		panic("obliv: LessBytes on unequal lengths")
-	}
-	var lt, gt uint64
-	for i := 0; i < len(a); i++ {
-		ai, bi := uint64(a[i]), uint64(b[i])
-		undecided := Not(Or(lt, gt))
-		lt = Or(lt, And(undecided, Less(ai, bi)))
-		gt = Or(gt, And(undecided, Greater(ai, bi)))
-	}
-	return lt
-}
-
-// EqBytes reports, in constant time, whether two equal-length byte slices
-// are identical (1) or not (0). Panics if lengths differ.
-func EqBytes(a, b []byte) uint64 {
-	if len(a) != len(b) {
-		panic("obliv: EqBytes on unequal lengths")
-	}
-	var acc uint64
-	for i := 0; i < len(a); i++ {
-		acc |= uint64(a[i] ^ b[i])
-	}
-	return Eq(acc, 0)
-}
-
-// CondSwapBytes swaps the contents of two equal-length byte slices when
-// c == 1. Every byte of both slices is read and written regardless of c.
-func CondSwapBytes(c uint64, a, b []byte) {
-	if len(a) != len(b) {
-		panic("obliv: CondSwapBytes on unequal lengths")
-	}
-	m := byte(mask(c))
-	for i := 0; i < len(a); i++ {
-		t := (a[i] ^ b[i]) & m
-		a[i] ^= t
-		b[i] ^= t
-	}
-}
-
-// CondCopyBytes copies src into dst when c == 1; when c == 0 it rewrites
-// dst with its existing contents. Both slices must have equal length.
-func CondCopyBytes(c uint64, dst, src []byte) {
-	if len(dst) != len(src) {
-		panic("obliv: CondCopyBytes on unequal lengths")
-	}
-	m := byte(mask(c))
-	for i := 0; i < len(dst); i++ {
-		dst[i] = (src[i] & m) | (dst[i] &^ m)
-	}
-}

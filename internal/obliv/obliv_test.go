@@ -1,7 +1,6 @@
 package obliv
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -192,110 +191,10 @@ func TestLogicOps(t *testing.T) {
 	}
 }
 
-func TestCmpBytes(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want int
-	}{
-		{"abc", "abc", 0},
-		{"abc", "abd", -1},
-		{"abd", "abc", 1},
-		{"aaa", "zzz", -1},
-		{"\x00\x00", "\x00\x01", -1},
-		{"\xff\x00", "\x00\xff", 1},
-	}
-	for _, tt := range tests {
-		if got := CmpBytes([]byte(tt.a), []byte(tt.b)); got != tt.want {
-			t.Errorf("CmpBytes(%q, %q) = %d, want %d", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
-func TestCmpBytesProperty(t *testing.T) {
-	f := func(a, b [8]byte) bool {
-		want := bytes.Compare(a[:], b[:])
-		return CmpBytes(a[:], b[:]) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCmpBytesPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	CmpBytes([]byte("a"), []byte("ab"))
-}
-
-func TestEqBytes(t *testing.T) {
-	f := func(a, b [16]byte) bool {
-		return EqBytes(a[:], b[:]) == Bool(bytes.Equal(a[:], b[:]))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	a := []byte{1, 2, 3}
-	if EqBytes(a, a) != 1 {
-		t.Fatal("EqBytes(a, a) != 1")
-	}
-}
-
-func TestCondSwapBytes(t *testing.T) {
-	a := []byte("hello")
-	b := []byte("world")
-	CondSwapBytes(0, a, b)
-	if string(a) != "hello" || string(b) != "world" {
-		t.Fatalf("CondSwapBytes(0) mutated: %q %q", a, b)
-	}
-	CondSwapBytes(1, a, b)
-	if string(a) != "world" || string(b) != "hello" {
-		t.Fatalf("CondSwapBytes(1) wrong: %q %q", a, b)
-	}
-}
-
-func TestCondCopyBytes(t *testing.T) {
-	dst := []byte{1, 2, 3, 4}
-	src := []byte{9, 8, 7, 6}
-	CondCopyBytes(0, dst, src)
-	if !bytes.Equal(dst, []byte{1, 2, 3, 4}) {
-		t.Fatalf("CondCopyBytes(0) mutated dst: %v", dst)
-	}
-	CondCopyBytes(1, dst, src)
-	if !bytes.Equal(dst, src) {
-		t.Fatalf("CondCopyBytes(1) did not copy: %v", dst)
-	}
-}
-
-func TestCondSwapBytesProperty(t *testing.T) {
-	f := func(c bool, a, b [12]byte) bool {
-		x, y := a, b
-		CondSwapBytes(Bool(c), x[:], y[:])
-		if c {
-			return x == b && y == a
-		}
-		return x == a && y == b
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkSelect(b *testing.B) {
 	var s uint64
 	for i := 0; i < b.N; i++ {
 		s += Select(uint64(i&1), uint64(i), s)
 	}
 	_ = s
-}
-
-func BenchmarkCondSwapBytes64(b *testing.B) {
-	x := make([]byte, 64)
-	y := make([]byte, 64)
-	b.SetBytes(128)
-	for i := 0; i < b.N; i++ {
-		CondSwapBytes(uint64(i&1), x, y)
-	}
 }

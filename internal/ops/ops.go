@@ -88,7 +88,7 @@ func DistinctStore(cfg *core.Config, a table.Store) uint64 {
 	var k uint64
 	cfg.ScanStore(a, false, func(_ int, e *table.Entry) {
 		dup := obliv.And(started, obliv.And(
-			obliv.Eq(e.J, prev.J), obliv.EqBytes(e.D[:], prev.D[:])))
+			obliv.Eq(e.J, prev.J), table.EqData(e.D, prev.D)))
 		e.Null = dup
 		k += obliv.Not(dup)
 		prev = *e
@@ -136,7 +136,7 @@ func SemijoinStore(cfg *core.Config, a table.Store) uint64 {
 	lessJTIDD := func(x, y table.Entry) uint64 {
 		ltJT := table.LessJTID(x, y)
 		eqJT := obliv.And(obliv.Eq(x.J, y.J), obliv.Eq(x.TID, y.TID))
-		return obliv.Or(ltJT, obliv.And(eqJT, obliv.LessBytes(x.D[:], y.D[:])))
+		return obliv.Or(ltJT, obliv.And(eqJT, table.LessData(x.D, y.D)))
 	}
 	cfg.SortStore(a, lessJTIDD, cfg.RelationalSortStats())
 

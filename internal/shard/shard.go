@@ -300,12 +300,12 @@ func readRange(st table.Store, lo int, dst []table.Entry) {
 	}
 }
 
-// lessJD1D2 orders merge entries by (j, d1, d2): D holds d1 (compared
-// byte-lexicographically) and A1‖A2 hold d2 big-endian, so the two
-// uint64 comparisons equal the byte-lexicographic order of d2.
+// lessJD1D2 orders merge entries by (j, d1, d2): D holds d1 and A1‖A2
+// hold d2 big-endian, so the two uint64 comparisons equal the
+// byte-lexicographic order of d2 (the argument table.LessData rests on).
 func lessJD1D2(x, y table.Entry) uint64 {
 	lj, ej := obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)
-	ld, ed := obliv.LessBytes(x.D[:], y.D[:]), obliv.EqBytes(x.D[:], y.D[:])
+	ld, ed := table.LessData(x.D, y.D), table.EqData(x.D, y.D)
 	l1, e1 := obliv.Less(x.A1, y.A1), obliv.Eq(x.A1, y.A1)
 	l2 := obliv.Less(x.A2, y.A2)
 	return obliv.Or(lj, obliv.And(ej, obliv.Or(ld, obliv.And(ed, obliv.Or(l1, obliv.And(e1, l2))))))

@@ -107,11 +107,62 @@ func DataString(d Data) string {
 	return string(d[:n])
 }
 
+// dataWords loads d as two big-endian words. Numeric order on ⟨hi, lo⟩
+// is byte-lexicographic order on d — big-endian puts byte 0 in the most
+// significant position, so the first differing byte decides both — which
+// lets every Data comparison, swap and copy run on two words instead of
+// DataLen bytes.
+func dataWords(d *Data) (hi, lo uint64) {
+	return binary.BigEndian.Uint64(d[:8]), binary.BigEndian.Uint64(d[8:])
+}
+
+func putDataWords(d *Data, hi, lo uint64) {
+	binary.BigEndian.PutUint64(d[:8], hi)
+	binary.BigEndian.PutUint64(d[8:], lo)
+}
+
+// The two-word view above is the whole payload only at this width.
+var _ = [1]struct{}{}[DataLen-16]
+
+// LessData reports, in constant time, whether a orders
+// byte-lexicographically strictly before b (1) or not (0).
+func LessData(a, b Data) uint64 {
+	ah, al := dataWords(&a)
+	bh, bl := dataWords(&b)
+	return lexLess2(obliv.Less(ah, bh), obliv.Eq(ah, bh), obliv.Less(al, bl))
+}
+
+// EqData reports, in constant time, whether a and b are identical.
+func EqData(a, b Data) uint64 {
+	ah, al := dataWords(&a)
+	bh, bl := dataWords(&b)
+	return obliv.Eq((ah^bh)|(al^bl), 0)
+}
+
+// CondSwapData swaps a and b in constant time when c == 1. Both are
+// always read and written.
+func CondSwapData(c uint64, a, b *Data) {
+	ah, al := dataWords(a)
+	bh, bl := dataWords(b)
+	obliv.CondSwap(c, &ah, &bh)
+	obliv.CondSwap(c, &al, &bl)
+	putDataWords(a, ah, al)
+	putDataWords(b, bh, bl)
+}
+
+// CondCopyData copies src into dst when c == 1; dst is rewritten with
+// its own value when c == 0.
+func CondCopyData(c uint64, dst *Data, src Data) {
+	dh, dl := dataWords(dst)
+	sh, sl := dataWords(&src)
+	putDataWords(dst, obliv.Select(c, sh, dh), obliv.Select(c, sl, dl))
+}
+
 // CondSwapEntry swaps x and y in constant time when c == 1. Every field
 // of both entries is touched regardless of c.
 func CondSwapEntry(c uint64, x, y *Entry) {
 	obliv.CondSwap(c, &x.J, &y.J)
-	obliv.CondSwapBytes(c, x.D[:], y.D[:])
+	CondSwapData(c, &x.D, &y.D)
 	obliv.CondSwap(c, &x.TID, &y.TID)
 	obliv.CondSwap(c, &x.A1, &y.A1)
 	obliv.CondSwap(c, &x.A2, &y.A2)
@@ -124,7 +175,7 @@ func CondSwapEntry(c uint64, x, y *Entry) {
 // its own value when c == 0.
 func CondCopyEntry(c uint64, dst *Entry, src *Entry) {
 	obliv.CondCopy(c, &dst.J, src.J)
-	obliv.CondCopyBytes(c, dst.D[:], src.D[:])
+	CondCopyData(c, &dst.D, src.D)
 	obliv.CondCopy(c, &dst.TID, src.TID)
 	obliv.CondCopy(c, &dst.A1, src.A1)
 	obliv.CondCopy(c, &dst.A2, src.A2)
@@ -133,48 +184,34 @@ func CondCopyEntry(c uint64, dst *Entry, src *Entry) {
 	obliv.CondCopy(c, &dst.Null, src.Null)
 }
 
-// lexLess chains strict-less/equal pairs into a lexicographic strict-less,
-// entirely branch-free: lt₁ ∨ (eq₁ ∧ lt₂) ∨ (eq₁ ∧ eq₂ ∧ lt₃) …
-func lexLess(pairs ...[2]uint64) uint64 {
-	var lt uint64
-	eqSoFar := uint64(1)
-	for _, p := range pairs {
-		lt = obliv.Or(lt, obliv.And(eqSoFar, p[0]))
-		eqSoFar = obliv.And(eqSoFar, p[1])
-	}
-	return lt
+// lexLess2 and lexLess3 chain strict-less/equal results, most
+// significant key first, into a lexicographic strict-less, entirely
+// branch-free: lt₁ ∨ (eq₁ ∧ lt₂) ∨ (eq₁ ∧ eq₂ ∧ lt₃).
+func lexLess2(lt1, eq1, lt2 uint64) uint64 {
+	return obliv.Or(lt1, obliv.And(eq1, lt2))
 }
 
-func eqData(a, b *Data) uint64 { return obliv.EqBytes(a[:], b[:]) }
-
-func lessData(a, b *Data) uint64 { return obliv.LessBytes(a[:], b[:]) }
+func lexLess3(lt1, eq1, lt2, eq2, lt3 uint64) uint64 {
+	return obliv.Or(lt1, obliv.And(eq1, lexLess2(lt2, eq2, lt3)))
+}
 
 // LessJTID orders by ⟨j↑, tid↑⟩ — the first sort of Augment-Tables
 // (Algorithm 2, line 3).
 func LessJTID(x, y Entry) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)},
-		[2]uint64{obliv.Less(x.TID, y.TID), obliv.Eq(x.TID, y.TID)},
-	)
+	return lexLess2(obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J), obliv.Less(x.TID, y.TID))
 }
 
 // LessTIDJD orders by ⟨tid↑, j↑, d↑⟩ — the second sort of Augment-Tables
 // (Algorithm 2, line 5), which separates the two tables again.
 func LessTIDJD(x, y Entry) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.TID, y.TID), obliv.Eq(x.TID, y.TID)},
-		[2]uint64{obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)},
-		[2]uint64{lessData(&x.D, &y.D), eqData(&x.D, &y.D)},
-	)
+	return lexLess3(obliv.Less(x.TID, y.TID), obliv.Eq(x.TID, y.TID),
+		obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J), LessData(x.D, y.D))
 }
 
 // LessJD orders by ⟨j↑, d↑⟩ — the natural row order used by the
 // relational operators (distinct, union, sorting output).
 func LessJD(x, y Entry) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)},
-		[2]uint64{lessData(&x.D, &y.D), eqData(&x.D, &y.D)},
-	)
+	return lexLess2(obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J), LessData(x.D, y.D))
 }
 
 // LessF orders by ⟨f↑⟩ — the sort inside Oblivious-Distribute
@@ -187,18 +224,12 @@ func LessF(x, y Entry) uint64 {
 // distribute (Algorithm 4, line 26): non-null entries first, ordered by
 // their destination index; ∅ entries last.
 func LessNullF(x, y Entry) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.Null, y.Null), obliv.Eq(x.Null, y.Null)},
-		[2]uint64{obliv.Less(x.F, y.F), obliv.Eq(x.F, y.F)},
-	)
+	return lexLess2(obliv.Less(x.Null, y.Null), obliv.Eq(x.Null, y.Null), obliv.Less(x.F, y.F))
 }
 
 // LessJII orders by ⟨j↑, ii↑⟩ — the alignment sort (Algorithm 5, line 8).
 func LessJII(x, y Entry) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)},
-		[2]uint64{obliv.Less(x.II, y.II), obliv.Eq(x.II, y.II)},
-	)
+	return lexLess2(obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J), obliv.Less(x.II, y.II))
 }
 
 // Pair is one output row of the join: the data attributes of a matching
@@ -225,19 +256,16 @@ type KeyedPair struct {
 // canonical row order of a multi-way join chain. Branch-free, so a
 // sorting network over pairs stays data-oblivious.
 func LessKeyedPair(x, y KeyedPair) uint64 {
-	return lexLess(
-		[2]uint64{obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J)},
-		[2]uint64{lessData(&x.D1, &y.D1), eqData(&x.D1, &y.D1)},
-		[2]uint64{lessData(&x.D2, &y.D2), eqData(&x.D2, &y.D2)},
-	)
+	return lexLess3(obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J),
+		LessData(x.D1, y.D1), EqData(x.D1, y.D1), LessData(x.D2, y.D2))
 }
 
 // CondSwapKeyedPair swaps x and y in constant time when c == 1. Every
 // field of both pairs is touched regardless of c.
 func CondSwapKeyedPair(c uint64, x, y *KeyedPair) {
 	obliv.CondSwap(c, &x.J, &y.J)
-	obliv.CondSwapBytes(c, x.D1[:], y.D1[:])
-	obliv.CondSwapBytes(c, x.D2[:], y.D2[:])
+	CondSwapData(c, &x.D1, &y.D1)
+	CondSwapData(c, &x.D2, &y.D2)
 }
 
 // Row is the external representation of an input row, used by loaders
