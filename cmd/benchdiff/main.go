@@ -6,12 +6,12 @@
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_baseline [-threshold 1.25] BENCH_join.json BENCH_sql.json BENCH_sealed.json
+//	benchdiff -baseline BENCH_baseline [-threshold 1.25] BENCH_join.json BENCH_sql.json
 //
 // Each fresh file is matched to the baseline file of the same name.
-// Records match by input size, worker count and sealed-block
-// granularity (plus query text for SQL records and scenario × clients
-// for the BENCH_service.json load records); every "*_ns" wall-time
+// Records match by input size and worker count (plus query text for
+// SQL records, shard count for shard records and scenario × clients for
+// the BENCH_service.json load records); every "*_ns" wall-time
 // metric a baseline record carries is gated — including the load
 // records' p50/p95/p99 latency percentiles — and so is every
 // "*_bytes" memory metric (the deterministic peak/total allocation

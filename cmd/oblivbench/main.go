@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	oblivbench -exp table1|table2|table3|fig7|fig8|circuit|bench|sql|planner|sealed|stream|shard|wal|fault|chaos|all [flags]
+//	oblivbench -exp table1|table2|table3|fig7|fig8|circuit|bench|sql|planner|shard|wal|fault|chaos|all [flags]
 //
 //	-n int          input size for table1/table3 (default 4096 / 65536)
 //	-sizes list     comma-separated n values for fig8
@@ -11,11 +11,8 @@
 //	-bsizes list    comma-separated n values for the bench experiment
 //	-ssizes list    comma-separated n values for the sql experiment
 //	-pscales list   catalog scale factors for the planner experiment
-//	-zsizes list    comma-separated n values for the sealed experiment
-//	-tsizes list    comma-separated n values for the stream experiment
-//	-workers int    parallel lanes for bench/sql/sealed/stream (0 = GOMAXPROCS)
-//	-block int      entries per sealed block for sealed/stream (0 = default 16)
-//	-short          stream/shard preset: small sizes for the CI gate
+//	-workers int    parallel lanes for bench/sql/shard (0 = GOMAXPROCS)
+//	-short          shard/wal/fault preset: small sizes for the CI gate
 //	-shardn int     input size for the shard experiment (default 65536)
 //	-shardset list  comma-separated shard counts for the shard experiment
 //	-walrows int    rows per commit for the wal experiment (default 64)
@@ -26,8 +23,6 @@
 //	-json path      write bench results as JSON (default BENCH_join.json)
 //	-shardjson path write shard results as JSON (default BENCH_shard.json)
 //	-sqljson path   write sql results as JSON (default BENCH_sql.json)
-//	-sealedjson path write sealed results as JSON (default BENCH_sealed.json)
-//	-streamjson path write stream results as JSON (default BENCH_stream.json)
 //	-waljson path   write wal results as JSON (default BENCH_wal.json)
 //	-faultjson path write fault results as JSON (default BENCH_fault.json)
 //
@@ -35,11 +30,9 @@
 // BENCH_join.json perf record), sql (the same comparison for the SQL
 // plan pipeline plus the planner's written-versus-greedy comparator
 // records, BENCH_sql.json; planner prints just the comparator table
-// without touching the JSON), sealed (plain vs per-entry sealed
-// vs block-sealed storage, BENCH_sealed.json) and stream (stage-at-a-
-// time vs block-granular streaming peak memory, BENCH_stream.json) are
-// opt-in: they run only with an explicit -exp name, never under
-// -exp all.
+// without touching the JSON) and shard (unsharded vs hash-partitioned
+// joins, BENCH_shard.json) are opt-in: they run only with an explicit
+// -exp name, never under -exp all.
 //
 // fault measures the fault-injection seam's fault-free overhead
 // (direct OS IO vs a disarmed injector on the WAL-commit and spill
@@ -62,7 +55,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: table1, table2, table3, fig7, fig8, circuit, bench, sql, planner, sealed, stream, shard, wal, fault, chaos, all")
+	which := flag.String("exp", "all", "experiment: table1, table2, table3, fig7, fig8, circuit, bench, sql, planner, shard, wal, fault, chaos, all")
 	n := flag.Int("n", 0, "input size for table1/table3 (defaults: 4096, 65536)")
 	sizes := flag.String("sizes", "25000,50000,100000,200000", "comma-separated input sizes for fig8")
 	pgm := flag.String("pgm", "", "write Figure 7 as a PGM image to this path")
@@ -70,11 +63,8 @@ func main() {
 	bsizes := flag.String("bsizes", "16384,65536,131072", "comma-separated input sizes for bench")
 	ssizes := flag.String("ssizes", "4096,16384,65536", "comma-separated input sizes for sql")
 	pscales := flag.String("pscales", "1,2", "comma-separated catalog scale factors for the planner experiment")
-	zsizes := flag.String("zsizes", "4096,16384", "comma-separated input sizes for sealed")
-	tsizes := flag.String("tsizes", "16384,65536", "comma-separated input sizes for stream")
-	workers := flag.Int("workers", 0, "parallel lanes for bench/sql/sealed/stream (0 = GOMAXPROCS)")
-	block := flag.Int("block", 0, "entries per sealed block for sealed/stream (0 = default)")
-	short := flag.Bool("short", false, "stream/shard preset: small sizes for the CI gate (overridable by -tsizes/-shardn)")
+	workers := flag.Int("workers", 0, "parallel lanes for bench/sql/shard (0 = GOMAXPROCS)")
+	short := flag.Bool("short", false, "shard/wal/fault preset: small sizes for the CI gate (overridable by -shardn/-walcommits/-faultn)")
 	shardN := flag.Int("shardn", 65536, "input size for the shard experiment")
 	shardSet := flag.String("shardset", "1,2,4,8", "comma-separated shard counts for the shard experiment")
 	shardJSONPath := flag.String("shardjson", "BENCH_shard.json", "write shard results as JSON to this path (empty to skip)")
@@ -87,8 +77,6 @@ func main() {
 	chaosSeed := flag.Uint64("chaosseed", 99, "fault-injection seed for the chaos experiment")
 	jsonPath := flag.String("json", "BENCH_join.json", "write bench results as JSON to this path (empty to skip)")
 	sqlJSONPath := flag.String("sqljson", "BENCH_sql.json", "write sql results as JSON to this path (empty to skip)")
-	sealedJSONPath := flag.String("sealedjson", "BENCH_sealed.json", "write sealed results as JSON to this path (empty to skip)")
-	streamJSONPath := flag.String("streamjson", "BENCH_stream.json", "write stream results as JSON to this path (empty to skip)")
 	flag.Parse()
 
 	parseSizes := func(s string) ([]int, error) {
@@ -106,7 +94,7 @@ func main() {
 	// bench is opt-in only: it is a perf experiment that writes
 	// BENCH_join.json to the working directory, not one of the paper's
 	// figures, so a bare `oblivbench` (-exp all) does not run it.
-	optIn := map[string]bool{"bench": true, "sql": true, "planner": true, "sealed": true, "stream": true, "shard": true, "wal": true, "fault": true, "chaos": true}
+	optIn := map[string]bool{"bench": true, "sql": true, "planner": true, "shard": true, "wal": true, "fault": true, "chaos": true}
 	run := func(name string, f func() error) {
 		if *which != name && (*which != "all" || optIn[name]) {
 			return
@@ -170,48 +158,6 @@ func main() {
 				return err
 			}
 			fmt.Printf("(bench results written to %s)\n", *jsonPath)
-		}
-		return nil
-	})
-	run("sealed", func() error {
-		ns, err := parseSizes(*zsizes)
-		if err != nil {
-			return err
-		}
-		results, err := exp.BenchSealed(os.Stdout, ns, *workers, *block)
-		if err != nil {
-			return err
-		}
-		if *sealedJSONPath != "" {
-			if err := exp.WriteSealedBenchJSON(*sealedJSONPath, results); err != nil {
-				return err
-			}
-			fmt.Printf("(sealed results written to %s)\n", *sealedJSONPath)
-		}
-		return nil
-	})
-	run("stream", func() error {
-		sz := *tsizes
-		if *short {
-			set := map[string]bool{}
-			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			if !set["tsizes"] {
-				sz = "4096,16384"
-			}
-		}
-		ns, err := parseSizes(sz)
-		if err != nil {
-			return err
-		}
-		results, err := exp.BenchStream(os.Stdout, ns, *workers, *block)
-		if err != nil {
-			return err
-		}
-		if *streamJSONPath != "" {
-			if err := exp.WriteStreamBenchJSON(*streamJSONPath, results); err != nil {
-				return err
-			}
-			fmt.Printf("(stream results written to %s)\n", *streamJSONPath)
 		}
 		return nil
 	})

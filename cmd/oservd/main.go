@@ -9,9 +9,7 @@
 //	-addr string        listen address (default ":8343")
 //	-workers int        parallel lanes per oblivious operator (0 sequential, <0 GOMAXPROCS)
 //	-encrypted          AES-seal every intermediate table entry
-//	-sealed-block int   entries per sealed ciphertext block (0 default 16, 1 per-entry; implies -encrypted)
 //	-sealed-catalog     AES-seal registered tables at rest
-//	-merge-exchange     Batcher's merge-exchange network instead of bitonic
 //	-shards int         hash-partition each join across this many
 //	                    concurrent shard pipelines (<= 1 unsharded)
 //	-stats              collect PlanStats for every query by default
@@ -88,90 +86,99 @@ func (c *csvFlags) Set(v string) error {
 	return nil
 }
 
+// options holds oservd's command line.
+type options struct {
+	csvs                        csvFlags
+	addr, spillDir, dataDir     string
+	encrypted, sealed, stats    bool
+	header, costPlan            bool
+	workers, cache, maxInFlight int
+	queueDepth, shards, demo    int
+	snapshotEvery, history      int
+	memBudget                   int64
+	queryTimeout                time.Duration
+	replanFactor                float64
+}
+
+// flags registers every oservd flag on fs. README's flag table names
+// exactly this set (main_test.go).
+func flags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8343", "listen address")
+	fs.IntVar(&o.workers, "workers", 0, "parallel lanes per oblivious operator (0 sequential, <0 GOMAXPROCS)")
+	fs.BoolVar(&o.encrypted, "encrypted", false, "AES-seal every intermediate table entry")
+	fs.BoolVar(&o.sealed, "sealed-catalog", false, "AES-seal registered tables at rest")
+	fs.BoolVar(&o.stats, "stats", false, "collect PlanStats for every query by default")
+	fs.IntVar(&o.cache, "cache", 0, "prepared-plan LRU capacity (0 = default)")
+	fs.IntVar(&o.maxInFlight, "max-inflight", 0, "admission capacity in cost units of 4096 input rows (0 = unbounded)")
+	fs.IntVar(&o.queueDepth, "queue", 0, "admission wait-queue bound (0 = default 64)")
+	fs.DurationVar(&o.queryTimeout, "query-timeout", 0, "per-query deadline covering queue wait + execution (0 = none)")
+	fs.Int64Var(&o.memBudget, "mem-budget", 0, "bound tracked per-query memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")
+	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for sealed spill files (default: system temp)")
+	fs.IntVar(&o.shards, "shards", 0, "hash-partition each join across this many concurrent shard pipelines (<= 1 unsharded)")
+	fs.BoolVar(&o.header, "header", false, "CSV files start with a header row")
+	fs.IntVar(&o.demo, "demo", 0, "register demo tables t1, t2, t3 with this many rows")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable catalog directory: sealed WAL + snapshots, recovered on boot (empty = memory-only)")
+	fs.IntVar(&o.snapshotEvery, "snapshot-every", 0, "commits between automatic snapshots (0 = default 256, <0 disables)")
+	fs.IntVar(&o.history, "history", 0, "retained catalog versions for AS OF reads (0 = default 64, <0 unlimited)")
+	fs.BoolVar(&o.costPlan, "cost-plan", false, "enable the cost-aware planner: greedy join ordering and predicate pushdown from public cardinalities")
+	fs.Float64Var(&o.replanFactor, "replan-factor", 0, "replan when observed comparator cost diverges from the model by this factor (> 1 arms; implies stats)")
+	fs.Var(&o.csvs, "csv", "register a CSV file as a table: name=path (repeatable)")
+	return o
+}
+
 func main() {
-	var csvs csvFlags
-	addr := flag.String("addr", ":8343", "listen address")
-	workers := flag.Int("workers", 0, "parallel lanes per oblivious operator (0 sequential, <0 GOMAXPROCS)")
-	encrypted := flag.Bool("encrypted", false, "AES-seal every intermediate table entry")
-	sealedBlock := flag.Int("sealed-block", 0, "entries per sealed ciphertext block (0 = default 16, 1 = per-entry; implies -encrypted)")
-	sealed := flag.Bool("sealed-catalog", false, "AES-seal registered tables at rest")
-	mergeEx := flag.Bool("merge-exchange", false, "use Batcher's merge-exchange sorting network")
-	stats := flag.Bool("stats", false, "collect PlanStats for every query by default")
-	cache := flag.Int("cache", 0, "prepared-plan LRU capacity (0 = default)")
-	maxInFlight := flag.Int("max-inflight", 0, "admission capacity in cost units of 4096 input rows (0 = unbounded)")
-	queueDepth := flag.Int("queue", 0, "admission wait-queue bound (0 = default 64)")
-	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline covering queue wait + execution (0 = none)")
-	memBudget := flag.Int64("mem-budget", 0, "bound tracked per-query memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")
-	spillDir := flag.String("spill-dir", "", "directory for sealed spill files (default: system temp)")
-	materialized := flag.Bool("materialized", false, "use the stage-at-a-time executor instead of the streaming default")
-	shards := flag.Int("shards", 0, "hash-partition each join across this many concurrent shard pipelines (<= 1 unsharded)")
-	header := flag.Bool("header", false, "CSV files start with a header row")
-	demo := flag.Int("demo", 0, "register demo tables t1, t2, t3 with this many rows")
-	dataDir := flag.String("data-dir", "", "durable catalog directory: sealed WAL + snapshots, recovered on boot (empty = memory-only)")
-	snapshotEvery := flag.Int("snapshot-every", 0, "commits between automatic snapshots (0 = default 256, <0 disables)")
-	history := flag.Int("history", 0, "retained catalog versions for AS OF reads (0 = default 64, <0 unlimited)")
-	costPlan := flag.Bool("cost-plan", false, "enable the cost-aware planner: greedy join ordering and predicate pushdown from public cardinalities")
-	replanFactor := flag.Float64("replan-factor", 0, "replan when observed comparator cost diverges from the model by this factor (> 1 arms; implies stats)")
-	flag.Var(&csvs, "csv", "register a CSV file as a table: name=path (repeatable)")
+	o := flags(flag.CommandLine)
 	flag.Parse()
 
 	var opts []oblivjoin.EngineOption
-	if *workers != 0 {
-		opts = append(opts, oblivjoin.WithWorkers(*workers))
+	if o.workers != 0 {
+		opts = append(opts, oblivjoin.WithWorkers(o.workers))
 	}
-	if *encrypted {
+	if o.encrypted {
 		opts = append(opts, oblivjoin.WithEncryptedStore())
 	}
-	if *sealedBlock > 0 {
-		opts = append(opts, oblivjoin.WithSealedBlock(*sealedBlock))
-	}
-	if *sealed {
+	if o.sealed {
 		opts = append(opts, oblivjoin.WithSealedCatalog())
 	}
-	if *mergeEx {
-		opts = append(opts, oblivjoin.WithMergeExchange())
-	}
-	if *stats {
+	if o.stats {
 		opts = append(opts, oblivjoin.WithStats())
 	}
-	if *cache > 0 {
-		opts = append(opts, oblivjoin.WithPlanCache(*cache))
+	if o.cache > 0 {
+		opts = append(opts, oblivjoin.WithPlanCache(o.cache))
 	}
-	if *maxInFlight > 0 {
-		opts = append(opts, oblivjoin.WithMaxInFlight(*maxInFlight))
+	if o.maxInFlight > 0 {
+		opts = append(opts, oblivjoin.WithMaxInFlight(o.maxInFlight))
 	}
-	if *queueDepth > 0 {
-		opts = append(opts, oblivjoin.WithQueueDepth(*queueDepth))
+	if o.queueDepth > 0 {
+		opts = append(opts, oblivjoin.WithQueueDepth(o.queueDepth))
 	}
-	if *memBudget > 0 {
-		opts = append(opts, oblivjoin.WithMemBudget(*memBudget))
+	if o.memBudget > 0 {
+		opts = append(opts, oblivjoin.WithMemBudget(o.memBudget))
 	}
-	if *spillDir != "" {
-		opts = append(opts, oblivjoin.WithSpillDir(*spillDir))
+	if o.spillDir != "" {
+		opts = append(opts, oblivjoin.WithSpillDir(o.spillDir))
 	}
-	if *materialized {
-		opts = append(opts, oblivjoin.WithMaterialized())
+	if o.shards > 1 {
+		opts = append(opts, oblivjoin.WithShards(o.shards))
 	}
-	if *shards > 1 {
-		opts = append(opts, oblivjoin.WithShards(*shards))
+	if o.queryTimeout > 0 {
+		opts = append(opts, oblivjoin.WithQueryTimeout(o.queryTimeout))
 	}
-	if *queryTimeout > 0 {
-		opts = append(opts, oblivjoin.WithQueryTimeout(*queryTimeout))
+	if o.dataDir != "" {
+		opts = append(opts, oblivjoin.WithDataDir(o.dataDir))
 	}
-	if *dataDir != "" {
-		opts = append(opts, oblivjoin.WithDataDir(*dataDir))
+	if o.snapshotEvery != 0 {
+		opts = append(opts, oblivjoin.WithSnapshotEvery(o.snapshotEvery))
 	}
-	if *snapshotEvery != 0 {
-		opts = append(opts, oblivjoin.WithSnapshotEvery(*snapshotEvery))
+	if o.history != 0 {
+		opts = append(opts, oblivjoin.WithHistory(o.history))
 	}
-	if *history != 0 {
-		opts = append(opts, oblivjoin.WithHistory(*history))
-	}
-	if *costPlan {
+	if o.costPlan {
 		opts = append(opts, oblivjoin.WithCostPlan())
 	}
-	if *replanFactor > 1 {
-		opts = append(opts, oblivjoin.WithReplanFactor(*replanFactor))
+	if o.replanFactor > 1 {
+		opts = append(opts, oblivjoin.WithReplanFactor(o.replanFactor))
 	}
 	eng, err := oblivjoin.OpenEngine(opts...)
 	if err != nil {
@@ -188,14 +195,14 @@ func main() {
 		}
 	}
 
-	for _, spec := range csvs {
+	for _, spec := range o.csvs {
 		name, path, _ := strings.Cut(spec, "=")
-		if err := loadCSV(eng, name, path, *header); err != nil {
+		if err := loadCSV(eng, name, path, o.header); err != nil {
 			log.Fatalf("oservd: -csv %s: %v", spec, err)
 		}
 	}
-	if *demo > 0 {
-		if err := loadDemo(eng, *demo); err != nil {
+	if o.demo > 0 {
+		if err := loadDemo(eng, o.demo); err != nil {
 			log.Fatalf("oservd: -demo: %v", err)
 		}
 	}
@@ -206,7 +213,7 @@ func main() {
 	// An explicit listener (rather than ListenAndServe) so the actual
 	// bound address is logged — ":0" deployments, like the crash-
 	// injection harness, read it from the log line.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		log.Fatalf("oservd: listen: %v", err)
 	}

@@ -14,9 +14,7 @@
 //
 // Flags -workers, -encrypted and -stats select parallel execution, an
 // AES-sealed entry store, and a per-operator execution report on
-// stderr (add -tracehash for the access-pattern digest;
-// -sealed-block sets the sealed store's entries-per-block granularity,
-// 1 for the per-entry store).
+// stderr (add -tracehash for the access-pattern digest).
 //
 // Supported grammar: SELECT [DISTINCT] items FROM t {JOIN tN USING
 // (key)} [WHERE pred] [GROUP BY key] [ORDER BY key] [LIMIT n]; see the
@@ -45,27 +43,44 @@ func (t tableFlags) Set(v string) error {
 	return nil
 }
 
+// options holds osql's command line.
+type options struct {
+	tables                      tableFlags
+	header, explain, replace    bool
+	encrypted, stats, traceHash bool
+	costPlan                    bool
+	workers, shards             int
+	memBudget                   int64
+	spillDir, dataDir           string
+	replanFactor                float64
+}
+
+// flags registers every osql flag on fs. README's flag table names
+// exactly this set (main_test.go).
+func flags(fs *flag.FlagSet) *options {
+	o := &options{tables: tableFlags{}}
+	fs.Var(o.tables, "t", "register a table: name=path.csv (repeatable)")
+	fs.BoolVar(&o.header, "header", false, "CSV files have a header row")
+	fs.BoolVar(&o.explain, "explain", false, "print the oblivious plan instead of executing")
+	fs.IntVar(&o.workers, "workers", 0, "parallel lanes for the oblivious operators (0 = sequential, < 0 = GOMAXPROCS)")
+	fs.BoolVar(&o.encrypted, "encrypted", false, "keep intermediate entries AES-sealed in public memory")
+	fs.BoolVar(&o.stats, "stats", false, "print a per-operator execution report to stderr")
+	fs.BoolVar(&o.traceHash, "tracehash", false, "also compute the SHA-256 access-pattern digest (implies -stats)")
+	fs.Int64Var(&o.memBudget, "mem-budget", 0, "bound tracked run memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")
+	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for sealed spill files (default: system temp)")
+	fs.IntVar(&o.shards, "shards", 0, "hash-partition each join across this many concurrent shard pipelines (<= 1 unsharded)")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable catalog directory (sealed WAL + snapshots): query persisted tables, including AS OF versions")
+	fs.BoolVar(&o.replace, "replace", false, "-t overwrites an existing durable table instead of failing")
+	fs.BoolVar(&o.costPlan, "cost-plan", false, "enable the cost-aware planner: greedy join ordering and predicate pushdown from public cardinalities")
+	fs.Float64Var(&o.replanFactor, "replan-factor", 0, "replan when observed comparator cost diverges from the model by this factor (> 1 arms; implies -stats)")
+	return o
+}
+
 func main() {
-	tables := tableFlags{}
-	flag.Var(tables, "t", "register a table: name=path.csv (repeatable)")
-	header := flag.Bool("header", false, "CSV files have a header row")
-	explain := flag.Bool("explain", false, "print the oblivious plan instead of executing")
-	workers := flag.Int("workers", 0, "parallel lanes for the oblivious operators (0 = sequential, < 0 = GOMAXPROCS)")
-	encrypted := flag.Bool("encrypted", false, "keep intermediate entries AES-sealed in public memory")
-	sealedBlock := flag.Int("sealed-block", 0, "entries per sealed ciphertext block (0 = default 16, 1 = per-entry; implies -encrypted)")
-	stats := flag.Bool("stats", false, "print a per-operator execution report to stderr")
-	traceHash := flag.Bool("tracehash", false, "also compute the SHA-256 access-pattern digest (implies -stats)")
-	memBudget := flag.Int64("mem-budget", 0, "bound tracked run memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")
-	spillDir := flag.String("spill-dir", "", "directory for sealed spill files (default: system temp)")
-	materialized := flag.Bool("materialized", false, "use the stage-at-a-time executor instead of the streaming default")
-	shards := flag.Int("shards", 0, "hash-partition each join across this many concurrent shard pipelines (<= 1 unsharded)")
-	dataDir := flag.String("data-dir", "", "durable catalog directory (sealed WAL + snapshots): query persisted tables, including AS OF versions")
-	replace := flag.Bool("replace", false, "-t overwrites an existing durable table instead of failing")
-	costPlan := flag.Bool("cost-plan", false, "enable the cost-aware planner: greedy join ordering and predicate pushdown from public cardinalities")
-	replanFactor := flag.Float64("replan-factor", 0, "replan when observed comparator cost diverges from the model by this factor (> 1 arms; implies -stats)")
+	o := flags(flag.CommandLine)
 	flag.Parse()
 
-	if flag.NArg() == 0 || (len(tables) == 0 && *dataDir == "") {
+	if flag.NArg() == 0 || (len(o.tables) == 0 && o.dataDir == "") {
 		fmt.Fprintln(os.Stderr, "usage: osql [-data-dir dir] -t name=file.csv [-t ...] \"[EXPLAIN] SELECT ...\"")
 		flag.PrintDefaults()
 		os.Exit(2)
@@ -73,46 +88,40 @@ func main() {
 	sql := strings.Join(flag.Args(), " ")
 	// EXPLAIN <query> meta-command: strip the keyword, print the plan.
 	if rest, ok := cutKeyword(sql, "explain"); ok {
-		*explain = true
+		o.explain = true
 		sql = rest
 	}
 
 	var opts []oblivjoin.EngineOption
-	if *workers != 0 {
-		opts = append(opts, oblivjoin.WithWorkers(*workers))
+	if o.workers != 0 {
+		opts = append(opts, oblivjoin.WithWorkers(o.workers))
 	}
-	if *encrypted {
+	if o.encrypted {
 		opts = append(opts, oblivjoin.WithEncryptedStore())
 	}
-	if *sealedBlock > 0 {
-		opts = append(opts, oblivjoin.WithSealedBlock(*sealedBlock))
-	}
-	if *stats {
+	if o.stats {
 		opts = append(opts, oblivjoin.WithStats())
 	}
-	if *traceHash {
+	if o.traceHash {
 		opts = append(opts, oblivjoin.WithTraceHash())
 	}
-	if *memBudget > 0 {
-		opts = append(opts, oblivjoin.WithMemBudget(*memBudget))
+	if o.memBudget > 0 {
+		opts = append(opts, oblivjoin.WithMemBudget(o.memBudget))
 	}
-	if *spillDir != "" {
-		opts = append(opts, oblivjoin.WithSpillDir(*spillDir))
+	if o.spillDir != "" {
+		opts = append(opts, oblivjoin.WithSpillDir(o.spillDir))
 	}
-	if *materialized {
-		opts = append(opts, oblivjoin.WithMaterialized())
+	if o.shards > 1 {
+		opts = append(opts, oblivjoin.WithShards(o.shards))
 	}
-	if *shards > 1 {
-		opts = append(opts, oblivjoin.WithShards(*shards))
+	if o.dataDir != "" {
+		opts = append(opts, oblivjoin.WithDataDir(o.dataDir))
 	}
-	if *dataDir != "" {
-		opts = append(opts, oblivjoin.WithDataDir(*dataDir))
-	}
-	if *costPlan {
+	if o.costPlan {
 		opts = append(opts, oblivjoin.WithCostPlan())
 	}
-	if *replanFactor > 1 {
-		opts = append(opts, oblivjoin.WithReplanFactor(*replanFactor))
+	if o.replanFactor > 1 {
+		opts = append(opts, oblivjoin.WithReplanFactor(o.replanFactor))
 	}
 	eng, err := oblivjoin.OpenEngine(opts...)
 	if err != nil {
@@ -122,19 +131,19 @@ func main() {
 	// Durable catalogs flush on exit so registrations done this run
 	// survive the next; a memory-only Shutdown is a no-op flush.
 	defer eng.Shutdown(nil)
-	for name, path := range tables {
+	for name, path := range o.tables {
 		f, err := os.Open(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "osql: %v\n", err)
 			os.Exit(1)
 		}
-		t, err := oblivjoin.ReadCSV(f, 0, 1, *header)
+		t, err := oblivjoin.ReadCSV(f, 0, 1, o.header)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "osql: %s: %v\n", path, err)
 			os.Exit(1)
 		}
-		if *replace {
+		if o.replace {
 			err = eng.Replace(name, t)
 		} else {
 			err = eng.Register(name, t)
@@ -145,7 +154,7 @@ func main() {
 		}
 	}
 
-	if *explain {
+	if o.explain {
 		// EXPLAIN prints the plan and its modeled cost: exact comparator
 		// counts, route ops and padded footprints from public
 		// cardinalities, without executing anything.
@@ -171,7 +180,7 @@ func main() {
 	for _, row := range res.Rows {
 		fmt.Println(strings.Join(row, ","))
 	}
-	if ps != nil && (*stats || *traceHash || *replanFactor > 1) {
+	if ps != nil && (o.stats || o.traceHash || o.replanFactor > 1) {
 		fmt.Fprintln(os.Stderr, ps)
 		if m := stmt.Model(); m != nil {
 			fmt.Fprintf(os.Stderr, "comparators: modeled %d, observed %d\n",

@@ -55,18 +55,9 @@ func WithWorkers(n int) EngineOption {
 // public memory under a fresh per-engine key: the cloud-database
 // deployment of the paper, where the server stores only ciphertexts and
 // observes only the (oblivious) access sequence. Entries are sealed in
-// blocks of 16 per ciphertext by default; see WithSealedBlock.
+// blocks of 16 per ciphertext.
 func WithEncryptedStore() EngineOption {
 	return func(c *service.Config) { c.Defaults.Encrypted = true }
-}
-
-// WithSealedBlock sets the sealed store's granularity — entries per
-// ciphertext block — and implies WithEncryptedStore. 1 selects the
-// per-entry store (one nonce and MAC per entry); larger blocks
-// amortize one crypto operation over more entries. Results and
-// canonical traces are identical at every granularity.
-func WithSealedBlock(b int) EngineOption {
-	return func(c *service.Config) { c.Defaults.Encrypted = true; c.Defaults.SealedBlock = b }
 }
 
 // WithSealedCatalog additionally stores registered tables AES-sealed at
@@ -108,23 +99,6 @@ func WithSpillDir(dir string) EngineOption {
 	return func(c *service.Config) { c.Defaults.SpillDir = dir }
 }
 
-// WithMaterialized restores the stage-at-a-time executor, where every
-// operator hand-off is a whole relation. The default is the streaming
-// executor: block-granular batches between stages and eager release of
-// drained intermediates, bounding peak memory by the widest adjacent
-// stages instead of the sum of all intermediates. Results, comparator
-// counts and canonical trace hashes are identical either way.
-func WithMaterialized() EngineOption {
-	return func(c *service.Config) { c.Defaults.Materialized = true }
-}
-
-// WithStreamBatch sets the streaming executor's hand-off granularity
-// in rows (0 selects the default), rounded up to a multiple of the
-// sealed block width so batches align with ciphertext blocks.
-func WithStreamBatch(n int) EngineOption {
-	return func(c *service.Config) { c.Defaults.StreamBatch = n }
-}
-
 // WithShards hash-partitions every join barrier into n concurrently
 // executed per-shard pipelines: rows route obliviously into partitions
 // padded to a public size (⌈rows/n⌉ plus fixed slack), each partition
@@ -161,18 +135,6 @@ func WithCostPlan() EngineOption {
 // version. Values ≤ 1 disarm the hook. Implies WithStats.
 func WithReplanFactor(factor float64) EngineOption {
 	return func(c *service.Config) { c.ReplanFactor = factor }
-}
-
-// WithMergeExchange selects Batcher's odd-even merge-exchange sorting
-// network instead of the bitonic default.
-func WithMergeExchange() EngineOption {
-	return func(c *service.Config) { c.Defaults.MergeExchange = true }
-}
-
-// WithProbabilistic switches Oblivious-Distribute to the PRP-based
-// variant of §5.2, seeded with seed.
-func WithProbabilistic(seed int64) EngineOption {
-	return func(c *service.Config) { c.Defaults.Probabilistic = true; c.Defaults.Seed = seed }
 }
 
 // WithPlanCache bounds the engine's prepared-plan LRU cache to n

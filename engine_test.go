@@ -107,16 +107,12 @@ func TestEngineOptionEquivalence(t *testing.T) {
 	}
 	par, parHash := run(WithWorkers(4))
 	enc, encHash := run(WithEncryptedStore())
-	pe, peHash := run(WithSealedBlock(1))                   // per-entry sealed
-	blk, blkHash := run(WithSealedBlock(5), WithWorkers(3)) // odd block size, parallel
-	if !reflect.DeepEqual(par, seq) || !reflect.DeepEqual(enc, seq) ||
-		!reflect.DeepEqual(pe, seq) || !reflect.DeepEqual(blk, seq) {
-		t.Fatalf("rows diverge:\nseq %v\npar %v\nenc %v\npe %v\nblk %v",
-			seq.Rows, par.Rows, enc.Rows, pe.Rows, blk.Rows)
+	both, bothHash := run(WithEncryptedStore(), WithWorkers(3))
+	if !reflect.DeepEqual(par, seq) || !reflect.DeepEqual(enc, seq) || !reflect.DeepEqual(both, seq) {
+		t.Fatalf("rows diverge:\nseq %v\npar %v\nenc %v\nboth %v", seq.Rows, par.Rows, enc.Rows, both.Rows)
 	}
-	if parHash != seqHash || encHash != seqHash || peHash != seqHash || blkHash != seqHash {
-		t.Fatalf("trace hashes diverge: seq %s par %s enc %s pe %s blk %s",
-			seqHash, parHash, encHash, peHash, blkHash)
+	if parHash != seqHash || encHash != seqHash || bothHash != seqHash {
+		t.Fatalf("trace hashes diverge: seq %s par %s enc %s both %s", seqHash, parHash, encHash, bothHash)
 	}
 }
 

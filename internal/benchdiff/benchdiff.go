@@ -3,16 +3,15 @@
 // that turns the benchmark artifacts into a trajectory instead of a
 // pile of files.
 //
-// Records match on their key — the input size n, the worker count and
-// the sealed-block granularity, plus the query text for SQL records —
-// and regress when a gated metric exceeds the baseline by more than
+// Records match on their key — the input size n and the worker count,
+// plus the query text for SQL records — and regress when a gated metric
+// exceeds the baseline by more than
 // the threshold ratio. Every JSON field ending in "_ns" (wall times,
 // latency percentiles), "_bytes" (the deterministic peak/total
 // allocation gauges) or "_comparators" (exact oblivious comparator
 // counts, the data-independent cost the paper optimises) is a gated
-// metric, so new benchmark families
-// (BENCH_sealed.json's plain/sealed/block columns, BENCH_stream.json's
-// peak-memory columns, say) are covered without touching the gate.
+// metric, so new benchmark families are covered without touching the
+// gate.
 // Benchmarks present in the baseline but missing from the fresh run
 // also fail: a benchmark silently dropped is a regression in coverage,
 // and so is a metric that vanished from a record.
@@ -29,15 +28,14 @@ import (
 
 // Record is the common shape of one benchmark row: the identifying key
 // fields plus every wall-time metric the row carries. It parses the
-// join records (BENCH_join.json), the SQL records (BENCH_sql.json),
-// the sealed-storage records (BENCH_sealed.json) and the service load
-// records (BENCH_service.json, whose latency percentiles are keyed on
-// scenario, clients and workers); non-metric extra fields are ignored.
+// join records (BENCH_join.json), the SQL records (BENCH_sql.json) and
+// the service load records (BENCH_service.json, whose latency
+// percentiles are keyed on scenario, clients and workers); non-metric
+// extra fields are ignored.
 type Record struct {
 	N        int
 	Query    string
 	Workers  int
-	Block    int
 	Scenario string
 	Clients  int
 	Shards   int
@@ -72,9 +70,6 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 	if err := get("workers", &r.Workers); err != nil {
 		return err
 	}
-	if err := get("block", &r.Block); err != nil {
-		return err
-	}
 	if err := get("scenario", &r.Scenario); err != nil {
 		return err
 	}
@@ -104,8 +99,8 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Key identifies the record for baseline matching: input size, worker
-// count and block granularity, plus the query text for SQL records and
+// Key identifies the record for baseline matching: input size and
+// worker count, plus the query text for SQL records and
 // the (scenario, clients) pair for service load records — latency
 // percentiles only compare within the same workload at the same
 // closed-loop concurrency. Workers is part of the key so a fresh run
@@ -113,9 +108,6 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 // benchmark instead of silently comparing mismatched configurations.
 func (r Record) Key() string {
 	k := fmt.Sprintf("n=%d workers=%d", r.N, r.Workers)
-	if r.Block != 0 {
-		k += fmt.Sprintf(" block=%d", r.Block)
-	}
 	if r.Shards != 0 {
 		k += fmt.Sprintf(" shards=%d", r.Shards)
 	}

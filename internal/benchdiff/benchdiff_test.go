@@ -126,11 +126,11 @@ func TestLoadRoundTrip(t *testing.T) {
 }
 
 // TestSealedMetricsGate: every *_ns field of a record is a gated
-// metric, so the sealed-storage records (plain/sealed/block columns)
-// are covered by the same comparison, keyed on (n, workers, block).
+// metric, so a record family with several timed columns per row (one
+// per store mode, say) is covered by the same comparison.
 func TestSealedMetricsGate(t *testing.T) {
 	body := `[
-  {"n": 4096, "workers": 4, "block": 16,
+  {"n": 4096, "workers": 4,
    "plain_join_ns": 100, "sealed_join_ns": 1000, "block_join_ns": 400,
    "plain_sort_ns": 50, "sealed_sort_ns": 500, "block_sort_ns": 200}
 ]`
@@ -138,7 +138,7 @@ func TestSealedMetricsGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := baseline[0].Key(); got != "n=4096 workers=4 block=16" {
+	if got := baseline[0].Key(); got != "n=4096 workers=4" {
 		t.Fatalf("Key = %q", got)
 	}
 	fresh, _ := Read(strings.NewReader(body))
@@ -168,9 +168,9 @@ func TestSealedMetricsGate(t *testing.T) {
 // regression renders in bytes, not milliseconds.
 func TestBytesMetricsGate(t *testing.T) {
 	body := `[
-  {"n": 16384, "workers": 4, "block": 16,
-   "materialized_ns": 1000000, "streamed_ns": 900000,
-   "materialized_peak_bytes": 8000000, "streamed_peak_bytes": 4500000}
+  {"n": 16384, "workers": 4,
+   "sequential_ns": 1000000, "parallel_ns": 900000,
+   "total_alloc_bytes": 8000000, "peak_bytes": 4500000}
 ]`
 	baseline, err := Read(strings.NewReader(body))
 	if err != nil {
@@ -183,19 +183,19 @@ func TestBytesMetricsGate(t *testing.T) {
 	if rep := Compare(baseline, fresh, 1.25); rep.Failed() || rep.Compared != 4 {
 		t.Fatalf("self-compare: %+v", rep)
 	}
-	fresh[0].Metrics["streamed_peak_bytes"] = 6_750_000 // +50%
+	fresh[0].Metrics["peak_bytes"] = 6_750_000 // +50%
 	rep := Compare(baseline, fresh, 1.25)
-	if len(rep.Regressions) != 1 || rep.Regressions[0].Metric != "streamed_peak_bytes" {
+	if len(rep.Regressions) != 1 || rep.Regressions[0].Metric != "peak_bytes" {
 		t.Fatalf("bytes regression not flagged: %+v", rep)
 	}
 	if s := rep.Regressions[0].String(); !strings.Contains(s, "B)") || strings.Contains(s, "ms)") {
 		t.Fatalf("bytes regression rendered in the wrong unit: %q", s)
 	}
-	delete(fresh[0].Metrics, "materialized_peak_bytes") // vanished metric
+	delete(fresh[0].Metrics, "total_alloc_bytes") // vanished metric
 	rep = Compare(baseline, fresh, 1.25)
 	found := false
 	for _, r := range rep.Regressions {
-		if r.Metric == "materialized_peak_bytes (missing)" {
+		if r.Metric == "total_alloc_bytes (missing)" {
 			found = true
 			if s := r.String(); !strings.Contains(s, "B)") {
 				t.Fatalf("missing bytes metric rendered in the wrong unit: %q", s)
@@ -336,9 +336,7 @@ func TestAgainstCommittedBaseline(t *testing.T) {
 	}{
 		{"BENCH_join.json", []int{4}}, // wall ×2 + the gauge's peak and total bytes
 		{"BENCH_sql.json", []int{4, 5}},
-		{"BENCH_sealed.json", []int{6}},
 		{"BENCH_service.json", []int{4}},
-		{"BENCH_stream.json", []int{8}},
 		{"BENCH_shard.json", []int{3}},
 		{"BENCH_wal.json", []int{2}},
 		{"BENCH_fault.json", []int{2}},

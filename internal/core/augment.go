@@ -58,7 +58,7 @@ type RowFeed interface {
 
 // RowsFeed adapts an in-memory row slice to the RowFeed contract: one
 // batch holding every row, then end of stream. It is how the
-// materialized call paths reuse the feed-shaped pipeline entry points
+// whole-slice call paths reuse the feed-shaped pipeline entry points
 // (and emits no events of its own, matching a staged slice exactly).
 func RowsFeed(rows []table.Row) RowFeed { return &sliceFeed{rows: rows} }
 

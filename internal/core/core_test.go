@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"oblivjoin/internal/bitonic"
 	"oblivjoin/internal/memory"
 	"oblivjoin/internal/table"
 	"oblivjoin/internal/trace"
@@ -227,6 +228,55 @@ func TestJoinMergeExchangeNetwork(t *testing.T) {
 	}
 }
 
+// TestJoinComparatorsClosedForm pins the two join variants the SQL
+// layer no longer offers — the merge-exchange network and the PRP
+// distribute of §5.2, still reachable through Config and the root
+// Options — against the closed forms of their sort counts: both sort
+// n1+n2 twice and m once; the deterministic distribute sorts and routes
+// Lᵢ = max(nᵢ, m) per side, the PRP one sorts nᵢ+m and routes nothing.
+// (internal/query's TestJoinCostModelExact pins the bitonic default the
+// same way, against the planner's cost model.)
+func TestJoinComparatorsClosedForm(t *testing.T) {
+	// t1 keys 0..19, t2 keys 5..16 → every t2 key matches once: m = 12.
+	const n1, n2, m = 20, 12, 12
+	var t1, t2 []table.Row
+	for i := 0; i < n1; i++ {
+		t1 = append(t1, table.Row{J: uint64(i), D: table.MustData("a")})
+	}
+	for i := 0; i < n2; i++ {
+		t2 = append(t2, table.Row{J: uint64(5 + i), D: table.MustData("b")})
+	}
+	run := func(cfg Config) *Stats {
+		cfg.Alloc = table.PlainAlloc(memory.NewSpace(nil, nil))
+		cfg.Stats = &Stats{}
+		if out := Join(&cfg, t1, t2); len(out) != m {
+			t.Fatalf("m = %d, want %d", len(out), m)
+		}
+		return cfg.Stats
+	}
+	base := run(Config{})
+	bit, mex := bitonic.Comparators, bitonic.MergeExchangeComparators
+
+	t.Run("mergeexchange", func(t *testing.T) {
+		st := run(Config{Net: MergeExchange})
+		if want := 2*mex(n1+n2) + mex(max(n1, m)) + mex(max(n2, m)) + mex(m); st.Comparators() != want {
+			t.Errorf("comparators = %d, closed form = %d", st.Comparators(), want)
+		}
+		if st.RouteOps != base.RouteOps {
+			t.Errorf("route ops = %d, bitonic run's = %d: routing does not depend on the network", st.RouteOps, base.RouteOps)
+		}
+	})
+	t.Run("probabilistic", func(t *testing.T) {
+		st := run(Config{Probabilistic: true, Seed: 7})
+		if want := 2*bit(n1+n2) + bit(n1+m) + bit(n2+m) + bit(m); st.Comparators() != want {
+			t.Errorf("comparators = %d, closed form = %d", st.Comparators(), want)
+		}
+		if st.RouteOps != 0 {
+			t.Errorf("route ops = %d, want 0: the PRP distribute routes nothing", st.RouteOps)
+		}
+	})
+}
+
 func TestJoinParallelSorts(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, kind := range []string{"1x1", "powerlaw"} {
@@ -316,7 +366,7 @@ func TestJoinParallelOverEncryptedStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	t1, t2 := genWorkload("powerlaw", 60, rng)
 	sp := memory.NewSpace(nil, nil)
-	cfg := &Config{Alloc: table.EncryptedAlloc(sp, c), Workers: 4}
+	cfg := &Config{Alloc: table.BlockEncryptedAlloc(sp, c, 1), Workers: 4}
 	checkJoin(t, cfg, t1, t2)
 }
 
@@ -521,12 +571,7 @@ func TestSpaceUsage(t *testing.T) {
 
 func TestJoinOverEncryptedStore(t *testing.T) {
 	sp := memory.NewSpace(nil, nil)
-	cfg := plainConfig()
-	_ = sp
-	// swap in encrypted allocator
-	c := newTestCipher(t)
-	sp2 := memory.NewSpace(nil, nil)
-	cfg = &Config{Alloc: table.EncryptedAlloc(sp2, c)}
+	cfg := &Config{Alloc: table.BlockEncryptedAlloc(sp, newTestCipher(t), 1)}
 	t1, t2 := genWorkload("powerlaw", 20, rand.New(rand.NewSource(21)))
 	checkJoin(t, cfg, t1, t2)
 }

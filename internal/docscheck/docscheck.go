@@ -142,3 +142,36 @@ func stripInlineCode(line string) string {
 	}
 	return strings.Join(parts, "")
 }
+
+var flagRE = regexp.MustCompile("`-([a-z][a-z-]*)")
+
+// CLIFlags returns the flag names README documents for binary ("osql"
+// or "oservd"): every `-flag` in the first column of the shared
+// "flag (osql / oservd)" table plus those of the "<binary>-only:"
+// paragraph. The binaries' tests hold their registered flag sets
+// against it, so a flag added, removed or listed under the wrong
+// binary fails CI.
+func CLIFlags(readme, binary string) []string {
+	var names []string
+	inTable, inOnly := false, false
+	for _, line := range strings.Split(readme, "\n") {
+		cell := ""
+		switch {
+		case strings.HasPrefix(line, "| flag (osql / oservd)"):
+			inTable = true
+		case inTable && strings.HasPrefix(line, "|"):
+			cell, _, _ = strings.Cut(line[1:], "|")
+		case strings.Contains(line, "-only:"):
+			inTable, inOnly = false, strings.HasPrefix(line, binary+"-only:")
+		case strings.TrimSpace(line) == "":
+			inTable, inOnly = false, false
+		}
+		if inOnly {
+			cell = line
+		}
+		for _, m := range flagRE.FindAllStringSubmatch(cell, -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
+}

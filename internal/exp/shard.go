@@ -7,8 +7,38 @@ import (
 	"runtime"
 	"time"
 
+	"oblivjoin/internal/obliv"
 	"oblivjoin/internal/query"
+	"oblivjoin/internal/query/exec"
+	"oblivjoin/internal/table"
 )
+
+// shardChain is the measured pipeline: a one-to-one join whose keyed
+// output is rekeyed, filtered at ~15/16 selectivity (key%16 != 0,
+// branch-free) and projected.
+func shardChain() []exec.Operator {
+	return []exec.Operator{
+		exec.Scan{Table: "t1"},
+		exec.Join{Table: "t2"},
+		exec.Rekey{},
+		exec.Filter{Pred: func(r table.Row) uint64 { return obliv.Not(obliv.Eq(r.J%16, 0)) }},
+		exec.Project{Items: []exec.ProjItem{{Col: exec.ColKey}, {Col: exec.ColData}}},
+	}
+}
+
+// shardTables builds the one-to-one matched catalog for shardChain:
+// every key 0..n-1 appears once per side with a short tagged payload,
+// so the join output is exactly n pairs and the rekeyed payloads stay
+// inside the fixed width.
+func shardTables(n int) map[string][]table.Row {
+	t1 := make([]table.Row, n)
+	t2 := make([]table.Row, n)
+	for i := 0; i < n; i++ {
+		t1[i] = table.Row{J: uint64(i), D: table.MustData(fmt.Sprintf("a%d", i%1000))}
+		t2[i] = table.Row{J: uint64(i), D: table.MustData(fmt.Sprintf("b%d", i%1000))}
+	}
+	return map[string][]table.Row{"t1": t1, "t2": t2}
+}
 
 // ShardBenchResult is one row of the sharded-execution benchmark: the
 // scan→join→rekey→filter→project chain at one shard count, fixed input
@@ -42,7 +72,7 @@ type ShardBenchResult struct {
 
 // BenchShard measures the sharded executor at each shard count in
 // shards (1 must come first — it is the baseline the speedups and the
-// invariance checks compare against) on the streamChain pipeline over
+// invariance checks compare against) on the shardChain pipeline over
 // plain storage at one input size. workers ≤ 0 means GOMAXPROCS.
 func BenchShard(w io.Writer, n, workers int, shards []int) ([]ShardBenchResult, error) {
 	if workers <= 0 {
@@ -51,8 +81,8 @@ func BenchShard(w io.Writer, n, workers int, shards []int) ([]ShardBenchResult, 
 	if len(shards) == 0 || shards[0] != 1 {
 		shards = append([]int{1}, shards...)
 	}
-	tables := streamTables(n)
-	pipeline := streamChain()
+	tables := shardTables(n)
+	pipeline := shardChain()
 	fmt.Fprintf(w, "Shard benchmark — hash-partitioned parallel join, scan→join→rekey→filter→project (n=%d, workers=%d)\n", n, workers)
 	fmt.Fprintf(w, "%7s %12s %14s %9s %12s %8s %s\n", "shards", "wall", "peak", "speedup", "comparators", "results", "trace")
 

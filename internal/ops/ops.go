@@ -157,13 +157,6 @@ func SemijoinStore(cfg *core.Config, a table.Store) uint64 {
 	return k
 }
 
-// SortByKey sorts rows by (key, data) obliviously, in place semantics
-// (a new slice is returned; the input is untouched).
-func SortByKey(cfg *core.Config, rows []table.Row) []table.Row {
-	a := load(cfg, rows)
-	return collect(a, SortByKeyStore(cfg, a))
-}
-
 // SortByKeyStore sorts an already-loaded store by (key, data) and
 // returns its (public) length; the whole store is live output.
 func SortByKeyStore(cfg *core.Config, a table.Store) uint64 {

@@ -271,7 +271,9 @@ func TestSortByKey(t *testing.T) {
 	for i := range in {
 		in[i] = table.Row{J: uint64(rng.Intn(10)), D: table.MustData(fmt.Sprintf("%02d", i))}
 	}
-	got := SortByKey(sp(), in)
+	cfg := sp()
+	a := load(cfg, in)
+	got := collect(a, SortByKeyStore(cfg, a))
 	if len(got) != len(in) {
 		t.Fatal("length changed")
 	}

@@ -18,8 +18,7 @@ package query
 //   join(n1, n2) → m        internal/core: Augment-Tables sorts n1+n2
 //                           twice; each Oblivious-Expand sorts and
 //                           routes a store of Lᵢ = max(nᵢ, m); the
-//                           alignment sorts m. (Probabilistic
-//                           distribute sorts nᵢ+m and routes nothing.)
+//                           alignment sorts m.
 //   semijoin(n, s)          internal/ops: one sort of n+s.
 //   distinct/sort/group(n)  one sort of n.
 //   join-agg(n, r)          internal/aggregate: Augment-Tables only —
@@ -130,7 +129,7 @@ func DistributeRouteOps(l int) uint64 {
 }
 
 // costModel evaluates operator costs under one option set, memoizing
-// the comparator counts of the configured network.
+// the bitonic network's comparator counts.
 type costModel struct {
 	opts Options
 	memo map[int]uint64
@@ -140,18 +139,12 @@ func newCostModel(opts Options) *costModel {
 	return &costModel{opts: opts, memo: map[int]uint64{}}
 }
 
-// sortC is the exact comparator count of one sort of n elements under
-// the configured network.
+// sortC is the exact comparator count of one sort of n elements.
 func (cm *costModel) sortC(n int) uint64 {
 	if c, ok := cm.memo[n]; ok {
 		return c
 	}
-	var c uint64
-	if cm.opts.MergeExchange {
-		c = bitonic.MergeExchangeComparators(n)
-	} else {
-		c = bitonic.Comparators(n)
-	}
+	c := bitonic.Comparators(n)
 	cm.memo[n] = c
 	return c
 }
@@ -171,17 +164,12 @@ func (cm *costModel) footprint(n int) int64 {
 // data-dependent (public) skew fallback, but they remain monotone in
 // the same input sizes, which is all the ordering decision needs.
 func (cm *costModel) join(n1, n2, m int) (comp, route uint64, bytes int64) {
-	comp = 2 * cm.sortC(n1+n2) // Augment-Tables
-	if cm.opts.Probabilistic {
-		comp += cm.sortC(n1+m) + cm.sortC(n2+m) // PRP distributes
-		bytes = cm.footprint(n1+n2) + cm.footprint(n1+m) + cm.footprint(n2+m)
-	} else {
-		l1, l2 := max(n1, m), max(n2, m)
-		comp += cm.sortC(l1) + cm.sortC(l2)
-		route = DistributeRouteOps(l1) + DistributeRouteOps(l2)
-		bytes = cm.footprint(n1+n2) + cm.footprint(l1) + cm.footprint(l2)
-	}
-	comp += cm.sortC(m) // alignment
+	l1, l2 := max(n1, m), max(n2, m)
+	comp = 2*cm.sortC(n1+n2) + // Augment-Tables
+		cm.sortC(l1) + cm.sortC(l2) + // the two expands' distributes
+		cm.sortC(m) // alignment
+	route = DistributeRouteOps(l1) + DistributeRouteOps(l2)
+	bytes = cm.footprint(n1+n2) + cm.footprint(l1) + cm.footprint(l2)
 	if s := cm.opts.Shards; s > 1 {
 		c1, c2 := shard.CapFor(n1, s), shard.CapFor(n2, s)
 		bytes = int64(s) * (cm.footprint(c1+c2) + 2*cm.footprint(max(c1, c2)))

@@ -23,23 +23,10 @@ type Options struct {
 	// identical at every degree.
 	Workers int
 	// Encrypted stores every intermediate entry AES-sealed in public
-	// memory under a per-engine random key.
+	// memory under a per-engine random key, table.DefaultSealedBlock
+	// entries per ciphertext block. Results and traces are identical to
+	// the plain store's.
 	Encrypted bool
-	// SealedBlock sets the sealed store's granularity when Encrypted
-	// is on: entries per ciphertext block. 0 selects the default block
-	// store (table.DefaultSealedBlock entries per block); 1 selects
-	// the legacy per-entry store; larger values amortize one nonce and
-	// MAC over more entries per crypto operation. Results and traces
-	// are identical at every granularity.
-	SealedBlock int
-	// MergeExchange selects Batcher's odd-even merge-exchange network
-	// instead of the bitonic default.
-	MergeExchange bool
-	// Probabilistic switches Oblivious-Distribute to the PRP-based
-	// variant of §5.2, seeded by Seed.
-	Probabilistic bool
-	// Seed seeds the probabilistic distribute.
-	Seed int64
 	// CollectStats records a PlanStats report for each query,
 	// retrievable via LastStats.
 	CollectStats bool
@@ -47,17 +34,6 @@ type Options struct {
 	// SHA-256 trace hash (the §6.1 construction), reported in
 	// PlanStats.TraceHash. Implies stats collection.
 	TraceHash bool
-	// Materialized restores the stage-at-a-time executor, where every
-	// operator hand-off is a whole relation. The zero value selects the
-	// streaming executor: block-granular batches between stages, eager
-	// release of drained intermediates, bounded peak memory. Results,
-	// comparator counts and canonical trace hashes are identical either
-	// way.
-	Materialized bool
-	// StreamBatch sets the streaming hand-off granularity in rows (0
-	// selects the default); the driver rounds it up to a multiple of
-	// the sealed block width.
-	StreamBatch int
 	// MemBudget, when > 0, bounds the tracked in-memory bytes of a run:
 	// a store allocation that would push the live total past the budget
 	// is diverted to a sealed spill file on disk (ciphertext-only, same
@@ -111,8 +87,8 @@ type PlanStats struct {
 	// stores charged at allocation, relation hand-offs charged at fixed
 	// per-record weights, both discharged at their release points. A
 	// deterministic function of the pipeline, the (public) sizes and
-	// the executor mode — not a live heap sample — so it is
-	// reproducible and CI-gateable.
+	// the store mode — not a live heap sample — so it is reproducible
+	// and CI-gateable.
 	PeakBytes int64
 	// TotalAllocBytes is the cumulative tracked bytes ever charged.
 	TotalAllocBytes int64

@@ -1,18 +1,30 @@
 // Package exec is the physical operator layer of the oblivious SQL
-// engine: each operator wraps one of the repository's oblivious
-// primitives (internal/core, internal/ops, internal/aggregate) behind a
-// uniform Run interface, and a query executes as a straight-line
-// pipeline of operators threading one shared execution context.
+// engine and its one executor. Each operator wraps one of the
+// repository's oblivious primitives (internal/core, internal/ops,
+// internal/aggregate), and a query executes as a straight-line pipeline
+// of operators that a Driver walks stage by stage, threading one shared
+// execution context.
+//
+// Every operator has exactly one execution form per shape of input.
+// Row-shaped data flows between stages as a RowSource of
+// DefaultBatch-row batches: Scan opens one, the Streamers (Filter,
+// Distinct, Sort, Semijoin, Limit) turn one into the next, Join
+// consumes one into keyed pairs and Rekey turns pairs back into one.
+// Everything else — keyed pairs, aggregates — is a materialized
+// Relation, and the operators that meet one implement Whole: GroupBy,
+// JoinAggregate and Restore, which need their whole input at once, and
+// Limit, Project and the free Sort over join output.
 //
 // The context carries a single *core.Config — store allocator (plain or
-// sealed), worker count, sorting network, instrumentation — so every
-// stage of a SQL query runs with the same parallelism, storage backend
-// and trace sink as a bare core.Join would. Obliviousness composes
-// stage-wise: each operator's access pattern depends only on its input
-// and output sizes, all of which are public.
+// sealed), worker count, instrumentation — so every stage of a SQL
+// query runs with the same parallelism, storage backend and trace sink
+// as a bare core.Join would. Obliviousness composes stage-wise: each
+// operator's access pattern depends only on its input and output
+// sizes, all of which are public.
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -28,17 +40,11 @@ import (
 // Context threads the shared execution state through every operator of
 // one query run.
 type Context struct {
-	// Cfg is the one shared configuration: allocator, workers, network,
-	// probabilistic distribute, stats. Every operator allocates and
-	// sorts through it.
+	// Cfg is the one shared configuration: allocator, workers, stats.
+	// Every operator allocates and sorts through it.
 	Cfg *core.Config
 	// Tables resolves table names for Scan/Semijoin/Join operators.
 	Tables map[string][]table.Row
-	// Batch is the row granularity of the streaming executor's
-	// hand-offs (0 selects DefaultBatch). The driver keeps it a
-	// multiple of the sealed block width so batch boundaries align
-	// with ciphertext blocks.
-	Batch int
 	// Shard, when non-nil, routes join barriers through the sharded
 	// scheduler (Options.Shards > 1): hash-partitioned concurrent
 	// per-shard pipelines with an oblivious merge. Every other
@@ -51,9 +57,10 @@ type Context struct {
 type Kind int
 
 const (
-	// KindNone is the empty pipeline source (input of Scan).
+	// KindNone is the empty pipeline source (before Scan).
 	KindNone Kind = iota
-	// KindRows is a single-payload relation ([]table.Row).
+	// KindRows is a single-payload relation ([]table.Row): a drained
+	// row stream, or one batch of it.
 	KindRows
 	// KindPairs is keyed join output ([]table.KeyedPair).
 	KindPairs
@@ -67,8 +74,9 @@ const (
 	KindResult
 )
 
-// Relation is the value flowing between operators: exactly one of the
-// slices (or Result) is meaningful, selected by Kind.
+// Relation is a materialized hand-off between operators — everything
+// that is not a row stream: exactly one of the slices (or Result) is
+// meaningful, selected by Kind.
 type Relation struct {
 	Kind      Kind
 	Rows      []table.Row
@@ -107,16 +115,35 @@ type Result struct {
 	Rows    [][]string
 }
 
-// Operator is one physical plan stage. Run consumes the upstream
-// relation and produces the downstream one; Name is the stage's label
-// in EXPLAIN output and PlanStats reports.
+// Operator is one physical plan stage; Name is the stage's label in
+// EXPLAIN output and PlanStats reports. A stage executes through
+// whichever of Scan.Source, Streamer, Join.RunFeed, Rekey.Source,
+// Project.RunStream and Whole it has; Driver.Step picks by the shape of
+// the previous stage's output.
 type Operator interface {
 	Name() string
+}
+
+// Whole is implemented by the operators that consume their whole input
+// at once: Run takes the upstream relation and produces the downstream
+// one.
+type Whole interface {
+	Operator
 	Run(ctx *Context, in Relation) (Relation, error)
 }
 
+// ErrInternal marks failures that are the engine's fault, never the
+// query's — broken pipeline invariants, missing execution state.
+var ErrInternal = errors.New("internal engine error")
+
+// malformed reports a pipeline no lowering produces: op met an input
+// it has no execution form for.
+func malformed(op Operator, in string) error {
+	return fmt.Errorf("query: %s cannot consume %s: %w", op.Name(), in, ErrInternal)
+}
+
 // probeEvery is the row stride between cancellation probes in the
-// operators' own per-row materialization loops (Rekey, GroupBy). The
+// operators' own per-row loops (GroupBy, Restore, Project). The
 // oblivious primitives probe at their round barriers already; this
 // covers the plain-Go loops over m rows, which can dominate when a
 // join output is large. A fixed constant, so the probe cadence is a
@@ -147,13 +174,15 @@ type Scan struct{ Table string }
 // Name implements Operator.
 func (s Scan) Name() string { return fmt.Sprintf("scan(%s)", s.Table) }
 
-// Run implements Operator.
-func (s Scan) Run(ctx *Context, _ Relation) (Relation, error) {
+// Source opens the table as a row stream. The rows alias the catalog
+// snapshot, which the run does not own, so the stream carries no gauge
+// charge.
+func (s Scan) Source(ctx *Context) (RowSource, error) {
 	rows, err := lookup(ctx, s.Table, "")
 	if err != nil {
-		return Relation{}, err
+		return nil, err
 	}
-	return Relation{Kind: KindRows, Rows: rows}, nil
+	return newSliceSource(ctx, rows), nil
 }
 
 // Semijoin keeps the rows whose key appears in Table (an IN-subquery).
@@ -162,36 +191,17 @@ type Semijoin struct{ Table string }
 // Name implements Operator.
 func (s Semijoin) Name() string { return fmt.Sprintf("semijoin(%s)", s.Table) }
 
-// Run implements Operator.
-func (s Semijoin) Run(ctx *Context, in Relation) (Relation, error) {
-	sub, err := lookup(ctx, s.Table, " in IN subquery")
-	if err != nil {
-		return Relation{}, err
-	}
-	return Relation{Kind: KindRows, Rows: ops.Semijoin(ctx.Cfg, in.Rows, sub)}, nil
-}
-
 // Filter keeps the rows satisfying the branch-free predicate.
 type Filter struct{ Pred ops.Predicate }
 
 // Name implements Operator.
 func (Filter) Name() string { return "filter[branch-free]" }
 
-// Run implements Operator.
-func (f Filter) Run(ctx *Context, in Relation) (Relation, error) {
-	return Relation{Kind: KindRows, Rows: ops.Filter(ctx.Cfg, in.Rows, f.Pred)}, nil
-}
-
 // Distinct removes duplicate rows, sorting by (key, data).
 type Distinct struct{}
 
 // Name implements Operator.
 func (Distinct) Name() string { return "distinct[oblivious]" }
-
-// Run implements Operator.
-func (Distinct) Run(ctx *Context, in Relation) (Relation, error) {
-	return Relation{Kind: KindRows, Rows: ops.Distinct(ctx.Cfg, in.Rows)}, nil
-}
 
 // Sort orders rows by (key, data). Free marks inputs that are already
 // key-ordered (join output), where the sort costs nothing.
@@ -205,22 +215,24 @@ func (s Sort) Name() string {
 	return "sort(key)"
 }
 
-// Run implements Operator.
-func (s Sort) Run(ctx *Context, in Relation) (Relation, error) {
-	if s.Free {
-		return in, nil
+// Run implements Whole for the free sort, the only one that meets a
+// relation: join output is keyed pairs, already in key order.
+func (s Sort) Run(_ *Context, in Relation) (Relation, error) {
+	if !s.Free {
+		return Relation{}, malformed(s, "a materialized relation")
 	}
-	return Relation{Kind: KindRows, Rows: ops.SortByKey(ctx.Cfg, in.Rows)}, nil
+	return in, nil
 }
 
-// Limit truncates the relation to its first N records. Truncation of an
+// Limit truncates its input to the first N records. Truncation of an
 // already-public-size output reveals nothing new.
 type Limit struct{ N int }
 
 // Name implements Operator.
 func (l Limit) Name() string { return fmt.Sprintf("limit(%d)", l.N) }
 
-// Run implements Operator.
+// Run implements Whole: the limit over join output and aggregates. A
+// row stream goes through RunStream.
 func (l Limit) Run(ctx *Context, in Relation) (Relation, error) {
 	probe(ctx)
 	if l.N >= in.Size() {
@@ -228,8 +240,6 @@ func (l Limit) Run(ctx *Context, in Relation) (Relation, error) {
 	}
 	out := in
 	switch in.Kind {
-	case KindRows:
-		out.Rows = in.Rows[:l.N]
 	case KindPairs:
 		out.Pairs = in.Pairs[:l.N]
 	case KindGroups:
@@ -266,50 +276,14 @@ type Rekey struct{ First bool }
 // Name implements Operator.
 func (Rekey) Name() string { return "rekey" }
 
-// Run implements Operator.
-func (r Rekey) Run(ctx *Context, in Relation) (Relation, error) {
-	rows := make([]table.Row, len(in.Pairs))
-	for i, p := range in.Pairs {
-		if i%probeEvery == 0 {
-			probe(ctx)
-		}
-		d1 := table.DataString(p.D1)
-		if r.First {
-			d1 = encodeSegment(d1)
-		}
-		d, err := rekeyJoin(d1, table.DataString(p.D2))
-		if err != nil {
-			return Relation{}, err
-		}
-		rows[i] = table.Row{J: p.J, D: d}
-	}
-	return Relation{Kind: KindRows, Rows: rows}, nil
-}
-
 // Join computes the oblivious equi-join of the incoming rows with a
 // registered table, keeping the join key in the output so the result
-// stays composable (core.JoinKeyed).
+// stays composable (core.JoinKeyedFeed2); RunFeed is its execution
+// form.
 type Join struct{ Table string }
 
 // Name implements Operator.
 func (j Join) Name() string { return fmt.Sprintf("oblivious-join(%s)", j.Table) }
-
-// Run implements Operator.
-func (j Join) Run(ctx *Context, in Relation) (Relation, error) {
-	right, err := lookup(ctx, j.Table, "")
-	if err != nil {
-		return Relation{}, err
-	}
-	if ctx.Shard != nil {
-		pairs, err := ctx.Shard.JoinKeyed(core.RowsFeed(in.Rows), core.RowsFeed(right))
-		if err != nil {
-			return Relation{}, err
-		}
-		return Relation{Kind: KindPairs, Pairs: pairs}, nil
-	}
-	pairs := core.JoinKeyed(ctx.Cfg, in.Rows, right)
-	return Relation{Kind: KindPairs, Pairs: pairs}, nil
-}
 
 // JoinAggregate is the §7 fast path: COUNT and SUM aggregates over a
 // join computed from group dimensions alone, never materializing the
@@ -327,7 +301,7 @@ func (j JoinAggregate) Name() string {
 	return fmt.Sprintf("join-group-stats(%s) [§7 fast path]", j.Table)
 }
 
-// Run implements Operator.
+// Run implements Whole.
 func (j JoinAggregate) Run(ctx *Context, in Relation) (Relation, error) {
 	right, err := lookup(ctx, j.Table, "")
 	if err != nil {
@@ -393,7 +367,7 @@ type GroupBy struct{ NeedValue bool }
 // Name implements Operator.
 func (GroupBy) Name() string { return "group-by[oblivious]" }
 
-// Run implements Operator.
+// Run implements Whole.
 func (g GroupBy) Run(ctx *Context, in Relation) (Relation, error) {
 	items := make([]aggregate.Item, len(in.Rows))
 	for i, r := range in.Rows {

@@ -26,16 +26,41 @@ func rowsOf(keys ...uint64) []table.Row {
 	return out
 }
 
+// drain collects a stream into one slice, copying out of the reused
+// batch buffers.
+func drain(t *testing.T, src RowSource) []table.Row {
+	t.Helper()
+	var out []table.Row
+	for {
+		b, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return out
+		}
+		out = append(out, b...)
+	}
+}
+
 func TestScanUnknownTable(t *testing.T) {
 	ctx := testCtx(map[string][]table.Row{})
-	if _, err := (Scan{Table: "ghost"}).Run(ctx, Relation{}); err == nil {
+	if _, err := (Scan{Table: "ghost"}).Source(ctx); err == nil {
 		t.Fatal("expected unknown-table error")
 	}
 }
 
 func TestLimitTruncatesEveryKind(t *testing.T) {
+	for _, n := range []int{2, 9} {
+		src, err := (Limit{N: n}).RunStream(nil, newSliceSource(nil, rowsOf(1, 2, 3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(n, 3); src.Len() != want || len(drain(t, src)) != want {
+			t.Fatalf("row stream under limit %d: Len = %d, want %d", n, src.Len(), want)
+		}
+	}
 	rels := []Relation{
-		{Kind: KindRows, Rows: rowsOf(1, 2, 3)},
 		{Kind: KindPairs, Pairs: make([]table.KeyedPair, 3)},
 		{Kind: KindGroups, Groups: make([]aggregate.Group, 3)},
 		{Kind: KindJoinStats, JoinStats: make([]aggregate.JoinStat, 3)},
@@ -58,22 +83,24 @@ func TestLimitTruncatesEveryKind(t *testing.T) {
 }
 
 func TestRekeyConcatenatesAndOverflows(t *testing.T) {
-	in := Relation{Kind: KindPairs, Pairs: []table.KeyedPair{
+	closed := 0
+	src := (Rekey{}).Source(nil, []table.KeyedPair{
 		{J: 7, D1: table.MustData("ab"), D2: table.MustData("cd")},
-	}}
-	out, err := (Rekey{}).Run(nil, in)
-	if err != nil {
-		t.Fatal(err)
+	}, func() { closed++ })
+	out := drain(t, src)
+	if len(out) != 1 || table.DataString(out[0].D) != "ab+cd" || out[0].J != 7 {
+		t.Fatalf("rekeyed = %+v", out)
 	}
-	if out.Kind != KindRows || table.DataString(out.Rows[0].D) != "ab+cd" || out.Rows[0].J != 7 {
-		t.Fatalf("rekeyed = %+v", out.Rows)
+	src.Close()
+	if closed != 1 {
+		t.Fatalf("onClose ran %d times over a full drain and a Close, want 1", closed)
 	}
 
 	long := strings.Repeat("x", table.DataLen)
-	in = Relation{Kind: KindPairs, Pairs: []table.KeyedPair{
+	src = (Rekey{}).Source(nil, []table.KeyedPair{
 		{J: 1, D1: table.MustData(long), D2: table.MustData("y")},
-	}}
-	if _, err := (Rekey{}).Run(nil, in); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	}, nil)
+	if _, err := src.Next(); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("err = %v, want overflow error", err)
 	}
 }
@@ -115,8 +142,7 @@ func TestProjectErrorsOnUnavailableColumns(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// left.data without a join.
-	in = Relation{Kind: KindRows, Rows: rowsOf(1)}
-	_, err = (Project{Items: []ProjItem{{Col: ColLeftData}}}).Run(nil, in)
+	_, err = (Project{Items: []ProjItem{{Col: ColLeftData}}}).RunStream(nil, newSliceSource(nil, rowsOf(1)), nil)
 	if err == nil || !strings.Contains(err.Error(), "without JOIN") {
 		t.Fatalf("err = %v", err)
 	}
@@ -133,18 +159,17 @@ func TestPipelineComposition(t *testing.T) {
 		Limit{N: 3},
 		Project{Items: []ProjItem{{Col: ColKey}, {Col: ColLeftData}, {Col: ColRightData}}},
 	}
-	rel := Relation{}
-	var err error
+	d := NewDriver(ctx, nil, nil)
 	for _, op := range pipeline {
-		rel, err = op.Run(ctx, rel)
-		if err != nil {
+		if err := d.Step(op); err != nil {
 			t.Fatalf("%s: %v", op.Name(), err)
 		}
 	}
-	if rel.Kind != KindResult || len(rel.Result.Rows) != 3 {
-		t.Fatalf("result = %+v", rel.Result)
+	res, err := d.Result()
+	if err != nil || len(res.Rows) != 3 {
+		t.Fatalf("result = %+v (%v)", res, err)
 	}
-	if got := strings.Join(rel.Result.Columns, ","); got != "key,left.data,right.data" {
+	if got := strings.Join(res.Columns, ","); got != "key,left.data,right.data" {
 		t.Fatalf("columns = %s", got)
 	}
 }

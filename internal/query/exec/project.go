@@ -76,7 +76,8 @@ type Project struct{ Items []ProjItem }
 // Name implements Operator.
 func (Project) Name() string { return "project" }
 
-// Run implements Operator.
+// Run implements Whole: the projection of join output and aggregates.
+// A row stream goes through RunStream.
 func (p Project) Run(ctx *Context, in Relation) (Relation, error) {
 	res := &Result{}
 	for _, it := range p.Items {
@@ -102,7 +103,7 @@ func (p Project) Run(ctx *Context, in Relation) (Relation, error) {
 // RunStream renders a row stream batch by batch. With a sink, batches
 // are delivered as they render and the result is never materialized —
 // the peak memory of the projection is one batch. Without a sink the
-// rows accumulate into a Result as Run would build.
+// rows accumulate into a Result. It closes src in all cases.
 func (p Project) RunStream(ctx *Context, src RowSource, sink RowSink) (*Result, error) {
 	defer src.Close()
 	cols := make([]string, 0, len(p.Items))

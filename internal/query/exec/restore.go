@@ -126,7 +126,7 @@ func (r Restore) Name() string {
 	return fmt.Sprintf("restore%v → canonicalize(j,d1,d2)", r.Perm)
 }
 
-// Run implements Operator.
+// Run implements Whole.
 func (r Restore) Run(ctx *Context, in Relation) (Relation, error) {
 	out := make([]table.KeyedPair, len(in.Pairs))
 	if isIdentityPerm(r.Perm) {

@@ -13,9 +13,9 @@ import (
 // an upstream stage's batches straight into TC.
 type Batch = []table.Row
 
-// DefaultBatch is the default hand-off granularity in rows: 64 sealed
-// blocks of the default block width, so batch boundaries always align
-// with ciphertext blocks and a sealed drain never splits a block RMW.
+// DefaultBatch is the hand-off granularity in rows: 64 sealed blocks of
+// the default block width, so batch boundaries always align with
+// ciphertext blocks and a sealed drain never splits a block RMW.
 const DefaultBatch = 64 * table.DefaultSealedBlock
 
 // RowSource is the pull side of the streaming contract. Len is the
@@ -30,11 +30,13 @@ type RowSource interface {
 	Close()
 }
 
-// Streamer is implemented by operators that can consume and produce
-// batch streams. Barrier operators (filter, distinct, sort, semijoin)
+// Streamer is implemented by the operators that turn one row stream
+// into the next. Barrier operators (filter, distinct, sort, semijoin)
 // are eager: RunStream fills a store from the upstream batches,
 // runs the oblivious body, and returns a lazy drain of the surviving
-// prefix. Row-level operators (limit) are lazy end to end.
+// prefix. Row-level operators (limit) are lazy end to end. RunStream
+// owns src: it is closed by the time RunStream fails, or by the
+// returned source.
 type Streamer interface {
 	Operator
 	RunStream(ctx *Context, src RowSource) (RowSource, error)
@@ -43,18 +45,10 @@ type Streamer interface {
 // RowSink consumes a streamed result incrementally: Columns once, then
 // any number of Rows calls in output order. When a query runs against
 // a sink the final result is never materialized, so the peak memory of
-// a streaming run is bounded by the widest single stage.
+// the run is bounded by the widest single stage.
 type RowSink interface {
 	Columns(cols []string) error
 	Rows(rows [][]string) error
-}
-
-// batchRows resolves the configured hand-off granularity.
-func (c *Context) batchRows() int {
-	if c != nil && c.Batch > 0 {
-		return c.Batch
-	}
-	return DefaultBatch
 }
 
 // NewStore allocates an n-entry store through the run's configured
@@ -84,7 +78,8 @@ func (c *Context) fillFrom(bld *table.Builder, src RowSource, tid uint64) error 
 
 // fillStore loads src into a fresh store of exactly src.Len() entries.
 // The builder's deferred-trace write replay keeps the recorded event
-// order identical to the materialized collect-then-load sequence.
+// order the canonical one: every upstream drain read, then the fill's
+// writes.
 func (c *Context) fillStore(src RowSource) (table.Store, error) {
 	a := c.NewStore(src.Len())
 	bld := table.NewBuilder(a)
@@ -97,20 +92,16 @@ func (c *Context) fillStore(src RowSource) (table.Store, error) {
 
 // ── sources ──────────────────────────────────────────────────────────
 
-// sliceSource streams an in-memory row slice as zero-copy subslices.
+// sliceSource streams a catalog table as zero-copy subslices. It holds
+// nothing of the run's, so Close has nothing to release.
 type sliceSource struct {
-	ctx     *Context
-	rows    []table.Row
-	pos     int
-	onClose func()
+	ctx  *Context
+	rows []table.Row
+	pos  int
 }
 
-// NewSliceSource wraps rows as a RowSource. onClose (optional) runs
-// once when the source is closed or fully drained — the driver uses it
-// to discharge the slice's gauge weight the moment downstream is done
-// with it.
-func NewSliceSource(ctx *Context, rows []table.Row, onClose func()) RowSource {
-	return &sliceSource{ctx: ctx, rows: rows, onClose: onClose}
+func newSliceSource(ctx *Context, rows []table.Row) RowSource {
+	return &sliceSource{ctx: ctx, rows: rows}
 }
 
 func (s *sliceSource) Len() int { return len(s.rows) }
@@ -118,26 +109,20 @@ func (s *sliceSource) Len() int { return len(s.rows) }
 func (s *sliceSource) Next() (Batch, error) {
 	probe(s.ctx)
 	if s.pos >= len(s.rows) {
-		s.Close()
 		return nil, nil
 	}
-	hi := min(s.pos+s.ctx.batchRows(), len(s.rows))
+	hi := min(s.pos+DefaultBatch, len(s.rows))
 	b := s.rows[s.pos:hi]
 	s.pos = hi
 	return b, nil
 }
 
-func (s *sliceSource) Close() {
-	if s.onClose != nil {
-		s.onClose()
-		s.onClose = nil
-	}
-}
+func (s *sliceSource) Close() {}
 
 // storeSource drains the live prefix [0, k) of a store in batch-sized
 // range reads, releasing the store into the run's gauge once drained.
-// The range reads canonicalize to the same per-entry read events the
-// materialized executor's collect loop emits.
+// The range reads canonicalize to per-entry read events in ascending
+// index order.
 type storeSource struct {
 	ctx      *Context
 	st       table.Store
@@ -161,9 +146,8 @@ func (s *storeSource) Next() (Batch, error) {
 		return nil, nil
 	}
 	if s.buf == nil {
-		bw := s.ctx.batchRows()
-		s.buf = make([]table.Entry, bw)
-		s.rows = make([]table.Row, bw)
+		s.buf = make([]table.Entry, DefaultBatch)
+		s.rows = make([]table.Row, DefaultBatch)
 	}
 	n := min(len(s.buf), s.k-s.pos)
 	loadStoreRange(s.st, s.pos, s.buf[:n])
@@ -196,9 +180,9 @@ func loadStoreRange(st table.Store, lo int, dst []table.Entry) {
 	}
 }
 
-// rekeySource converts keyed join output into a row stream batch-wise
-// — the streaming form of Rekey, so a join feeding a downstream stage
-// never materializes the rekeyed whole-relation slice.
+// rekeySource converts keyed join output into a row stream batch-wise,
+// so a join feeding a downstream stage never materializes the rekeyed
+// whole-relation slice.
 type rekeySource struct {
 	ctx     *Context
 	pairs   []table.KeyedPair
@@ -208,12 +192,12 @@ type rekeySource struct {
 	onClose func()
 }
 
-// NewRekeySource wraps keyed join output as a row stream, applying the
-// same segment encoding as Rekey (first marks the chain's first rekey,
-// whose left side is a raw payload). onClose (optional) runs once on
-// close or full drain, discharging the pairs.
-func NewRekeySource(ctx *Context, pairs []table.KeyedPair, first bool, onClose func()) RowSource {
-	return &rekeySource{ctx: ctx, pairs: pairs, first: first, onClose: onClose}
+// Source is Rekey's execution form: it wraps keyed join output as a row
+// stream. onClose runs once, on close or full drain — the driver
+// discharges the pairs' gauge weight there, the moment downstream is
+// done with them.
+func (r Rekey) Source(ctx *Context, pairs []table.KeyedPair, onClose func()) RowSource {
+	return &rekeySource{ctx: ctx, pairs: pairs, first: r.First, onClose: onClose}
 }
 
 func (s *rekeySource) Len() int { return len(s.pairs) }
@@ -225,7 +209,7 @@ func (s *rekeySource) Next() (Batch, error) {
 		return nil, nil
 	}
 	if s.rows == nil {
-		s.rows = make([]table.Row, s.ctx.batchRows())
+		s.rows = make([]table.Row, DefaultBatch)
 	}
 	n := min(len(s.rows), len(s.pairs)-s.pos)
 	for i, p := range s.pairs[s.pos : s.pos+n] {
@@ -252,9 +236,8 @@ func (s *rekeySource) Close() {
 
 // limitSource forwards the first total rows of src and then keeps
 // draining the remainder without forwarding it. The dummy drain keeps
-// the upstream read pattern — and hence the canonical trace —
-// identical to a materialized run, where the full prefix is collected
-// before the limit truncates it.
+// the upstream read pattern — and hence the canonical trace — a
+// function of the upstream size alone, never of N.
 type limitSource struct {
 	ctx   *Context
 	src   RowSource
@@ -284,10 +267,10 @@ func (l *limitSource) Next() (Batch, error) {
 
 func (l *limitSource) Close() { l.src.Close() }
 
-// Materialize drains src into one contiguous slice — the bridge from a
-// streamed prefix to operators that need the whole relation at once
-// (GroupBy, the §7 join aggregates).
-func Materialize(ctx *Context, src RowSource) ([]table.Row, error) {
+// materialize drains src into one contiguous slice — the bridge from a
+// row stream to the operators that need the whole relation at once
+// (GroupBy, the §7 join aggregates). It closes src in all cases.
+func materialize(src RowSource) ([]table.Row, error) {
 	out := make([]table.Row, 0, src.Len())
 	defer src.Close()
 	for {
@@ -302,7 +285,7 @@ func Materialize(ctx *Context, src RowSource) ([]table.Row, error) {
 	}
 }
 
-// ── barrier operators' streaming forms ───────────────────────────────
+// ── the row-stream operators ─────────────────────────────────────────
 
 // RunStream implements Streamer: fill, null-and-compact, drain prefix.
 func (f Filter) RunStream(ctx *Context, src RowSource) (RowSource, error) {
@@ -338,8 +321,8 @@ func (s Sort) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 }
 
 // RunStream implements Streamer. The subquery table is appended before
-// the upstream rows (right TID 1, then left TID 2), matching the
-// materialized load order entry for entry.
+// the upstream rows (right TID 1, then left TID 2), the load order of
+// ops.Semijoin.
 func (s Semijoin) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 	sub, err := lookup(ctx, s.Table, " in IN subquery")
 	if err != nil {
@@ -357,7 +340,7 @@ func (s Semijoin) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 	return newStoreSource(ctx, a, int(k)), nil
 }
 
-// RunFeed is Join's streaming form: both inputs arrive batch-wise and
+// RunFeed is Join's execution form: both inputs arrive batch-wise and
 // append straight into the join's combined store
 // (core.JoinKeyedFeed2), so neither relation is ever staged as an
 // extra slice — the left is the upstream stage's stream, the right is
@@ -373,9 +356,9 @@ func (j Join) RunFeed(ctx *Context, src RowSource) (Relation, error) {
 	}
 	var pairs []table.KeyedPair
 	if ctx.Shard != nil {
-		pairs, err = ctx.Shard.JoinKeyed(src, NewSliceSource(ctx, right, nil))
+		pairs, err = ctx.Shard.JoinKeyed(src, newSliceSource(ctx, right))
 	} else {
-		pairs, err = core.JoinKeyedFeed2(ctx.Cfg, src, NewSliceSource(ctx, right, nil))
+		pairs, err = core.JoinKeyedFeed2(ctx.Cfg, src, newSliceSource(ctx, right))
 	}
 	if err != nil {
 		return Relation{}, err
@@ -384,8 +367,7 @@ func (j Join) RunFeed(ctx *Context, src RowSource) (Relation, error) {
 }
 
 // RunStream implements Streamer: forward the first N rows lazily, then
-// dummy-drain the rest so the access pattern matches a materialized
-// run (where the whole prefix is read before truncation).
+// dummy-drain the rest.
 func (l Limit) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 	return &limitSource{ctx: ctx, src: src, total: min(l.N, src.Len())}, nil
 }

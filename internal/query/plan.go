@@ -254,7 +254,7 @@ type PlanConfig struct {
 	// consumes. Nil plans as if every table were empty (deterministic,
 	// but orders nothing usefully).
 	Card Card
-	// Opts selects the sorting network and store mode the cost model
+	// Opts selects the store mode and shard count the cost model
 	// prices with.
 	Opts Options
 }

@@ -130,7 +130,7 @@ func TestGreedyByteIdentity(t *testing.T) {
 	tables := plannerCatalog()
 	for name, o := range map[string]Options{
 		"plain":   {},
-		"sealed":  {Encrypted: true, SealedBlock: 4},
+		"sealed":  {Encrypted: true},
 		"sharded": {Shards: 2, Workers: 2},
 	} {
 		t.Run(name, func(t *testing.T) {

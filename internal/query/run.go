@@ -19,7 +19,7 @@ import (
 // query's — broken pipeline invariants, missing execution state.
 // Callers (e.g. the HTTP layer) test with errors.Is to report them as
 // server faults.
-var ErrInternal = errors.New("internal engine error")
+var ErrInternal = exec.ErrInternal
 
 // ErrCanceled is the typed error of a query whose context was
 // cancelled mid-run. The returned error wraps both this sentinel and
@@ -45,18 +45,12 @@ func ctxErr(cause error) error {
 // and returns the projected result plus, when opts collects, the
 // PlanStats report (nil otherwise).
 //
-// By default the pipeline executes in streaming mode: row-shaped
+// The pipeline executes on the one executor, exec.Driver: row-shaped
 // relations flow between operators as block-granular batches, barrier
 // operators fill their stores straight from the upstream batches, and
 // each intermediate store is released the moment it is drained — so
 // peak memory is bounded by the widest adjacent pair of stages, not
-// the sum of every intermediate. Options.Materialized restores the
-// stage-at-a-time executor. Both modes produce identical results,
-// identical comparator counts and bit-identical canonical trace
-// hashes: the streaming fills defer their write events behind the
-// upstream reads they interleave with (table.Builder), so the
-// recorded access pattern is a function of the pipeline and the
-// public sizes alone, never of the execution strategy.
+// the sum of every intermediate.
 //
 // Each call assembles a private execution context — a fresh memory
 // space, trace sink, allocation gauge and core.Config — so the same
@@ -76,43 +70,18 @@ func Run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 	return run(ctx, opts, cipher, tables, pipeline, nil)
 }
 
-// RunStream executes pipeline in streaming mode and delivers the
-// result incrementally to sink — Columns once, then the output rows in
-// order, batch by batch — so the final result is never materialized
-// and the run's peak memory is bounded by its widest stage. Everything
-// else matches Run: same options, same concurrency contract, same
-// cancellation behavior, same canonical trace.
+// RunStream executes pipeline and delivers the result incrementally
+// to sink — Columns once, then the output rows in order, batch by
+// batch — so the final result is never materialized and the run's peak
+// memory is bounded by its widest stage. Everything else matches Run:
+// same options, same concurrency contract, same cancellation behavior,
+// same canonical trace.
 func RunStream(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[string][]table.Row, pipeline []exec.Operator, sink exec.RowSink) (*PlanStats, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("query: RunStream needs a sink: %w", ErrInternal)
 	}
-	opts.Materialized = false
 	_, ps, err := run(ctx, opts, cipher, tables, pipeline, sink)
 	return ps, err
-}
-
-// blockUnit resolves the sealed-block width of the run's store mode;
-// plain runs keep the default width as their spill and batch unit.
-func blockUnit(opts Options) int {
-	if opts.Encrypted && opts.SealedBlock >= 1 {
-		return opts.SealedBlock
-	}
-	return table.DefaultSealedBlock
-}
-
-// batchWidth resolves the streaming hand-off granularity: StreamBatch
-// (default exec.DefaultBatch) rounded up to a multiple of the sealed
-// block width, so a batch boundary never splits a ciphertext block.
-func batchWidth(opts Options) int {
-	b := opts.StreamBatch
-	if b <= 0 {
-		b = exec.DefaultBatch
-	}
-	u := blockUnit(opts)
-	if r := b % u; r != 0 {
-		b += u - r
-	}
-	return b
 }
 
 // allocStack assembles one execution context's allocator chain — store
@@ -124,19 +93,14 @@ func batchWidth(opts Options) int {
 // is 0.
 func allocStack(opts Options, cipher, sc *crypto.Cipher, rec trace.Recorder, budget int64) (table.Alloc, *table.Gauge) {
 	sp := memory.NewSpace(rec, nil)
-	var alloc table.Alloc
-	switch {
-	case opts.Encrypted && opts.SealedBlock == 1:
-		alloc = table.EncryptedAlloc(sp, cipher)
-	case opts.Encrypted:
-		alloc = table.BlockEncryptedAlloc(sp, cipher, opts.SealedBlock)
-	default:
-		alloc = table.PlainAlloc(sp)
+	alloc := table.PlainAlloc(sp)
+	if opts.Encrypted {
+		alloc = table.BlockEncryptedAlloc(sp, cipher, table.DefaultSealedBlock)
 	}
 	g := &table.Gauge{}
 	alloc = table.TrackedAlloc(alloc, g)
 	if budget > 0 {
-		spiller := table.NewSpillerFS(sp, sc, opts.SpillFS, opts.SpillDir, blockUnit(opts), g)
+		spiller := table.NewSpillerFS(sp, sc, opts.SpillFS, opts.SpillDir, table.DefaultSealedBlock, g)
 		alloc = table.BudgetAlloc(alloc, spiller, g, budget, modeFootprint(opts))
 	}
 	return alloc, g
@@ -144,11 +108,11 @@ func allocStack(opts Options, cipher, sc *crypto.Cipher, rec trace.Recorder, bud
 
 // unitFactory returns the sharded scheduler's Unit constructor: each
 // unit mirrors the run's own execution context — same store mode, same
-// network, same spill policy over a budget share — with private trace
-// sink, memory space and gauge, so units execute concurrently with no
-// shared mutable instrumentation and their digests fold back into the
-// run at deterministic barriers.
-func unitFactory(ctx context.Context, opts Options, cipher, sc *crypto.Cipher, net core.SortNet, collect bool) func() *shard.Unit {
+// spill policy over a budget share — with private trace sink, memory
+// space and gauge, so units execute concurrently with no shared mutable
+// instrumentation and their digests fold back into the run at
+// deterministic barriers.
+func unitFactory(ctx context.Context, opts Options, cipher, sc *crypto.Cipher, collect bool) func() *shard.Unit {
 	budget := opts.MemBudget
 	if budget > 0 {
 		// Units run concurrently: each gets an equal share of the run's
@@ -179,14 +143,11 @@ func unitFactory(ctx context.Context, opts Options, cipher, sc *crypto.Cipher, n
 		}
 		return &shard.Unit{
 			Cfg: &core.Config{
-				Alloc:         alloc,
-				Net:           net,
-				Probabilistic: opts.Probabilistic,
-				Seed:          opts.Seed,
-				Stats:         ust,
-				Ctx:           ctx,
-				Mem:           g,
-				Shards:        1,
+				Alloc:  alloc,
+				Stats:  ust,
+				Ctx:    ctx,
+				Mem:    g,
+				Shards: 1,
 			},
 			Hasher:  uh,
 			Counter: uc,
@@ -198,24 +159,10 @@ func unitFactory(ctx context.Context, opts Options, cipher, sc *crypto.Cipher, n
 // modeFootprint returns the in-memory footprint model of the run's
 // store mode, used to predict whether an allocation fits the budget.
 func modeFootprint(opts Options) func(n int) int64 {
-	switch {
-	case opts.Encrypted && opts.SealedBlock == 1:
-		return table.EncryptedFootprint
-	case opts.Encrypted:
-		bw := blockUnit(opts)
-		return func(n int) int64 { return table.BlockFootprint(n, bw) }
-	default:
-		return table.PlainFootprint
+	if opts.Encrypted {
+		return func(n int) int64 { return table.BlockFootprint(n, table.DefaultSealedBlock) }
 	}
-}
-
-// footprint is the gauge weight of an operator's materialized output.
-// Scan outputs alias the catalog snapshot, which the run does not own.
-func footprint(op exec.Operator, rel exec.Relation) int64 {
-	if _, ok := op.(exec.Scan); ok {
-		return 0
-	}
-	return exec.RelationFootprint(rel)
+	return table.PlainFootprint
 }
 
 func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[string][]table.Row, pipeline []exec.Operator, sink exec.RowSink) (res *Result, ps *PlanStats, err error) {
@@ -302,19 +249,14 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 		coreStats = &core.Stats{}
 	}
 	cfg := &core.Config{
-		Alloc:         alloc,
-		Workers:       opts.Workers,
-		Probabilistic: opts.Probabilistic,
-		Seed:          opts.Seed,
-		Stats:         coreStats,
-		Ctx:           ctx,
-		Mem:           gauge,
-		Shards:        opts.Shards,
+		Alloc:   alloc,
+		Workers: opts.Workers,
+		Stats:   coreStats,
+		Ctx:     ctx,
+		Mem:     gauge,
+		Shards:  opts.Shards,
 	}
-	if opts.MergeExchange {
-		cfg.Net = core.MergeExchange
-	}
-	ectx := &exec.Context{Cfg: cfg, Tables: tables, Batch: batchWidth(opts)}
+	ectx := &exec.Context{Cfg: cfg, Tables: tables}
 	if opts.Shards > 1 {
 		ectx.Shard = &shard.Group{
 			Parent:  cfg,
@@ -322,7 +264,7 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 			Hasher:  hasher,
 			Counter: counter,
 			Gauge:   gauge,
-			New:     unitFactory(ctx, opts, cipher, sc, cfg.Net, collect),
+			New:     unitFactory(ctx, opts, cipher, sc, collect),
 		}
 	}
 
@@ -338,43 +280,22 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 		ps.Total += wall
 	}
 
-	var rel exec.Relation
-	if opts.Materialized && sink == nil {
-		// Stage-at-a-time executor: every hand-off is a whole relation,
-		// charged to the gauge and never discharged mid-run — the
-		// legacy peak is the sum of the intermediates.
-		for _, op := range pipeline {
-			if cancellable {
-				if cause := ctx.Err(); cause != nil {
-					return nil, nil, ctxErr(cause)
-				}
+	d := exec.NewDriver(ectx, gauge, sink)
+	defer d.Close()
+	for _, op := range pipeline {
+		if cancellable {
+			if cause := ctx.Err(); cause != nil {
+				return nil, nil, ctxErr(cause)
 			}
-			start := time.Now()
-			rel, err = op.Run(ectx, rel)
-			if err != nil {
-				return nil, nil, err
-			}
-			gauge.Charge(footprint(op, rel))
-			record(op, start, rel.Size())
 		}
-	} else {
-		d := &streamDriver{ectx: ectx, g: gauge, sink: sink}
-		for _, op := range pipeline {
-			if cancellable {
-				if cause := ctx.Err(); cause != nil {
-					return nil, nil, ctxErr(cause)
-				}
-			}
-			start := time.Now()
-			if err = d.step(op); err != nil {
-				return nil, nil, err
-			}
-			record(op, start, d.outRows())
+		start := time.Now()
+		if err = d.Step(op); err != nil {
+			return nil, nil, err
 		}
-		rel = d.rel
+		record(op, start, d.OutRows())
 	}
-	if rel.Kind != exec.KindResult {
-		return nil, nil, fmt.Errorf("query: pipeline ended in relation kind %d: %w", rel.Kind, ErrInternal)
+	if res, err = d.Result(); err != nil {
+		return nil, nil, err
 	}
 	if ps != nil {
 		ps.Comparators = coreStats.Comparators()
@@ -390,118 +311,5 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 			ps.TraceEvents = counter.Total()
 		}
 	}
-	return rel.Result, ps, nil
-}
-
-// streamDriver walks a pipeline in streaming mode: row-shaped data
-// flows between operators as a RowSource of block-granular batches;
-// everything else (keyed join output, aggregates, the result) is a
-// materialized Relation charged to the run's gauge and discharged the
-// moment the next stage has consumed it.
-type streamDriver struct {
-	ectx      *exec.Context
-	g         *table.Gauge
-	sink      exec.RowSink
-	src       exec.RowSource
-	rel       exec.Relation
-	relCharge int64
-}
-
-// outRows is the current stage's (public) output cardinality.
-func (d *streamDriver) outRows() int {
-	if d.src != nil {
-		return d.src.Len()
-	}
-	return d.rel.Size()
-}
-
-func (d *streamDriver) setSource(s exec.RowSource) {
-	d.src, d.rel, d.relCharge = s, exec.Relation{}, 0
-}
-
-func (d *streamDriver) setRel(rel exec.Relation, charge int64) {
-	d.g.Charge(charge)
-	d.g.Discharge(d.relCharge)
-	d.src, d.rel, d.relCharge = nil, rel, charge
-}
-
-func (d *streamDriver) step(op exec.Operator) error {
-	switch o := op.(type) {
-	case exec.Scan:
-		rel, err := o.Run(d.ectx, exec.Relation{})
-		if err != nil {
-			return err
-		}
-		// Scan rows alias the catalog snapshot, which the run does not
-		// own: stream them uncharged.
-		d.setSource(exec.NewSliceSource(d.ectx, rel.Rows, nil))
-		return nil
-	case exec.Rekey:
-		if d.rel.Kind == exec.KindPairs {
-			// The pairs stay live while downstream drains; their charge
-			// drops when the source closes.
-			g, charge := d.g, d.relCharge
-			pairs := d.rel.Pairs
-			d.rel, d.relCharge = exec.Relation{}, 0
-			d.setSource(exec.NewRekeySource(d.ectx, pairs, o.First, func() { g.Discharge(charge) }))
-			return nil
-		}
-		return d.runLegacy(op)
-	case exec.Join:
-		if d.src == nil {
-			return d.runLegacy(op)
-		}
-		src := d.src
-		d.src = nil
-		rel, err := o.RunFeed(d.ectx, src)
-		if err != nil {
-			return err
-		}
-		d.setRel(rel, exec.RelationFootprint(rel))
-		return nil
-	case exec.Project:
-		if d.src == nil {
-			return d.runLegacy(op)
-		}
-		src := d.src
-		d.src = nil
-		result, err := o.RunStream(d.ectx, src, d.sink)
-		if err != nil {
-			return err
-		}
-		d.setRel(exec.Relation{Kind: exec.KindResult, Result: result}, exec.ResultFootprint(result))
-		return nil
-	}
-	if st, ok := op.(exec.Streamer); ok && d.src != nil {
-		out, err := st.RunStream(d.ectx, d.src)
-		d.src = nil
-		if err != nil {
-			return err
-		}
-		d.setSource(out)
-		return nil
-	}
-	return d.runLegacy(op)
-}
-
-// runLegacy bridges to an operator's materialized Run: a live stream
-// is drained into a slice first, and the input relation's charge drops
-// once the operator has produced its output.
-func (d *streamDriver) runLegacy(op exec.Operator) error {
-	if d.src != nil {
-		src := d.src
-		d.src = nil
-		rows, err := exec.Materialize(d.ectx, src)
-		if err != nil {
-			return err
-		}
-		rel := exec.Relation{Kind: exec.KindRows, Rows: rows}
-		d.setRel(rel, exec.RelationFootprint(rel))
-	}
-	out, err := op.Run(d.ectx, d.rel)
-	if err != nil {
-		return err
-	}
-	d.setRel(out, footprint(op, out))
-	return nil
+	return res, ps, nil
 }

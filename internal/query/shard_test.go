@@ -77,7 +77,6 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 					var ref Options
 					mode.set(&ref)
 					ref.TraceHash = true
-					ref.StreamBatch = 16
 					base, _ := shardQuery(t, ref, sql, tables)
 
 					o := ref

@@ -2,8 +2,12 @@ package query
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -11,132 +15,221 @@ import (
 	"oblivjoin/internal/table"
 )
 
-// storeModes are the three storage backends the equality properties
-// quantify over.
+// storeModes are the storage backends the equality properties quantify
+// over.
 var storeModes = []struct {
 	name string
 	set  func(o *Options)
 }{
 	{"plain", func(o *Options) {}},
-	{"sealed", func(o *Options) { o.Encrypted = true; o.SealedBlock = 1 }},
 	{"block-sealed", func(o *Options) { o.Encrypted = true }},
 }
 
-// runModes pairs a streamed run with its materialized reference.
-func queryBoth(t *testing.T, o Options, sql string, tables map[string][]table.Row) (streamed, materialized *Result, ss, ms *PlanStats) {
-	t.Helper()
-	run := func(o Options) (*Result, *PlanStats) {
-		e := NewEngineWith(o)
-		for name, rows := range tables {
-			if err := e.Register(name, rows); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := e.Query(sql)
-		if err != nil {
-			t.Fatalf("Query(%q) [materialized=%t]: %v", sql, o.Materialized, err)
-		}
-		return res, e.LastStats()
-	}
-	o.TraceHash = true
-	o.Materialized = false
-	streamed, ss = run(o)
-	o.Materialized = true
-	materialized, ms = run(o)
-	return
+// goldenFile is the table the deleted materialized executor left
+// behind. It was recorded at commit 7c2a460, the last one that had both
+// executors, after checking there that the stage-at-a-time and the
+// streaming run agreed on every row of it. The streaming executor is
+// now checked against the record instead of against the reference.
+//
+// A deliberate change of the canonical trace (a new hash version, a new
+// accounting weight) re-records it: a failing run logs the complete
+// fresh table, ready to replace the file.
+const goldenFile = "golden_trace.json"
+
+// goldenEntry is one (case, store mode) row of the golden table. Every
+// value is a pure function of the query and the public sizes, and none
+// depends on the worker count.
+type goldenEntry struct {
+	Case        string `json:"case"`
+	Mode        string `json:"mode"`
+	Rows        string `json:"rows_sha256"`
+	Comparators uint64 `json:"comparators"`
+	TraceEvents uint64 `json:"trace_events"`
+	PeakBytes   int64  `json:"peak_bytes"`
+	TraceHash   string `json:"trace_hash"`
 }
 
-func checkEqual(t *testing.T, label string, streamed, materialized *Result, ss, ms *PlanStats) {
-	t.Helper()
-	if !reflect.DeepEqual(streamed, materialized) {
-		t.Fatalf("%s: streamed result diverges:\n%v\nvs materialized\n%v", label, streamed, materialized)
-	}
-	if ss.TraceHash != ms.TraceHash {
-		t.Fatalf("%s: streamed trace hash %s != materialized %s", label, ss.TraceHash, ms.TraceHash)
-	}
-	if ss.TraceEvents != ms.TraceEvents {
-		t.Fatalf("%s: trace events %d != %d", label, ss.TraceEvents, ms.TraceEvents)
-	}
-	if ss.Comparators != ms.Comparators {
-		t.Fatalf("%s: comparators %d != %d", label, ss.Comparators, ms.Comparators)
-	}
+// goldenCase is one query over one catalog.
+type goldenCase struct {
+	name   string
+	sql    string
+	tables map[string][]table.Row
 }
 
-// TestStreamedMatchesMaterializedCorpus: every corpus query, under
-// every store mode, produces identical rows, comparator counts and
-// bit-identical canonical trace hashes in streaming and materialized
-// execution.
-func TestStreamedMatchesMaterializedCorpus(t *testing.T) {
-	for _, mode := range storeModes {
-		for _, sql := range queryCorpus {
-			var o Options
-			mode.set(&o)
-			s, m, ss, ms := queryBoth(t, o, sql, corpusCatalog("x"))
-			checkEqual(t, fmt.Sprintf("%s/%q", mode.name, sql), s, m, ss, ms)
-		}
+// boundarySizes straddle the one batch width the driver hands rows off
+// at, plus a many-batch size.
+var boundarySizes = []int{1, exec.DefaultBatch - 1, exec.DefaultBatch, exec.DefaultBatch + 1, 4096}
+
+// corpusCases is every queryCorpus query over the corpus catalog.
+func corpusCases() []goldenCase {
+	var cs []goldenCase
+	for _, sql := range queryCorpus {
+		cs = append(cs, goldenCase{"corpus/" + sql, sql, corpusCatalog("x")})
 	}
+	return cs
 }
 
-// TestStreamedMatchesMaterializedSizes sweeps the boundary input sizes
-// around the batch width — 1, B−1, B, B+1 and a many-batch 4096 — and
-// several batch widths, for every store mode, over a
-// scan→filter→distinct→sort→limit chain (every streamable stage).
-func TestStreamedMatchesMaterializedSizes(t *testing.T) {
+// streamChainCases run scan→filter→distinct→sort→limit — every
+// row-stream operator — at the boundary sizes.
+func streamChainCases() []goldenCase {
 	const sql = "SELECT DISTINCT key, data FROM t WHERE key > 5 ORDER BY key LIMIT 1000"
-	batches := []int{16, 128}
-	if testing.Short() {
-		batches = []int{16}
+	var cs []goldenCase
+	for _, n := range boundarySizes {
+		rows := make([]table.Row, n)
+		for i := range rows {
+			rows[i] = table.Row{J: uint64(i % 97), D: table.MustData(fmt.Sprintf("d%d", i%13))}
+		}
+		cs = append(cs, goldenCase{fmt.Sprintf("stream-chain/n=%d", n), sql, map[string][]table.Row{"t": rows}})
 	}
-	for _, b := range batches {
-		sizes := []int{1, b - 1, b, b + 1, 4096}
-		for _, mode := range storeModes {
-			for _, n := range sizes {
-				if n < 1 {
-					continue
-				}
-				rows := make([]table.Row, n)
-				for i := range rows {
-					rows[i] = table.Row{J: uint64(i % 97), D: table.MustData(fmt.Sprintf("d%d", i%13))}
-				}
-				o := Options{StreamBatch: b}
-				mode.set(&o)
-				s, m, ss, ms := queryBoth(t, o, sql, map[string][]table.Row{"t": rows})
-				checkEqual(t, fmt.Sprintf("%s/b=%d/n=%d", mode.name, b, n), s, m, ss, ms)
-				if ss.PeakBytes <= 0 || ms.PeakBytes <= 0 {
-					t.Fatalf("%s/b=%d/n=%d: peak bytes not reported (%d, %d)",
-						mode.name, b, n, ss.PeakBytes, ms.PeakBytes)
-				}
-				if ss.PeakBytes > ms.PeakBytes {
-					t.Fatalf("%s/b=%d/n=%d: streamed peak %d exceeds materialized %d",
-						mode.name, b, n, ss.PeakBytes, ms.PeakBytes)
-				}
+	return cs
+}
+
+// joinChainCases run filter→join→rekey→join at the boundary sizes: the
+// fed join, the pairs→rekey source hand-off and a second join fed by
+// it. Keys are unique, so every stage carries n−1 rows.
+func joinChainCases() []goldenCase {
+	const sql = "SELECT key, left.data, right.data FROM l JOIN r USING (key) JOIN s USING (key) WHERE key >= 1 ORDER BY key"
+	var cs []goldenCase
+	for _, n := range boundarySizes {
+		tables := map[string][]table.Row{}
+		for _, name := range []string{"l", "r", "s"} {
+			rows := make([]table.Row, n)
+			for i := range rows {
+				rows[i] = table.Row{J: uint64(i), D: table.MustData(fmt.Sprintf("%s%d", name, i))}
 			}
+			tables[name] = rows
+		}
+		cs = append(cs, goldenCase{fmt.Sprintf("join-chain/n=%d", n), sql, tables})
+	}
+	return cs
+}
+
+// runGoldenCase executes c in one store mode at one worker count and
+// reports the result with its golden row.
+func runGoldenCase(t *testing.T, c goldenCase, mode string, set func(*Options), workers int) (*Result, goldenEntry) {
+	t.Helper()
+	o := Options{TraceHash: true, Workers: workers}
+	set(&o)
+	e := NewEngineWith(o)
+	registerAll(t, e, c.tables)
+	res, err := e.Query(c.sql)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", c.name, mode, err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%q\n", res.Columns)
+	for _, row := range res.Rows {
+		fmt.Fprintf(h, "%q\n", row)
+	}
+	ps := e.LastStats()
+	return res, goldenEntry{
+		Case: c.name, Mode: mode, Rows: hex.EncodeToString(h.Sum(nil)),
+		Comparators: ps.Comparators, TraceEvents: ps.TraceEvents,
+		PeakBytes: ps.PeakBytes, TraceHash: ps.TraceHash,
+	}
+}
+
+// checkAgainstRef compares res with the naive reference executor of
+// ref_test.go: equal multisets, or — under a LIMIT, which the
+// reference does not apply — the right number of rows, all drawn from
+// the reference's.
+func checkAgainstRef(t *testing.T, c goldenCase, res *Result) {
+	t.Helper()
+	q, err := Parse(c.sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refQuery(c.tables, q)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", c.name, err)
+	}
+	gm, wm := multiset(res.Rows), multiset(want)
+	if q.Limit < 0 || q.Limit >= len(want) {
+		if !reflect.DeepEqual(gm, wm) {
+			t.Fatalf("%s: rows diverge from the reference executor:\nengine   : %v\nreference: %v", c.name, gm, wm)
+		}
+		return
+	}
+	if len(gm) != q.Limit {
+		t.Fatalf("%s: %d rows under LIMIT %d", c.name, len(gm), q.Limit)
+	}
+	left := map[string]int{}
+	for _, r := range wm {
+		left[r]++
+	}
+	for _, r := range gm {
+		if left[r]--; left[r] < 0 {
+			t.Fatalf("%s: row %q is not in the reference executor's output", c.name, r)
 		}
 	}
 }
 
-// TestStreamedJoinMatchesMaterialized covers the feed-based join path
-// (filter upstream of a join, rekey downstream) at batch-boundary
-// sizes.
-func TestStreamedJoinMatchesMaterialized(t *testing.T) {
-	const sql = "SELECT key, left.data, right.data FROM l JOIN r USING (key) WHERE key < 60 ORDER BY key"
-	for _, mode := range storeModes {
-		for _, n := range []int{1, 15, 16, 17, 200} {
-			l := make([]table.Row, n)
-			r := make([]table.Row, (n+1)/2)
-			for i := range l {
-				l[i] = table.Row{J: uint64(i % 71), D: table.MustData(fmt.Sprintf("l%d", i))}
+// checkGolden runs every case in every store mode at Workers 1 and 4
+// and requires the golden table's values bit for bit, and the naive
+// reference executor's rows.
+func checkGolden(t *testing.T, cases []goldenCase) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", goldenFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []goldenEntry
+	if err := json.Unmarshal(data, &entries); err != nil {
+		t.Fatalf("%s: %v", goldenFile, err)
+	}
+	golden := map[string]goldenEntry{}
+	for _, g := range entries {
+		golden[g.Case+"\x1f"+g.Mode] = g
+	}
+	var fresh []goldenEntry
+	for _, c := range cases {
+		for _, mode := range storeModes {
+			want, ok := golden[c.name+"\x1f"+mode.name]
+			if !ok {
+				t.Errorf("%s/%s: no golden entry", c.name, mode.name)
 			}
-			for i := range r {
-				r[i] = table.Row{J: uint64(i % 71), D: table.MustData(fmt.Sprintf("r%d", i))}
+			for _, workers := range []int{1, 4} {
+				res, got := runGoldenCase(t, c, mode.name, mode.set, workers)
+				if workers == 1 {
+					checkAgainstRef(t, c, res)
+					fresh = append(fresh, got)
+				}
+				if ok && got != want {
+					t.Errorf("%s/%s workers=%d:\n got %+v\nwant %+v", c.name, mode.name, workers, got, want)
+				}
 			}
-			var o Options
-			mode.set(&o)
-			o.StreamBatch = 16
-			s, m, ss, ms := queryBoth(t, o, sql, map[string][]table.Row{"l": l, "r": r})
-			checkEqual(t, fmt.Sprintf("join/%s/n=%d", mode.name, n), s, m, ss, ms)
 		}
 	}
+	if t.Failed() {
+		out, _ := json.MarshalIndent(fresh, "", " ")
+		t.Logf("fresh table for these cases:\n%s", out)
+	}
+}
+
+// TestStreamedMatchesMaterializedCorpus: every corpus query, in every
+// store mode and at both worker counts, still produces the rows,
+// comparator count, trace-event count, peak bytes and canonical trace
+// hash the materialized executor produced for it.
+func TestStreamedMatchesMaterializedCorpus(t *testing.T) {
+	checkGolden(t, corpusCases())
+}
+
+// TestStreamedMatchesMaterializedSizes sweeps input sizes around the
+// batch width — 1, B−1, B, B+1 and a many-batch 4096 — over a
+// scan→filter→distinct→sort→limit chain (every row-stream operator).
+func TestStreamedMatchesMaterializedSizes(t *testing.T) {
+	checkGolden(t, streamChainCases())
+}
+
+// TestStreamedJoinMatchesMaterialized covers the join hand-offs (a
+// filter feeding a join, its pairs feeding a rekey source, that source
+// feeding a second join) at the same sizes.
+func TestStreamedJoinMatchesMaterialized(t *testing.T) {
+	cases := joinChainCases()
+	if testing.Short() {
+		cases = cases[:len(cases)-1]
+	}
+	checkGolden(t, cases)
 }
 
 // collectSink accumulates a streamed result for comparison.
@@ -158,22 +251,24 @@ func (c *collectSink) Rows(rows [][]string) error {
 }
 
 // TestRunStreamSinkDelivery: sink-mode execution delivers the same
-// columns and rows Run materializes, with the same trace, and reports
-// a peak no larger than the materialized run's.
+// columns and rows Run returns, with the same trace, and reports a peak
+// no larger than the result-building run's.
 func TestRunStreamSinkDelivery(t *testing.T) {
 	rows := make([]table.Row, 1000)
 	for i := range rows {
 		rows[i] = table.Row{J: uint64(i % 31), D: table.MustData(fmt.Sprintf("v%d", i))}
 	}
-	tables := map[string][]table.Row{"t": rows}
+	tables := map[string][]table.Row{"t": rows, "u": rows[:31]}
 	queries := []struct {
 		sql string
-		// strictPeak marks queries whose peak is the materialized
-		// result itself, so sink delivery must strictly lower it.
+		// strictPeak marks queries whose peak is the built result
+		// itself, so sink delivery must strictly lower it.
 		strictPeak bool
 	}{
 		{"SELECT key, data FROM t", true},
 		{"SELECT key, data FROM t WHERE key >= 4 ORDER BY key", false},
+		// Join output reaches Project as a whole relation, not a stream.
+		{"SELECT key, left.data, right.data FROM t JOIN u USING (key)", false},
 	}
 	for _, qc := range queries {
 		pipeline := lowerSQL(t, qc.sql, tables)
@@ -188,7 +283,7 @@ func TestRunStreamSinkDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(sink.cols, res.Columns) || !reflect.DeepEqual(sink.rows, res.Rows) {
-			t.Fatalf("%q: sink delivery diverges from materialized result", qc.sql)
+			t.Fatalf("%q: sink delivery diverges from the returned result", qc.sql)
 		}
 		if sps.TraceHash != ps.TraceHash {
 			t.Fatalf("%q: sink trace hash %s != run trace hash %s", qc.sql, sps.TraceHash, ps.TraceHash)
@@ -293,31 +388,17 @@ func TestSpillUnderMemBudget(t *testing.T) {
 	}
 }
 
-// TestStreamBatchWidthAlignment: the resolved batch width is always a
-// positive multiple of the sealed block width.
+// TestStreamBatchWidthAlignment: the one batch width is a positive
+// multiple of the sealed block width, so a batch boundary never splits
+// a ciphertext block.
 func TestStreamBatchWidthAlignment(t *testing.T) {
-	cases := []struct {
-		o    Options
-		unit int
-	}{
-		{Options{}, table.DefaultSealedBlock},
-		{Options{StreamBatch: 7}, table.DefaultSealedBlock},
-		{Options{Encrypted: true, SealedBlock: 24, StreamBatch: 25}, 24},
-		{Options{Encrypted: true, SealedBlock: 1, StreamBatch: 3}, 1},
-	}
-	for _, c := range cases {
-		b := batchWidth(c.o)
-		if b <= 0 || b%c.unit != 0 {
-			t.Fatalf("batchWidth(%+v) = %d, not a positive multiple of %d", c.o, b, c.unit)
-		}
-		if c.o.StreamBatch > 0 && b < c.o.StreamBatch {
-			t.Fatalf("batchWidth(%+v) = %d rounded down", c.o, b)
-		}
+	if b := exec.DefaultBatch; b <= 0 || b%table.DefaultSealedBlock != 0 {
+		t.Fatalf("DefaultBatch = %d, not a positive multiple of the sealed block width %d", b, table.DefaultSealedBlock)
 	}
 }
 
-// TestStreamedCancellation: a pre-cancelled context aborts a streaming
-// run with the typed sentinel, leaving no spill files behind.
+// TestStreamedCancellation: a pre-cancelled context aborts a run with
+// the typed sentinel, leaving no spill files behind.
 func TestStreamedCancellation(t *testing.T) {
 	rows := make([]table.Row, 4096)
 	for i := range rows {
@@ -355,12 +436,22 @@ func TestStreamedCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamerInterfaces pins which operators advertise the streaming
-// contract.
+// TestStreamerInterfaces pins which operators turn one row stream into
+// the next, and which take a whole relation.
 func TestStreamerInterfaces(t *testing.T) {
 	for _, op := range []exec.Operator{exec.Filter{}, exec.Distinct{}, exec.Sort{}, exec.Semijoin{}, exec.Limit{}} {
 		if _, ok := op.(exec.Streamer); !ok {
 			t.Fatalf("%T does not implement Streamer", op)
+		}
+	}
+	for _, op := range []exec.Operator{exec.GroupBy{}, exec.JoinAggregate{}, exec.Restore{}, exec.Limit{}, exec.Project{}, exec.Sort{Free: true}} {
+		if _, ok := op.(exec.Whole); !ok {
+			t.Fatalf("%T does not implement Whole", op)
+		}
+	}
+	for _, op := range []exec.Operator{exec.Scan{}, exec.Filter{}, exec.Distinct{}, exec.Semijoin{}, exec.Rekey{}, exec.Join{}} {
+		if _, ok := op.(exec.Whole); ok {
+			t.Fatalf("%T still has a whole-relation form", op)
 		}
 	}
 }

@@ -42,17 +42,19 @@
 //     Explain renders this tree; it depends only on the query shape
 //     and table names, never on contents.
 //  3. Lowering maps each node onto a physical operator of
-//     internal/query/exec; the Engine runs the pipeline threading one
-//     exec.Context whose single core.Config carries the store
-//     allocator (plain or AES-sealed), the worker count, network
-//     selection and instrumentation through every operator.
+//     internal/query/exec; Run walks the pipeline with the one
+//     executor, exec.Driver — row batches streaming between stages —
+//     threading one exec.Context whose single core.Config carries the
+//     store allocator (plain or block-sealed), the worker count and
+//     instrumentation through every operator.
 //
-// Engine Options select parallel execution (Workers), sealed entry
-// stores (Encrypted), the merge-exchange network, the probabilistic
-// distribute, and per-query PlanStats reports with an optional SHA-256
-// access-pattern hash (TraceHash). Results, plans and trace hashes are
-// identical at every worker count and between plain and encrypted
-// stores.
+// The nine Options select parallel execution (Workers), the sealed
+// entry store (Encrypted), per-query PlanStats reports with an optional
+// SHA-256 access-pattern hash (CollectStats, TraceHash), a memory
+// budget with sealed spilling (MemBudget, SpillDir, SpillFS), sharded
+// joins (Shards) and the cost-aware planner (CostPlan). Results, plans
+// and trace hashes are identical at every worker count and between
+// plain and encrypted stores.
 //
 // Every operator in the executed plan is oblivious: filters compile to
 // branch-free predicates evaluated on every row, joins run the paper's

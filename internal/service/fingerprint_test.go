@@ -2,6 +2,7 @@ package service
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"oblivjoin/internal/fault"
@@ -27,6 +28,17 @@ func TestFingerprintCoversEveryOption(t *testing.T) {
 	base := query.Options{}
 	baseFP := fingerprint(base)
 	typ := reflect.TypeOf(base)
+	// Nothing stale in either direction: every exemption names a field
+	// that exists, and the fingerprint has one part per remaining field —
+	// a removed option leaves no dead verb behind.
+	for name := range excluded {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("exemption %q names no query.Options field", name)
+		}
+	}
+	if got, want := strings.Count(baseFP, "|")+1, typ.NumField()-len(excluded); got != want {
+		t.Errorf("fingerprint %q has %d parts for %d execution-shaping options", baseFP, got, want)
+	}
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		v := reflect.ValueOf(&query.Options{}).Elem()

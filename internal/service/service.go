@@ -353,9 +353,8 @@ func (s *Service) effective(opts []SessionOption) query.Options {
 // neither the plan nor execution semantics, so it is excluded:
 // flipping stats on reuses the cached plan.
 func fingerprint(o query.Options) string {
-	return fmt.Sprintf("w%d|e%t|b%d|m%t|p%t|s%d|mat%t|sb%d|mb%d|sd%s|sh%d|cp%t",
-		o.Workers, o.Encrypted, o.SealedBlock, o.MergeExchange, o.Probabilistic, o.Seed,
-		o.Materialized, o.StreamBatch, o.MemBudget, o.SpillDir, o.Shards, o.CostPlan)
+	return fmt.Sprintf("w%d|e%t|mb%d|sd%s|sh%d|cp%t",
+		o.Workers, o.Encrypted, o.MemBudget, o.SpillDir, o.Shards, o.CostPlan)
 }
 
 func planKey(sql string, o query.Options, version uint64) string {

@@ -8,11 +8,57 @@ import (
 	"oblivjoin/internal/trace"
 )
 
+// Alloc abstracts allocation of entry stores so the join can run over
+// plain or sealed memory without caring which.
+type Alloc func(n int) Store
+
+// PlainAlloc returns an Alloc producing plain traced arrays in s.
+func PlainAlloc(s *memory.Space) Alloc {
+	return func(n int) Store {
+		return memory.Alloc[Entry](s, n, EncodedSize)
+	}
+}
+
+// SealedSize is the public width of one entry sealed on its own:
+// plaintext plus nonce and MAC overhead. The sealed store charges the
+// enclave cost model this much per logical entry access at every block
+// width.
+const SealedSize = EncodedSize + crypto.Overhead
+
 // DefaultSealedBlock is the default number of entries per sealed block
 // of a BlockEncrypted store: large enough to amortize the per-record
 // nonce and MAC across a batch, small enough that the read-modify-write
 // a single Set performs stays cheap.
 const DefaultSealedBlock = 16
+
+// initChunk bounds the plaintext staging buffer used when initializing
+// a sealed store, in entries.
+const initChunk = 1024
+
+// bufPool pools plaintext staging buffers for the batched range
+// operations of the sealed stores, so hot sorting rounds and scans do
+// not allocate per call.
+var bufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, 64<<10)
+		return &b
+	},
+}
+
+func getBuf(n int) (*[]byte, []byte) {
+	p := bufPool.Get().(*[]byte)
+	if cap(*p) < n {
+		*p = make([]byte, n)
+	}
+	return p, (*p)[:n]
+}
+
+func putBuf(p *[]byte) { bufPool.Put(p) }
+
+// touches returns a zero-width slice for emitting an n-event trace run
+// through a memory.Array[struct{}]; it performs no allocation (zero-size
+// elements share the runtime's zero base).
+func touches(n int) []struct{} { return make([]struct{}, n) }
 
 // BlockEncrypted is a Store whose entries live sealed in public memory
 // in blocks of B entries per ciphertext record: a k-entry range
@@ -21,26 +67,28 @@ const DefaultSealedBlock = 16
 //
 // The observable access pattern is unchanged: every logical entry
 // access emits exactly the per-entry trace event of the plain store
-// (same array identifier, same index, same order), so plain, per-entry
-// sealed and block-sealed runs of the same computation produce
-// bit-identical canonical traces. Physically the untrusted memory is
-// read and written at block granularity; since block boundaries are a
-// fixed public function of the entry index (block = index / B), the
-// physical pattern is a deterministic function of the logical trace
-// and leaks nothing beyond it.
+// (same array identifier, same index, same order), so plain and sealed
+// runs of the same computation produce bit-identical canonical traces
+// at every block width. Physically the untrusted memory is read and
+// written at block granularity; since block boundaries are a fixed
+// public function of the entry index (block = index / B), the physical
+// pattern is a deterministic function of the logical trace and leaks
+// nothing beyond it.
 //
 // A Set (or a range write covering part of a block) re-seals the whole
 // block: it opens the block, splices the new entries in, and seals it
-// under a fresh nonce. Per-block mutexes make that read-modify-write
-// atomic, so parallel lanes writing disjoint entry ranges that share a
-// boundary block compose correctly; lanes lock blocks in ascending
-// order, so there is no deadlock.
+// under a fresh nonce, so overwriting an entry with its previous value
+// is indistinguishable from a real update — the property that makes the
+// sorting network's dummy write-backs safe (§3.5). Per-block mutexes
+// make that read-modify-write atomic, so parallel lanes writing
+// disjoint entry ranges that share a boundary block compose correctly;
+// lanes lock blocks in ascending order, so there is no deadlock.
 //
 // The enclave cost model, like the trace, is charged at logical-entry
-// granularity (SealedSize bytes per access, matching the per-entry
-// store) by design: cost-modeled runs stay comparable across store
-// granularities. It deliberately does not model the ~B× physical
-// amplification of a point access against a block-sealed store.
+// granularity (SealedSize bytes per access) by design: cost-modeled
+// runs stay comparable across block widths. It deliberately does not
+// model the ~B× physical amplification of a point access against a
+// block-sealed store.
 type BlockEncrypted struct {
 	ev *memory.Array[struct{}] // per-entry trace/cost emitter
 	st *blockState
@@ -62,10 +110,14 @@ func (st *blockState) block(k int) []byte { return st.ct[k*st.unit : (k+1)*st.un
 
 // NewBlockEncrypted allocates a block-sealed store of n null entries in
 // s, sealed under c, with b entries per block (b ≤ 0 selects
-// DefaultSealedBlock). The final block is padded with zero entries to
-// the full block width; the padding is sealed like everything else and
-// never addressable through the Store interface. As with NewEncrypted,
-// initialization bypasses the trace.
+// DefaultSealedBlock; 1 seals every entry on its own). Every block is
+// initialized with a valid ciphertext of zero entries, so a Get before
+// the first Set authenticates; the final block is padded with zero
+// entries to the full block width, sealed like everything else and
+// never addressable through the Store interface. The initialization
+// writes bypass the trace: like the allocation itself they are a fixed
+// function of the (public) size n, and keeping them out of the event
+// stream makes a sealed run's trace identical to a plain run's.
 func NewBlockEncrypted(s *memory.Space, c *crypto.Cipher, n, b int) *BlockEncrypted {
 	if b <= 0 {
 		b = DefaultSealedBlock

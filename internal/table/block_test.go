@@ -101,8 +101,8 @@ func TestBlockEncryptedPartialWritePreservesNeighbours(t *testing.T) {
 }
 
 // TestBlockEncryptedTraceMatchesPlain: the same access sequence against
-// a plain array, a per-entry sealed store and block-sealed stores of
-// several granularities must record bit-identical event logs — the
+// a plain array and block-sealed stores of several granularities, the
+// per-entry B=1 among them, must record bit-identical event logs — the
 // invariant that makes sealed runs trace-equal to plain runs.
 func TestBlockEncryptedTraceMatchesPlain(t *testing.T) {
 	c := newCipher(t)
@@ -123,7 +123,6 @@ func TestBlockEncryptedTraceMatchesPlain(t *testing.T) {
 		var logs []*trace.Log
 		for _, mk := range []func(s *memory.Space) Store{
 			func(s *memory.Space) Store { return memory.Alloc[Entry](s, n, EncodedSize) },
-			func(s *memory.Space) Store { return NewEncrypted(s, c, n) },
 			func(s *memory.Space) Store { return NewBlockEncrypted(s, c, n, 0) },
 			func(s *memory.Space) Store { return NewBlockEncrypted(s, c, n, 5) },
 			func(s *memory.Space) Store { return NewBlockEncrypted(s, c, n, 1) },
@@ -197,8 +196,8 @@ func TestBlockEncryptedAlloc(t *testing.T) {
 	}
 }
 
-// TestStoreRangeOpsAllocFree: the per-entry and block-sealed stores
-// must not allocate per range call in steady state (untraced spaces;
+// TestStoreRangeOpsAllocFree: the sealed store, per-entry and at the
+// default width, must not allocate per range call in steady state (untraced spaces;
 // traced runs append to the recorder, whose growth is the recorder's).
 func TestStoreRangeOpsAllocFree(t *testing.T) {
 	c := newCipher(t)
@@ -208,7 +207,7 @@ func TestStoreRangeOpsAllocFree(t *testing.T) {
 		name string
 		st   RangeStore
 	}{
-		{"Encrypted", NewEncrypted(memory.NewSpace(nil, nil), c, n)},
+		{"BlockEncrypted/1", NewBlockEncrypted(memory.NewSpace(nil, nil), c, n, 1)},
 		{"BlockEncrypted", NewBlockEncrypted(memory.NewSpace(nil, nil), c, n, 0)},
 	} {
 		tc.st.SetRange(3, buf) // warm the scratch pools
@@ -243,7 +242,7 @@ func benchStores(b *testing.B) map[string]func() RangeStore {
 			return memory.Alloc[Entry](memory.NewSpace(nil, nil), n, EncodedSize)
 		},
 		"sealed": func() RangeStore {
-			return NewEncrypted(memory.NewSpace(nil, nil), c, n)
+			return NewBlockEncrypted(memory.NewSpace(nil, nil), c, n, 1)
 		},
 		"block-sealed": func() RangeStore {
 			return NewBlockEncrypted(memory.NewSpace(nil, nil), c, n, 0)

@@ -16,19 +16,20 @@ type sharded interface {
 }
 
 // Builder fills a store front-to-back from row or entry batches — the
-// batch-granular append API the streaming executor loads barrier
-// operators through, so upstream batches land in the store without an
+// batch-granular append API the executor loads barrier operators
+// through, so upstream batches land in the store without an
 // intermediate whole-relation copy.
 //
 // Appends go through SetRange, emitting exactly the ascending per-entry
 // write events of the equivalent element loop. When the store is traced,
 // the builder writes through a trace shard recording into a compact
 // RunBuffer and Flush replays the buffered writes into the real
-// recorder: a streaming fill interleaves upstream drain reads with its
-// own writes in time, but the recorded canonical order stays
-// "all upstream reads, then all fill writes" — bit-identical to the
-// materialized executor's collect-then-load order. Run-length buffering
-// keeps the deferred trace proportional to the number of batches.
+// recorder: a fill interleaves upstream drain reads with its own writes
+// in time, but the recorded canonical order stays "all upstream reads,
+// then all fill writes" — the collect-then-load order the v2 canonical
+// trace, and every hash pinned on it, was defined with. Run-length
+// buffering keeps the deferred trace proportional to the number of
+// batches.
 type Builder struct {
 	st      Store
 	w       Store // write target: trace-deferred shard, or st itself

@@ -9,6 +9,10 @@ import (
 	"oblivjoin/internal/trace"
 )
 
+// This file pins the per-entry behaviours of the sealed store on its
+// B=1 form, NewBlockEncrypted(…, 1): one ciphertext record per entry.
+// block_test.go sweeps the block widths.
+
 func newCipher(t *testing.T) *crypto.Cipher {
 	t.Helper()
 	c, _, err := crypto.NewRandom()
@@ -20,7 +24,7 @@ func newCipher(t *testing.T) *crypto.Cipher {
 
 func TestEncryptedRoundTrip(t *testing.T) {
 	s := memory.NewSpace(nil, nil)
-	enc := NewEncrypted(s, newCipher(t), 4)
+	enc := NewBlockEncrypted(s, newCipher(t), 4, 1)
 	e := entryFixture()
 	enc.Set(2, e)
 	if got := enc.Get(2); got != e {
@@ -30,7 +34,7 @@ func TestEncryptedRoundTrip(t *testing.T) {
 
 func TestEncryptedZeroInitialized(t *testing.T) {
 	s := memory.NewSpace(nil, nil)
-	enc := NewEncrypted(s, newCipher(t), 3)
+	enc := NewBlockEncrypted(s, newCipher(t), 3, 1)
 	var zero Entry
 	for i := 0; i < 3; i++ {
 		if got := enc.Get(i); got != zero {
@@ -41,12 +45,12 @@ func TestEncryptedZeroInitialized(t *testing.T) {
 
 func TestEncryptedCiphertextChangesOnRewrite(t *testing.T) {
 	s := memory.NewSpace(nil, nil)
-	enc := NewEncrypted(s, newCipher(t), 1)
+	enc := NewBlockEncrypted(s, newCipher(t), 1, 1)
 	e := entryFixture()
 	enc.Set(0, e)
-	ct1 := append([]byte(nil), enc.rec(0)...)
+	ct1 := append([]byte(nil), enc.st.block(0)...)
 	enc.Set(0, e) // same logical value
-	if bytes.Equal(ct1, enc.rec(0)) {
+	if bytes.Equal(ct1, enc.st.block(0)) {
 		t.Fatal("rewriting identical entry produced identical ciphertext")
 	}
 	if enc.Get(0) != e {
@@ -56,8 +60,8 @@ func TestEncryptedCiphertextChangesOnRewrite(t *testing.T) {
 
 func TestEncryptedPanicsOnTamper(t *testing.T) {
 	s := memory.NewSpace(nil, nil)
-	enc := NewEncrypted(s, newCipher(t), 1)
-	enc.ct[5] ^= 0xff
+	enc := NewBlockEncrypted(s, newCipher(t), 1, 1)
+	enc.st.ct[5] ^= 0xff
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on tampered ciphertext")
@@ -69,7 +73,7 @@ func TestEncryptedPanicsOnTamper(t *testing.T) {
 func TestEncryptedEmitsTraceEvents(t *testing.T) {
 	log := trace.NewLog()
 	s := memory.NewSpace(log, nil)
-	enc := NewEncrypted(s, newCipher(t), 2)
+	enc := NewBlockEncrypted(s, newCipher(t), 2, 1)
 	before := log.Len()
 	enc.Set(1, Entry{J: 5})
 	enc.Get(1)
@@ -89,13 +93,13 @@ func TestAllocators(t *testing.T) {
 		t.Fatal("plain store broken")
 	}
 
-	encA := EncryptedAlloc(s, newCipher(t))(3)
+	encA := BlockEncryptedAlloc(s, newCipher(t), 1)(3)
 	if encA.Len() != 3 {
-		t.Fatalf("encrypted Len = %d", encA.Len())
+		t.Fatalf("sealed Len = %d", encA.Len())
 	}
 	encA.Set(1, Entry{J: 2})
 	if encA.Get(1).J != 2 {
-		t.Fatal("encrypted store broken")
+		t.Fatal("sealed store broken")
 	}
 }
 
@@ -107,7 +111,7 @@ func TestSealedSizeConstant(t *testing.T) {
 
 func TestEncryptedRangeRoundTrip(t *testing.T) {
 	s := memory.NewSpace(nil, nil)
-	enc := NewEncrypted(s, newCipher(t), 8)
+	enc := NewBlockEncrypted(s, newCipher(t), 8, 1)
 	src := make([]Entry, 5)
 	for i := range src {
 		src[i] = Entry{J: uint64(i + 1), TID: 2}
@@ -130,7 +134,7 @@ func TestEncryptedRangeEventsMatchElementLoop(t *testing.T) {
 	run := func(ranged bool) *trace.Log {
 		log := trace.NewLog()
 		s := memory.NewSpace(log, nil)
-		enc := NewEncrypted(s, c, 6)
+		enc := NewBlockEncrypted(s, c, 6, 1)
 		src := make([]Entry, 4)
 		if ranged {
 			enc.SetRange(1, src)
@@ -154,14 +158,14 @@ func TestEncryptedRangeEventsMatchElementLoop(t *testing.T) {
 func TestEncryptedShard(t *testing.T) {
 	parent := trace.NewLog()
 	s := memory.NewSpace(parent, nil)
-	enc := NewEncrypted(s, newCipher(t), 4)
+	enc := NewBlockEncrypted(s, newCipher(t), 4, 1)
 	before := parent.Len()
 	buf := &trace.Buffer{}
 	res := enc.Shard(buf)
 	if res == nil {
 		t.Fatal("Shard refused without a cost model")
 	}
-	sh := res.(*Encrypted)
+	sh := res.(*BlockEncrypted)
 	want := entryFixture()
 	sh.Set(3, want)
 	if got := enc.Get(3); got != want {

@@ -10,15 +10,11 @@ import (
 // Gauge tracks the engine-held bytes of one query run: every store
 // allocated through the run's Alloc is registered with its heap
 // footprint, relation hand-off buffers are charged by the driver, and
-// the streaming executor discharges each item the moment it is done
-// with it. Peak is therefore the run's peak outstanding engine
-// allocation — a deterministic, GC-independent function of the plan and
-// the (public) table sizes, which is what makes it safe to gate in CI
-// and meaningful for admission control. The materialized executor never
-// discharges mid-run (mirroring the legacy pipeline, which dropped
-// intermediates only to the garbage collector), so its peak is the sum
-// of all intermediates; the streaming executor's is the largest single
-// stage.
+// the executor discharges each item the moment it is done with it. Peak
+// is therefore the run's peak outstanding engine allocation — the
+// widest adjacent pair of stages — and a deterministic, GC-independent
+// function of the plan and the (public) table sizes, which is what
+// makes it safe to gate in CI and meaningful for admission control.
 //
 // A Gauge is safe for concurrent use; the registry also carries cleanup
 // hooks (spill-file deletion), so ReleaseAll at the end of a run frees
@@ -238,9 +234,6 @@ func ReleaseStore(g *Gauge, st Store) { g.Release(st) }
 // PlainFootprint is the heap bytes of a plain store of n entries.
 func PlainFootprint(n int) int64 { return int64(n) * EncodedSize }
 
-// EncryptedFootprint is the heap bytes of a per-entry sealed store.
-func EncryptedFootprint(n int) int64 { return int64(n) * SealedSize }
-
 // BlockFootprint is the heap bytes of a block-sealed store with b
 // entries per block (b ≤ 0 selects DefaultSealedBlock).
 func BlockFootprint(n, b int) int64 {
@@ -258,8 +251,6 @@ func Footprint(st Store) int64 {
 	switch s := st.(type) {
 	case *memory.Array[Entry]:
 		return PlainFootprint(s.Len())
-	case *Encrypted:
-		return EncryptedFootprint(s.Len())
 	case *BlockEncrypted:
 		return int64(len(s.st.ct))
 	case *Spill:

@@ -1,7 +1,7 @@
 // Package table defines the database entries the oblivious join operates
 // on, together with their constant-time comparators, fixed-width binary
-// encoding, and storage backends (plain traced memory and encrypted
-// traced memory).
+// encoding, and storage backends (plain traced memory, block-sealed
+// traced memory and its on-disk spill form).
 //
 // An Entry carries the attributes of §5 of the paper: the join attribute
 // j, the data attribute d, the table identifier tid, the group dimensions
@@ -277,8 +277,8 @@ type Row struct {
 
 // Store is the storage abstraction the join algorithm reads and writes
 // entries through. Implementations must make element size public and
-// constant; *memory.Array[Entry] (plain) and *Encrypted (sealed) both
-// qualify.
+// constant; *memory.Array[Entry] (plain) and *BlockEncrypted (sealed)
+// both qualify.
 type Store interface {
 	Len() int
 	Get(i int) Entry
@@ -291,7 +291,7 @@ type Store interface {
 // ascending index order. The hot paths (sorting rounds, the linear
 // scans of internal/core) type-assert to it and amortize their
 // per-element overhead per block; plain loops remain the fallback.
-// *memory.Array[Entry] and *Encrypted implement it.
+// *memory.Array[Entry], *BlockEncrypted and *Spill implement it.
 type RangeStore interface {
 	Store
 	GetRange(lo int, dst []Entry)

@@ -1,15 +1,14 @@
 package trace
 
 // RunBuffer is a Recorder that stores its event stream as a sequence of
-// ascending same-op runs instead of individual events. The streaming
-// executor uses it to defer a stage's store writes out of the hot path:
+// ascending same-op runs instead of individual events. The executor
+// uses it to defer a stage's store writes out of the hot path:
 // while a barrier operator fills its store batch-by-batch from an
 // upstream drain, the fill's write events land here (one run record per
 // batched range write, 24 bytes), and ReplayTo emits them into the real
 // recorder once the drain is finished — restoring the canonical
-// "all upstream reads, then all downstream writes" order that the
-// materialized executor produces naturally. Memory stays proportional
-// to the number of batches, not the number of events.
+// "all upstream reads, then all downstream writes" order. Memory stays
+// proportional to the number of batches, not the number of events.
 type RunBuffer struct {
 	runs []eventRun
 }

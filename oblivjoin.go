@@ -144,15 +144,9 @@ type Options struct {
 	// bitonic sorter.
 	MergeExchange bool
 	// Encrypted stores all table entries AES-sealed in public memory,
-	// re-encrypted on every write.
+	// 16 entries per ciphertext block, re-encrypted on every write. The
+	// recorded trace is identical to the plain store's.
 	Encrypted bool
-	// SealedBlock sets the granularity of the sealed store when
-	// Encrypted is on: entries per ciphertext block. 0 selects the
-	// default block store (16 entries per block); 1 selects the
-	// per-entry store; larger values amortize one nonce and MAC over
-	// more entries per crypto operation. The recorded trace is
-	// identical at every granularity.
-	SealedBlock int
 	// CollectStats fills Result.Stats.
 	CollectStats bool
 	// TraceHash computes the SHA-256 access-pattern hash of the run
@@ -274,11 +268,7 @@ func Join(left, right *Table, opts *Options) (retRes *Result, retErr error) {
 			if cerr != nil {
 				return nil, fmt.Errorf("oblivjoin: init cipher: %w", cerr)
 			}
-			if opts.SealedBlock == 1 {
-				alloc = table.EncryptedAlloc(sp, cipher)
-			} else {
-				alloc = table.BlockEncryptedAlloc(sp, cipher, opts.SealedBlock)
-			}
+			alloc = table.BlockEncryptedAlloc(sp, cipher, table.DefaultSealedBlock)
 		}
 		cfg := &core.Config{
 			Alloc:         alloc,

@@ -12,13 +12,13 @@ import (
 	"oblivjoin/internal/workload"
 )
 
-// TestSealedStoresTraceEqualAcrossGranularities is the PR's central
-// invariant at the pipeline level: the full join over plain, per-entry
-// sealed and block-sealed storage — at several block granularities,
-// sequentially and across parallel lanes — produces identical outputs,
-// identical canonical trace hashes and identical event counts. Sizes
-// straddle the default block width (1, B−1, B, B+1) and include
-// non-multiples of it. Run under -race this also exercises the block
+// TestSealedStoresTraceEqualAcrossGranularities is the sealed store's
+// central invariant at the pipeline level: the full join over plain and
+// block-sealed storage — at several block granularities, the per-entry
+// B=1 among them, sequentially and across parallel lanes — produces
+// identical outputs, identical canonical trace hashes and identical
+// event counts. Sizes straddle the default block width (1, B−1, B, B+1)
+// and include non-multiples of it. Run under -race this also exercises the block
 // store's lock discipline and the cipher's atomic nonce reservation.
 func TestSealedStoresTraceEqualAcrossGranularities(t *testing.T) {
 	cipher, _, err := crypto.NewRandom()
@@ -37,8 +37,7 @@ func TestSealedStoresTraceEqualAcrossGranularities(t *testing.T) {
 			variants := []variant{
 				{"plain/seq", table.PlainAlloc, 1},
 				{"plain/par", table.PlainAlloc, 4},
-				{"sealed/seq", func(sp *memory.Space) table.Alloc { return table.EncryptedAlloc(sp, cipher) }, 1},
-				{"sealed/par", func(sp *memory.Space) table.Alloc { return table.EncryptedAlloc(sp, cipher) }, 4},
+				{"block1/par", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 1) }, 4},
 				{"block16/seq", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 0) }, 1},
 				{"block16/par", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 0) }, 4},
 				{"block3/par", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 3) }, 4},
@@ -75,8 +74,8 @@ func TestSealedStoresTraceEqualAcrossGranularities(t *testing.T) {
 }
 
 // TestJoinOptionsSealedBlock exercises the public Options plumbing:
-// Encrypted defaults to the block store, SealedBlock(1) selects the
-// per-entry store, and both agree with the plain run.
+// Encrypted selects the block-sealed store, and it agrees with the
+// plain run sequentially and across parallel lanes.
 func TestJoinOptionsSealedBlock(t *testing.T) {
 	left, right := NewTable(), NewTable()
 	for i := 0; i < 40; i++ {
@@ -88,8 +87,7 @@ func TestJoinOptionsSealedBlock(t *testing.T) {
 	for _, opt := range []*Options{
 		{TraceHash: true},
 		{TraceHash: true, Encrypted: true},
-		{TraceHash: true, Encrypted: true, SealedBlock: 1},
-		{TraceHash: true, Encrypted: true, SealedBlock: 7, Workers: 3},
+		{TraceHash: true, Encrypted: true, Workers: 3},
 	} {
 		res, err := Join(left, right, opt)
 		if err != nil {
