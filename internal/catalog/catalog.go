@@ -24,7 +24,6 @@
 package catalog
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -229,36 +228,13 @@ func (c *Catalog) trimLocked() {
 	}
 }
 
-// rowSize is the encoded width of one row in a sealed backing store.
-const rowSize = 8 + table.DataLen
-
-func encodeRows(rows []table.Row) []byte {
-	buf := make([]byte, len(rows)*rowSize)
-	for i, r := range rows {
-		o := i * rowSize
-		binary.LittleEndian.PutUint64(buf[o:], r.J)
-		copy(buf[o+8:o+rowSize], r.D[:])
-	}
-	return buf
-}
-
-func decodeRows(buf []byte, n int) []table.Row {
-	rows := make([]table.Row, n)
-	for i := range rows {
-		o := i * rowSize
-		rows[i].J = binary.LittleEndian.Uint64(buf[o:])
-		copy(rows[i].D[:], buf[o+8:o+rowSize])
-	}
-	return rows
-}
-
 func (c *Catalog) store(rows []table.Row) *stored {
 	if c.cipher == nil {
 		cp := make([]table.Row, len(rows))
 		copy(cp, rows)
 		return &stored{rows: cp, n: len(rows)}
 	}
-	blob := encodeRows(rows)
+	blob := table.EncodeRows(rows)
 	sealed := make([]byte, crypto.SealedLen(len(blob)))
 	c.cipher.Seal(sealed, blob)
 	return &stored{sealed: sealed, n: len(rows)}
@@ -272,7 +248,7 @@ func (c *Catalog) open(st *stored) ([]table.Row, error) {
 	if err := c.cipher.Open(blob, st.sealed); err != nil {
 		return nil, fmt.Errorf("catalog: sealed table store: %w", err)
 	}
-	return decodeRows(blob, st.n), nil
+	return table.DecodeRows(blob, st.n), nil
 }
 
 // openNamed is the quarantine-aware open used by snapshot reads: a

@@ -254,9 +254,9 @@ func (c *Config) stats() *Stats {
 
 // view is a windowed alias of a Store: the augmented TC is split into T1
 // and T2 as two regions of the same array (§6.2's space accounting
-// depends on this). It forwards the optional range and sharding
-// capabilities of its underlying store so windowed tables still ride
-// the batched/parallel paths.
+// depends on this). It forwards the optional sharding capability of
+// its underlying store so windowed tables still ride the parallel
+// paths.
 type view struct {
 	s    table.Store
 	off  int
@@ -267,9 +267,7 @@ func (v view) Len() int                 { return v.size }
 func (v view) Get(i int) table.Entry    { return v.s.Get(v.off + i) }
 func (v view) Set(i int, e table.Entry) { v.s.Set(v.off+i, e) }
 
-// GetRange reads [lo, lo+len(dst)) of the window, batched when the
-// underlying store supports it (loadRange's element-loop fallback
-// emits the same events in the same order).
+// GetRange reads [lo, lo+len(dst)) of the window.
 func (v view) GetRange(lo int, dst []table.Entry) {
 	loadRange(v.s, v.off+lo, dst)
 }

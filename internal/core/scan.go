@@ -219,42 +219,20 @@ func (c *Config) scanParallel(sh bitonic.Sharder, st table.Store, n, nb, lanes i
 	return true
 }
 
-// loadRange reads [lo, lo+len(dst)) of st into dst, batched in blocks
-// of at most scanBlock when the store supports ranges (bounding the
-// encrypted store's ciphertext scratch); the element-loop fallback
-// emits the same ascending per-index events.
+// loadRange reads [lo, lo+len(dst)) of st into dst in blocks of at
+// most scanBlock (bounding the sealed store's ciphertext scratch).
 func loadRange(st table.Store, lo int, dst []table.Entry) {
-	rs, ranged := st.(table.RangeStore)
 	for off := 0; off < len(dst); off += scanBlock {
-		end := off + scanBlock
-		if end > len(dst) {
-			end = len(dst)
-		}
-		if ranged {
-			rs.GetRange(lo+off, dst[off:end])
-			continue
-		}
-		for k := off; k < end; k++ {
-			dst[k] = st.Get(lo + k)
-		}
+		end := min(off+scanBlock, len(dst))
+		st.GetRange(lo+off, dst[off:end])
 	}
 }
 
-// storeRange writes src over [lo, lo+len(src)) of st, batched in
-// blocks of at most scanBlock when the store supports ranges.
+// storeRange writes src over [lo, lo+len(src)) of st in blocks of at
+// most scanBlock.
 func storeRange(st table.Store, lo int, src []table.Entry) {
-	rs, ranged := st.(table.RangeStore)
 	for off := 0; off < len(src); off += scanBlock {
-		end := off + scanBlock
-		if end > len(src) {
-			end = len(src)
-		}
-		if ranged {
-			rs.SetRange(lo+off, src[off:end])
-			continue
-		}
-		for k := off; k < end; k++ {
-			st.Set(lo+k, src[k])
-		}
+		end := min(off+scanBlock, len(src))
+		st.SetRange(lo+off, src[off:end])
 	}
 }

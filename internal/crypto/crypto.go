@@ -37,8 +37,8 @@
 // SealRange and OpenRange process a contiguous run of fixed-width
 // records with one nonce reservation and one reusable scratch state
 // (CTR counter block, keystream block, SHA-256 instance for the MAC),
-// drawn from a sync.Pool; in steady state Seal, Open, Reseal, SealRange
-// and OpenRange perform no heap allocation at all.
+// drawn from a sync.Pool; in steady state Seal, Open, SealRange and
+// OpenRange perform no heap allocation at all.
 package crypto
 
 import (
@@ -132,17 +132,9 @@ type scratch struct {
 	ks    [aes.BlockSize]byte
 	inner [sha256.Size]byte
 	tag   [sha256.Size]byte
-	buf   []byte // plaintext staging for Reseal
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{mac: sha256.New()} }}
-
-func (s *scratch) grow(n int) []byte {
-	if cap(s.buf) < n {
-		s.buf = make([]byte, n)
-	}
-	return s.buf[:n]
-}
 
 // ctrBlocks is the number of keystream blocks a plaintext of n bytes
 // consumes. Zero-length plaintexts still reserve one block so every
@@ -299,31 +291,6 @@ func (c *Cipher) OpenRange(dst, sealed []byte, ptLen int) error {
 			return fmt.Errorf("crypto: record %d of %d: %w", r, k, err)
 		}
 	}
-	scratchPool.Put(s)
-	return nil
-}
-
-// Reseal re-encrypts a sealed entry under a fresh nonce without exposing
-// the plaintext to the caller: this is the "dummy write" operation —
-// after a Reseal the adversary cannot tell whether the logical contents
-// changed. dst and sealed must have equal length and may alias. The
-// intermediate plaintext lives in pooled scratch, so Reseal allocates
-// nothing in steady state.
-func (c *Cipher) Reseal(dst, sealed []byte) error {
-	n := len(sealed) - Overhead
-	if n < 0 {
-		return fmt.Errorf("crypto: sealed entry too short (%d bytes)", len(sealed))
-	}
-	if len(dst) != len(sealed) {
-		panic("crypto: Reseal length mismatch")
-	}
-	s := scratchPool.Get().(*scratch)
-	buf := s.grow(n)
-	if err := c.open(buf, sealed, s); err != nil {
-		scratchPool.Put(s)
-		return err
-	}
-	c.sealAt(dst, buf, c.reserve(ctrBlocks(n)), s)
 	scratchPool.Put(s)
 	return nil
 }

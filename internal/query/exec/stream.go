@@ -150,7 +150,7 @@ func (s *storeSource) Next() (Batch, error) {
 		s.rows = make([]table.Row, DefaultBatch)
 	}
 	n := min(len(s.buf), s.k-s.pos)
-	loadStoreRange(s.st, s.pos, s.buf[:n])
+	s.st.GetRange(s.pos, s.buf[:n])
 	for i := range s.buf[:n] {
 		s.rows[i] = table.Row{J: s.buf[i].J, D: s.buf[i].D}
 	}
@@ -165,18 +165,6 @@ func (s *storeSource) Close() {
 	s.released = true
 	if s.ctx != nil && s.ctx.Cfg != nil {
 		s.ctx.Cfg.ReleaseStore(s.st)
-	}
-}
-
-// loadStoreRange reads [lo, lo+len(dst)) of st, batched when the store
-// supports ranges; the element-loop fallback emits the same events.
-func loadStoreRange(st table.Store, lo int, dst []table.Entry) {
-	if rs, ok := st.(table.RangeStore); ok {
-		rs.GetRange(lo, dst)
-		return
-	}
-	for i := range dst {
-		dst[i] = st.Get(lo + i)
 	}
 }
 

@@ -279,25 +279,13 @@ func extract(cfg *core.Config, st table.Store, lo, n int, dummy uint64) []table.
 			cfg.CheckCtx()
 		}
 		c := min(extractBlk, n-off)
-		readRange(st, lo+off, buf[:c])
+		st.GetRange(lo+off, buf[:c])
 		for i := 0; i < c; i++ {
 			e := &buf[i]
 			rows[off+i] = table.Row{J: obliv.Select(e.Null, dummy, e.J), D: e.D}
 		}
 	}
 	return rows
-}
-
-// readRange reads [lo, lo+len(dst)) of st, batched when supported; the
-// element loop emits the same events.
-func readRange(st table.Store, lo int, dst []table.Entry) {
-	if rs, ok := st.(table.RangeStore); ok {
-		rs.GetRange(lo, dst)
-		return
-	}
-	for i := range dst {
-		dst[i] = st.Get(lo + i)
-	}
 }
 
 // lessJD1D2 orders merge entries by (j, d1, d2): D holds d1 and A1‖A2
@@ -345,7 +333,7 @@ func (g *Group) merge(outs [][]table.KeyedPair) []table.KeyedPair {
 			cfg.CheckCtx()
 		}
 		c := min(extractBlk, m-lo)
-		readRange(a, lo, buf[:c])
+		a.GetRange(lo, buf[:c])
 		for i := 0; i < c; i++ {
 			e := &buf[i]
 			p := table.KeyedPair{J: e.J, D1: e.D}

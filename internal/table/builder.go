@@ -64,13 +64,7 @@ func (b *Builder) AppendEntries(src []Entry) {
 	}
 	for lo := 0; lo < len(src); lo += builderChunk {
 		chunk := src[lo:min(lo+builderChunk, len(src))]
-		if rs, ok := b.w.(RangeStore); ok {
-			rs.SetRange(b.pos, chunk)
-		} else {
-			for i, e := range chunk {
-				b.w.Set(b.pos+i, e)
-			}
-		}
+		b.w.SetRange(b.pos, chunk)
 		b.pos += len(chunk)
 	}
 }

@@ -33,16 +33,30 @@ type Fault struct {
 func (f *Fault) Error() string { return f.Err.Error() }
 func (f *Fault) Unwrap() error { return f.Err }
 
-// authFault unwinds a sealed-data authentication failure. Both the
-// sentinel and the cause stay errors.Is-matchable.
-func authFault(what string, err error) {
-	panic(&Fault{Err: fmt.Errorf("%w: %s: %w", ErrSealedAuth, what, err)})
+// authErr types a sealed-block authentication failure (nil stays
+// nil). Both the sentinel and the cause stay errors.Is-matchable.
+func authErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: block: %w", ErrSealedAuth, err)
 }
 
-// ioFault unwinds a spill-file IO failure, keeping the underlying
-// errno (EIO, ENOSPC, ...) matchable through the wrap.
-func ioFault(op string, err error) {
-	panic(&Fault{Err: fmt.Errorf("%w: %s: %w", ErrSpillIO, op, err)})
+// ioErr types a spill-file IO failure (nil stays nil), keeping the
+// underlying errno (EIO, ENOSPC, ...) matchable through the wrap.
+func ioErr(op string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %s: %w", ErrSpillIO, op, err)
+}
+
+// raise unwinds with err, if any, as a *Fault panic. The sealed store
+// calls it only after releasing its block mutexes.
+func raise(err error) {
+	if err != nil {
+		panic(&Fault{Err: err})
+	}
 }
 
 // AsFault returns the typed error carried by a recovered panic value,

@@ -8,23 +8,17 @@ import (
 	"oblivjoin/internal/memory"
 )
 
-// catchFault runs fn and returns the typed fault error it panicked
-// with, or nil when it returned normally. A panic of any other kind
-// fails the test — the spill path must never leak raw panics.
-func catchFault(t *testing.T, fn func()) (ferr error) {
+// newFaulty returns a two-block file-backed store whose IO runs through
+// a disarmed seeded injector.
+func newFaulty(t *testing.T) (*fault.Injector, *BlockEncrypted) {
 	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		var ok bool
-		if ferr, ok = AsFault(r); !ok {
-			t.Fatalf("non-typed panic from spill path: %v", r)
-		}
-	}()
-	fn()
-	return nil
+	in := fault.NewInjector(nil, 11)
+	st, err := NewSpillFS(memory.NewSpace(nil, nil), newCipher(t), in, t.TempDir(), 2*DefaultSealedBlock, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return in, st
 }
 
 func TestSpillWriteFaultTyped(t *testing.T) {
@@ -37,13 +31,7 @@ func TestSpillWriteFaultTyped(t *testing.T) {
 		{"short", fault.Rule{Op: fault.OpWrite, Err: fault.ENOSPC, ShortBy: 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			in := fault.NewInjector(nil, 11)
-			s := memory.NewSpace(nil, nil)
-			st, err := NewSpillFS(s, newCipher(t), in, t.TempDir(), 2*DefaultSealedBlock, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Remove()
+			in, st := newFaulty(t)
 			in.Arm(tc.rule)
 			ferr := catchFault(t, func() { st.Set(0, entryAt(0)) })
 			if !errors.Is(ferr, ErrSpillIO) {
@@ -82,13 +70,7 @@ func TestSpillWriteFaultTyped(t *testing.T) {
 }
 
 func TestSpillReadFaultTyped(t *testing.T) {
-	in := fault.NewInjector(nil, 11)
-	s := memory.NewSpace(nil, nil)
-	st, err := NewSpillFS(s, newCipher(t), in, t.TempDir(), 2*DefaultSealedBlock, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Remove()
+	in, st := newFaulty(t)
 	st.Set(0, entryAt(0))
 	in.Arm(fault.Rule{Op: fault.OpRead, Err: fault.EIO})
 	ferr := catchFault(t, func() { st.Get(0) })
@@ -101,13 +83,7 @@ func TestSpillReadFaultTyped(t *testing.T) {
 // surfaces as a typed ErrSealedAuth fault, not a raw panic — the
 // integrity half of the containment story.
 func TestSpillTamperAuthTyped(t *testing.T) {
-	in := fault.NewInjector(nil, 11)
-	s := memory.NewSpace(nil, nil)
-	st, err := NewSpillFS(s, newCipher(t), in, t.TempDir(), 2*DefaultSealedBlock, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Remove()
+	in, st := newFaulty(t)
 	st.Set(0, entryAt(0))
 	in.Arm(fault.Rule{Op: fault.OpRead, FlipBit: true})
 	ferr := catchFault(t, func() { st.Get(0) })

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"oblivjoin/internal/crypto"
-	"oblivjoin/internal/memory"
 )
 
 // Gauge tracks the engine-held bytes of one query run: every store
@@ -245,19 +244,13 @@ func BlockFootprint(n, b int) int64 {
 }
 
 // Footprint reports the heap footprint of an allocated store using the
-// same formulas as the predictors above. Spill stores hold their blocks
-// on disk, so their heap footprint is zero by this accounting.
+// same formulas as the predictors above. A sealed store answers for its
+// backing: blocks in a spill file weigh zero by this accounting.
 func Footprint(st Store) int64 {
-	switch s := st.(type) {
-	case *memory.Array[Entry]:
-		return PlainFootprint(s.Len())
-	case *BlockEncrypted:
-		return int64(len(s.st.ct))
-	case *Spill:
-		return 0
-	default:
-		return PlainFootprint(st.Len())
+	if s, ok := st.(*BlockEncrypted); ok {
+		return s.st.bk.heapBytes()
 	}
+	return PlainFootprint(st.Len())
 }
 
 // TrackedAlloc wraps base so every allocated store is registered in g

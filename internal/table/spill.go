@@ -6,73 +6,50 @@ import (
 	"oblivjoin/internal/crypto"
 	"oblivjoin/internal/fault"
 	"oblivjoin/internal/memory"
-	"oblivjoin/internal/trace"
 )
 
-// Spill is a Store whose sealed blocks live in a temporary file instead
-// of the heap: the on-disk unit is exactly a BlockEncrypted ciphertext
-// block (SealRange over b entries), so nothing but ciphertext and MACs
-// ever touches disk, and an intermediate larger than the run's memory
-// budget costs O(batch) heap. The logical trace is identical to every
-// other store — one per-entry event per access, block boundaries a
-// fixed public function of the index — so spilled and resident runs of
-// the same plan produce bit-identical canonical traces.
-//
-// I/O uses ReadAt/WriteAt under the same ascending per-block mutexes as
-// BlockEncrypted, so parallel lanes over disjoint entry ranges compose.
-// A file error is fatal for the run, like an authentication failure,
-// and unwinds as a typed *Fault panic (ErrSpillIO) that the query
-// runner converts to an error; the file is removed by the cleanup hook
-// registered with the run's Gauge (or by Remove).
-type Spill struct {
-	ev *memory.Array[struct{}] // per-entry trace/cost emitter
-	st *spillState
+// fileBlocks keeps the sealed blocks in a temporary file instead of the
+// heap, so an intermediate larger than the run's memory budget costs
+// O(batch) heap and nothing but ciphertext and MACs ever touches disk.
+// ReadAt/WriteAt run under the store's per-block mutexes, so parallel
+// lanes over disjoint entry ranges compose.
+type fileBlocks struct {
+	fs   fault.FS
+	f    fault.File
+	unit int
+	once sync.Once // guards file close+remove
 }
 
-// spillState is the storage shared by a Spill and its shards.
-type spillState struct {
-	cipher *crypto.Cipher
-	fs     fault.FS
-	f      fault.File
-	path   string
-	b      int // entries per block
-	n      int // logical entries
-	nb     int // blocks
-	pt     int // plaintext bytes per block
-	unit   int // sealed bytes per block
-	locks  []sync.Mutex
-	once   sync.Once // guards file close+remove
+func (fb *fileBlocks) span(k0, k1 int) ([]byte, *[]byte) {
+	p, ct := getBuf((k1 - k0 + 1) * fb.unit)
+	return ct, p
 }
 
-// readBlocks reads sealed blocks [k0, k1] into ct. The caller faults
-// on the returned error only after releasing the span's locks —
-// unwinding with a block mutex held would strand every later access
-// to that block behind a lock nobody can release.
-func (st *spillState) readBlocks(ct []byte, k0, k1 int) error {
-	_, err := st.f.ReadAt(ct[:(k1-k0+1)*st.unit], int64(k0)*int64(st.unit))
-	return err
+func (fb *fileBlocks) load(ct []byte, k int) error {
+	_, err := fb.f.ReadAt(ct, int64(k)*int64(fb.unit))
+	return ioErr("read", err)
 }
 
-// writeBlocks writes sealed blocks [k0, k1] from ct; same unlock-
-// before-fault contract as readBlocks.
-func (st *spillState) writeBlocks(ct []byte, k0, k1 int) error {
-	_, err := st.f.WriteAt(ct[:(k1-k0+1)*st.unit], int64(k0)*int64(st.unit))
-	return err
+func (fb *fileBlocks) persist(ct []byte, k int) error {
+	_, err := fb.f.WriteAt(ct, int64(k)*int64(fb.unit))
+	return ioErr("write", err)
 }
 
-// NewSpill allocates a spill store of n null entries in s, sealed under
-// c with b entries per block (b ≤ 0 selects DefaultSealedBlock), backed
-// by a fresh temporary file in dir ("" selects the system temp
-// directory). As with the resident sealed stores, every block is
-// initialized to a valid ciphertext of zero entries and initialization
-// bypasses the trace.
-func NewSpill(s *memory.Space, c *crypto.Cipher, dir string, n, b int) (*Spill, error) {
-	return NewSpillFS(s, c, nil, dir, n, b)
+func (fb *fileBlocks) close() {
+	fb.once.Do(func() {
+		fb.f.Close()
+		fb.fs.Remove(fb.f.Name())
+	})
 }
 
-// NewSpillFS is NewSpill over an explicit filesystem seam (nil selects
-// the real OS) — the fault-injection entry point.
-func NewSpillFS(s *memory.Space, c *crypto.Cipher, fsys fault.FS, dir string, n, b int) (*Spill, error) {
+func (fb *fileBlocks) heapBytes() int64 { return 0 }
+
+// NewSpillFS allocates a sealed store of n null entries in s, sealed
+// under c with b entries per block (b ≤ 0 selects DefaultSealedBlock),
+// whose blocks live in a fresh temporary file in dir ("" selects the
+// system temp directory) opened through fsys (nil selects the real OS;
+// the fault-injection entry point). Close removes the file.
+func NewSpillFS(s *memory.Space, c *crypto.Cipher, fsys fault.FS, dir string, n, b int) (*BlockEncrypted, error) {
 	if b <= 0 {
 		b = DefaultSealedBlock
 	}
@@ -81,253 +58,13 @@ func NewSpillFS(s *memory.Space, c *crypto.Cipher, fsys fault.FS, dir string, n,
 	if err != nil {
 		return nil, err
 	}
-	nb := (n + b - 1) / b
-	st := &spillState{
-		cipher: c,
-		fs:     fsys,
-		f:      f,
-		path:   f.Name(),
-		b:      b,
-		n:      n,
-		nb:     nb,
-		pt:     b * EncodedSize,
-		unit:   crypto.SealedLen(b * EncodedSize),
-		locks:  make([]sync.Mutex, nb),
-	}
-	chunk := min(nb, max(initChunk/b, 1))
-	p, zeros := getBuf(chunk * st.pt)
-	defer putBuf(p)
-	clear(zeros)
-	cp, ct := getBuf(chunk * st.unit)
-	defer putBuf(cp)
-	for k := 0; k < nb; k += chunk {
-		m := min(chunk, nb-k)
-		c.SealRange(ct[:m*st.unit], zeros[:m*st.pt], st.pt)
-		if _, err := f.WriteAt(ct[:m*st.unit], int64(k)*int64(st.unit)); err != nil {
-			st.Remove()
-			return nil, err
-		}
-	}
-	return &Spill{ev: memory.Alloc[struct{}](s, n, SealedSize), st: st}, nil
+	return newSealed(s, c, n, b, &fileBlocks{fs: fsys, f: f, unit: crypto.SealedLen(b * EncodedSize)})
 }
 
-// Len returns the number of logical entries.
-func (e *Spill) Len() int { return e.st.n }
-
-// Block returns the store's entries-per-block granularity B.
-func (e *Spill) Block() int { return e.st.b }
-
-// Path returns the backing file's path; for tests and diagnostics.
-func (e *Spill) Path() string { return e.st.path }
-
-// DiskBytes returns the sealed size of the backing file.
-func (e *Spill) DiskBytes() int64 { return int64(e.st.nb) * int64(e.st.unit) }
-
-// Remove closes and deletes the backing file. Idempotent; the gauge's
-// release hook calls it when a streaming stage (or the run's teardown)
-// is done with the store.
-func (e *Spill) Remove() { e.st.Remove() }
-
-func (st *spillState) Remove() {
-	st.once.Do(func() {
-		st.f.Close()
-		st.fs.Remove(st.path)
-	})
-}
-
-// Get reads, authenticates and decrypts the block holding entry i.
-func (e *Spill) Get(i int) Entry {
-	e.ev.Get(i)
-	st := e.st
-	k := i / st.b
-	p, plain := getBuf(st.pt)
-	defer putBuf(p)
-	cp, ct := getBuf(st.unit)
-	defer putBuf(cp)
-	st.locks[k].Lock()
-	var err error
-	ioErr := st.readBlocks(ct, k, k)
-	if ioErr == nil {
-		err = st.cipher.Open(plain, ct[:st.unit])
-	}
-	st.locks[k].Unlock()
-	if ioErr != nil {
-		ioFault("read", ioErr)
-	}
-	if err != nil {
-		authFault("block", err)
-	}
-	off := (i - k*st.b) * EncodedSize
-	return DecodeEntry(plain[off : off+EncodedSize])
-}
-
-// Set re-seals the block holding entry i with v spliced in, under a
-// fresh nonce.
-func (e *Spill) Set(i int, v Entry) {
-	e.ev.Set(i, struct{}{})
-	st := e.st
-	k := i / st.b
-	p, plain := getBuf(st.pt)
-	defer putBuf(p)
-	cp, ct := getBuf(st.unit)
-	defer putBuf(cp)
-	st.locks[k].Lock()
-	var err error
-	ioOp := "read"
-	ioErr := st.readBlocks(ct, k, k)
-	if ioErr == nil {
-		err = st.cipher.Open(plain, ct[:st.unit])
-		if err == nil {
-			v.Encode(plain[(i-k*st.b)*EncodedSize : (i-k*st.b+1)*EncodedSize])
-			st.cipher.Seal(ct[:st.unit], plain)
-			ioOp = "write"
-			ioErr = st.writeBlocks(ct, k, k)
-		}
-	}
-	st.locks[k].Unlock()
-	if ioErr != nil {
-		ioFault(ioOp, ioErr)
-	}
-	if err != nil {
-		authFault("block", err)
-	}
-}
-
-func (st *spillState) lockSpan(k0, k1 int) {
-	for k := k0; k <= k1; k++ {
-		st.locks[k].Lock()
-	}
-}
-
-func (st *spillState) unlockSpan(k0, k1 int) {
-	for k := k0; k <= k1; k++ {
-		st.locks[k].Unlock()
-	}
-}
-
-// GetRange decrypts the run [lo, lo+len(dst)) into dst, emitting the
-// per-index read events in ascending order; the spanned blocks are read
-// and opened as one contiguous record range.
-func (e *Spill) GetRange(lo int, dst []Entry) {
-	e.ev.GetRange(lo, touches(len(dst)))
-	if len(dst) == 0 {
-		return
-	}
-	st := e.st
-	k0, k1 := lo/st.b, (lo+len(dst)-1)/st.b
-	p, plain := getBuf((k1 - k0 + 1) * st.pt)
-	defer putBuf(p)
-	cp, ct := getBuf((k1 - k0 + 1) * st.unit)
-	defer putBuf(cp)
-	st.lockSpan(k0, k1)
-	var err error
-	ioErr := st.readBlocks(ct, k0, k1)
-	if ioErr == nil {
-		err = st.cipher.OpenRange(plain, ct[:(k1-k0+1)*st.unit], st.pt)
-	}
-	st.unlockSpan(k0, k1)
-	if ioErr != nil {
-		ioFault("read", ioErr)
-	}
-	if err != nil {
-		authFault("block", err)
-	}
-	base := (lo - k0*st.b) * EncodedSize
-	for j := range dst {
-		dst[j] = DecodeEntry(plain[base+j*EncodedSize : base+(j+1)*EncodedSize])
-	}
-}
-
-// SetRange re-seals the blocks spanned by [lo, lo+len(src)) with src
-// spliced in, each under a fresh nonce; boundary handling matches
-// BlockEncrypted (partial boundary blocks are read back, the final
-// block's padding tail is known-zero).
-func (e *Spill) SetRange(lo int, src []Entry) {
-	e.ev.SetRange(lo, touches(len(src)))
-	if len(src) == 0 {
-		return
-	}
-	st := e.st
-	hi := lo + len(src)
-	k0, k1 := lo/st.b, (hi-1)/st.b
-	p, plain := getBuf((k1 - k0 + 1) * st.pt)
-	defer putBuf(p)
-	cp, ct := getBuf((k1 - k0 + 1) * st.unit)
-	defer putBuf(cp)
-	st.lockSpan(k0, k1)
-	ioOp := "read"
-	ioErr, err := st.fillBoundaries(plain, ct, lo, hi, k0, k1)
-	if ioErr == nil && err == nil {
-		base := (lo - k0*st.b) * EncodedSize
-		for j := range src {
-			src[j].Encode(plain[base+j*EncodedSize : base+(j+1)*EncodedSize])
-		}
-		st.cipher.SealRange(ct[:(k1-k0+1)*st.unit], plain, st.pt)
-		ioOp = "write"
-		ioErr = st.writeBlocks(ct, k0, k1)
-	}
-	st.unlockSpan(k0, k1)
-	if ioErr != nil {
-		ioFault(ioOp, ioErr)
-	}
-	if err != nil {
-		authFault("block", err)
-	}
-}
-
-// fillBoundaries prepares the plaintext staging buffer for a write of
-// [lo, hi) spanning blocks [k0, k1], reading partially covered boundary
-// blocks back from disk. Callers hold the span's locks; ct is scratch
-// of at least one unit. IO and authentication failures come back as
-// separate errors so the caller can fault with the right sentinel
-// after unlocking.
-func (st *spillState) fillBoundaries(plain, ct []byte, lo, hi, k0, k1 int) (ioErr, authErr error) {
-	headPartial := lo%st.b != 0
-	if headPartial {
-		if ioErr = st.readBlocks(ct, k0, k0); ioErr != nil {
-			return
-		}
-		if authErr = st.cipher.Open(plain[:st.pt], ct[:st.unit]); authErr != nil {
-			return
-		}
-	}
-	if hi%st.b == 0 || (k1 == k0 && headPartial) {
-		return
-	}
-	tail := plain[(k1-k0)*st.pt : (k1-k0+1)*st.pt]
-	if hi < st.n {
-		if ioErr = st.readBlocks(ct, k1, k1); ioErr != nil {
-			return
-		}
-		authErr = st.cipher.Open(tail, ct[:st.unit])
-		return
-	}
-	// hi == n: everything past it in block k1 is padding — zero entries
-	// by construction — so stage zeros instead of reading back.
-	clear(tail[(hi-k1*st.b)*EncodedSize:])
-	return
-}
-
-// Traced reports whether accesses to the spilled storage are recorded.
-func (e *Spill) Traced() bool { return e.ev.Traced() }
-
-// Recorder returns the recorder the spilled storage feeds.
-func (e *Spill) Recorder() trace.Recorder { return e.ev.Recorder() }
-
-// Shard returns an alias of the store recording to rec, for parallel
-// executors; nil when the underlying memory cannot be sharded. The
-// spill state — cipher, file and per-block locks — is shared.
-func (e *Spill) Shard(rec trace.Recorder) any {
-	res := e.ev.Shard(rec)
-	if res == nil {
-		return nil
-	}
-	return &Spill{ev: res.(*memory.Array[struct{}]), st: e.st}
-}
-
-// Spiller allocates spill stores for one run: one directory, one
-// cipher, one block width, one gauge. The gauge's cleanup hooks delete
-// each backing file when the store is released (or at run teardown).
+// Spiller allocates file-backed sealed stores for one run: one
+// directory, one cipher, one block width, one gauge. The gauge's
+// cleanup hooks delete each backing file when the store is released
+// (or at run teardown).
 type Spiller struct {
 	space  *memory.Space
 	cipher *crypto.Cipher
@@ -337,32 +74,23 @@ type Spiller struct {
 	gauge  *Gauge
 }
 
-// NewSpiller returns a Spiller sealing blocks of b entries under c into
-// dir ("" selects the system temp directory).
-func NewSpiller(s *memory.Space, c *crypto.Cipher, dir string, b int, g *Gauge) *Spiller {
-	return NewSpillerFS(s, c, nil, dir, b, g)
-}
-
-// NewSpillerFS is NewSpiller over an explicit filesystem seam (nil
-// selects the real OS) — the fault-injection entry point.
+// NewSpillerFS returns a Spiller sealing blocks of b entries under c
+// into dir through fsys; b, dir and fsys default as in NewSpillFS.
 func NewSpillerFS(s *memory.Space, c *crypto.Cipher, fsys fault.FS, dir string, b int, g *Gauge) *Spiller {
-	if b <= 0 {
-		b = DefaultSealedBlock
-	}
-	return &Spiller{space: s, cipher: c, fs: fault.Or(fsys), dir: dir, block: b, gauge: g}
+	return &Spiller{space: s, cipher: c, fs: fsys, dir: dir, block: b, gauge: g}
 }
 
-// Alloc allocates an n-entry spill store, registering its cleanup with
-// the spiller's gauge. Spill stores keep only scratch on the heap, so
-// the tracked heap footprint is zero; the on-disk bytes are recorded as
-// spill statistics.
+// Alloc allocates an n-entry file-backed store, registering its cleanup
+// with the spiller's gauge. Such stores keep only scratch on the heap,
+// so the tracked heap footprint is zero; the on-disk bytes are recorded
+// as spill statistics.
 func (sp *Spiller) Alloc(n int) (Store, error) {
 	st, err := NewSpillFS(sp.space, sp.cipher, sp.fs, sp.dir, n, sp.block)
 	if err != nil {
 		return nil, err
 	}
-	sp.gauge.Track(st, 0, st.Remove)
-	sp.gauge.Spilled(st.DiskBytes())
+	sp.gauge.Track(st, 0, st.Close)
+	sp.gauge.Spilled(BlockFootprint(n, sp.block))
 	return st, nil
 }
 

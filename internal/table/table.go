@@ -1,7 +1,10 @@
 // Package table defines the database entries the oblivious join operates
 // on, together with their constant-time comparators, fixed-width binary
-// encoding, and storage backends (plain traced memory, block-sealed
-// traced memory and its on-disk spill form).
+// encoding, and storage: plain traced memory and the one sealed store,
+// BlockEncrypted, over a heap or spill-file backing. What sealed memory
+// owes the security argument — block boundaries a public function of
+// the index, every write re-sealed under a fresh nonce, faults raised
+// only after unlocking — is stated and held once, at BlockEncrypted.
 //
 // An Entry carries the attributes of §5 of the paper: the join attribute
 // j, the data attribute d, the table identifier tid, the group dimensions
@@ -275,25 +278,48 @@ type Row struct {
 	D Data
 }
 
+// RowSize is the fixed width of one Row under EncodeRows: the at-rest
+// form of the sealed catalog and of WAL and snapshot row blocks.
+const RowSize = 8 + DataLen
+
+// EncodeRows lays rows out back to back, RowSize bytes each.
+func EncodeRows(rows []Row) []byte {
+	buf := make([]byte, len(rows)*RowSize)
+	for i, r := range rows {
+		o := i * RowSize
+		binary.LittleEndian.PutUint64(buf[o:], r.J)
+		copy(buf[o+8:o+RowSize], r.D[:])
+	}
+	return buf
+}
+
+// DecodeRows parses the first n rows EncodeRows wrote into buf.
+func DecodeRows(buf []byte, n int) []Row {
+	rows := make([]Row, n)
+	for i := range rows {
+		o := i * RowSize
+		rows[i].J = binary.LittleEndian.Uint64(buf[o:])
+		copy(rows[i].D[:], buf[o+8:o+RowSize])
+	}
+	return rows
+}
+
 // Store is the storage abstraction the join algorithm reads and writes
 // entries through. Implementations must make element size public and
 // constant; *memory.Array[Entry] (plain) and *BlockEncrypted (sealed)
-// both qualify.
+// both qualify. GetRange and SetRange move a contiguous run of entries
+// with one dynamic dispatch, emitting exactly the events of the
+// equivalent element loop in ascending index order; the hot paths
+// (sorting rounds, the linear scans of internal/core) amortize their
+// per-element overhead per block through them.
 type Store interface {
 	Len() int
 	Get(i int) Entry
 	Set(i int, e Entry)
-}
-
-// RangeStore is the optional batched extension of Store: GetRange and
-// SetRange move a contiguous run of entries with one dynamic dispatch,
-// emitting exactly the events of the equivalent element loop in
-// ascending index order. The hot paths (sorting rounds, the linear
-// scans of internal/core) type-assert to it and amortize their
-// per-element overhead per block; plain loops remain the fallback.
-// *memory.Array[Entry], *BlockEncrypted and *Spill implement it.
-type RangeStore interface {
-	Store
 	GetRange(lo int, dst []Entry)
 	SetRange(lo int, src []Entry)
 }
+
+// RangeStore survives only because benchmarks/ names it; it goes with
+// ROADMAP item 1(e).
+type RangeStore = Store

@@ -123,33 +123,12 @@ const (
 	// ciphertext, so a durable table's sealed blocks equal the
 	// engine's in-memory sealed blocks.
 	blockRows = 16
-	rowSize   = 8 + table.DataLen
-	blockPt   = blockRows * rowSize
+	blockPt   = blockRows * table.RowSize
 
 	// maxBody bounds a single frame (1 GiB) so a corrupt length prefix
 	// cannot drive a giant allocation.
 	maxBody = 1 << 30
 )
-
-func encodeRows(rows []table.Row) []byte {
-	buf := make([]byte, len(rows)*rowSize)
-	for i, r := range rows {
-		o := i * rowSize
-		binary.LittleEndian.PutUint64(buf[o:], r.J)
-		copy(buf[o+8:o+rowSize], r.D[:])
-	}
-	return buf
-}
-
-func decodeRows(buf []byte, n int) []table.Row {
-	rows := make([]table.Row, n)
-	for i := range rows {
-		o := i * rowSize
-		rows[i].J = binary.LittleEndian.Uint64(buf[o:])
-		copy(rows[i].D[:], buf[o+8:o+rowSize])
-	}
-	return rows
-}
 
 // sealedRowsLen is the on-disk size of a table of n rows.
 func sealedRowsLen(n int) int {
@@ -185,7 +164,7 @@ func encodeFrame(buf []byte, cipher *crypto.Cipher, rec Record) ([]byte, error) 
 	if rowsLen > 0 {
 		blocks := (len(rec.Rows) + blockRows - 1) / blockRows
 		plain := make([]byte, blocks*blockPt)
-		copy(plain, encodeRows(rec.Rows))
+		copy(plain, table.EncodeRows(rec.Rows))
 		cipher.SealRange(body[4+len(sealedMeta):], plain, blockPt)
 	}
 	binary.LittleEndian.PutUint32(buf[start:], uint32(bodyLen))
@@ -241,7 +220,7 @@ func decodeFrame(cipher *crypto.Cipher, data []byte, off int) (rec Record, next 
 		if err := cipher.OpenRange(plain, sealedRows, blockPt); err != nil {
 			return Record{}, 0, fmt.Errorf("record rows: %w", err)
 		}
-		rec.Rows = decodeRows(plain, rowCount)
+		rec.Rows = table.DecodeRows(plain, rowCount)
 	}
 	return rec, off + frameHdr + bodyLen, nil
 }
