@@ -20,7 +20,6 @@ import (
 	"oblivjoin/internal/memory"
 	"oblivjoin/internal/obliv"
 	"oblivjoin/internal/table"
-	"oblivjoin/internal/trace"
 	"oblivjoin/internal/workload"
 )
 
@@ -249,58 +248,6 @@ func BenchmarkAblationBranchless(b *testing.B) {
 }
 
 var sink uint64
-
-// Sequential vs goroutine-parallel sorting phases at the join level
-// (§6.2's parallelization note).
-func BenchmarkAblationParallelJoin(b *testing.B) {
-	t1, t2 := workload.MatchingPairs(65536)
-	for _, par := range []bool{false, true} {
-		name := "sequential"
-		if par {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sp := memory.NewSpace(nil, nil)
-				core.Join(&core.Config{Alloc: table.PlainAlloc(sp), Parallel: par}, t1, t2)
-			}
-		})
-	}
-}
-
-// BenchmarkJoinParallel measures the round-scheduled parallel pipeline
-// against the sequential schedule at n = 2^17 rows *with tracing
-// enabled* (a live recorder on every access, sharded per lane and
-// merged at round barriers). The canonical trace and all counters are
-// identical across the variants — TestJoinParallelTraceEqualsSequential
-// pins that — so this measures pure execution-model speedup. On a
-// multi-core host the workers=GOMAXPROCS variant is the headline
-// number; cmd/oblivbench -exp bench emits the same comparison as JSON.
-func BenchmarkJoinParallel(b *testing.B) {
-	const n = 1 << 17
-	t1, t2 := workload.MatchingPairs(n)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 1},
-		{"workers=2", 2},
-		{"workers=4", 4},
-		{"workers=max", -1},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportMetric(float64(n), "n")
-			for i := 0; i < b.N; i++ {
-				var c trace.Counter
-				sp := memory.NewSpace(&c, nil)
-				core.Join(&core.Config{Alloc: table.PlainAlloc(sp), Workers: bc.workers}, t1, t2)
-				if c.Total() == 0 {
-					b.Fatal("tracing was not enabled")
-				}
-			}
-		})
-	}
-}
 
 // Plain vs AES-sealed entry storage (the default block-sealed store).
 // Kept small: sealing multiplies the per-comparator cost by ~34×, which

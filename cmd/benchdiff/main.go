@@ -10,8 +10,8 @@
 //
 // Each fresh file is matched to the baseline file of the same name.
 // Records match by input size and worker count (plus query text for
-// SQL records, shard count for shard records and scenario × clients for
-// the BENCH_service.json load records); every "*_ns" wall-time
+// SQL records and scenario × clients for the BENCH_service.json load
+// records); every "*_ns" wall-time
 // metric a baseline record carries is gated — including the load
 // records' p50/p95/p99 latency percentiles — and so is every
 // "*_bytes" memory metric (the deterministic peak/total allocation

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	oblivbench -exp table1|table2|table3|fig7|fig8|circuit|bench|sql|planner|shard|wal|fault|chaos|all [flags]
+//	oblivbench -exp table1|table2|table3|fig7|fig8|circuit|bench|sql|planner|wal|fault|chaos|all [flags]
 //
 //	-n int          input size for table1/table3 (default 4096 / 65536)
 //	-sizes list     comma-separated n values for fig8
@@ -11,17 +11,14 @@
 //	-bsizes list    comma-separated n values for the bench experiment
 //	-ssizes list    comma-separated n values for the sql experiment
 //	-pscales list   catalog scale factors for the planner experiment
-//	-workers int    parallel lanes for bench/sql/shard (0 = GOMAXPROCS)
-//	-short          shard/wal/fault preset: small sizes for the CI gate
-//	-shardn int     input size for the shard experiment (default 65536)
-//	-shardset list  comma-separated shard counts for the shard experiment
+//	-workers int    label for bench/sql records; execution is sequential
+//	-short          wal/fault preset: small sizes for the CI gate
 //	-walrows int    rows per commit for the wal experiment (default 64)
 //	-walcommits int fsynced commits in the wal experiment (default 192)
 //	-faultn int     query input size for the fault experiment (default 8192)
 //	-chaosrows int  table rows for the chaos experiment (default 256)
 //	-chaosseed int  fault-injection seed for the chaos experiment
 //	-json path      write bench results as JSON (default BENCH_join.json)
-//	-shardjson path write shard results as JSON (default BENCH_shard.json)
 //	-sqljson path   write sql results as JSON (default BENCH_sql.json)
 //	-waljson path   write wal results as JSON (default BENCH_wal.json)
 //	-faultjson path write fault results as JSON (default BENCH_fault.json)
@@ -30,8 +27,7 @@
 // BENCH_join.json perf record), sql (the same comparison for the SQL
 // plan pipeline plus the planner's written-versus-greedy comparator
 // records, BENCH_sql.json; planner prints just the comparator table
-// without touching the JSON) and shard (unsharded vs hash-partitioned
-// joins, BENCH_shard.json) are opt-in: they run only with an explicit
+// without touching the JSON) are opt-in: they run only with an explicit
 // -exp name, never under -exp all.
 //
 // fault measures the fault-injection seam's fault-free overhead
@@ -55,7 +51,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: table1, table2, table3, fig7, fig8, circuit, bench, sql, planner, shard, wal, fault, chaos, all")
+	which := flag.String("exp", "all", "experiment: table1, table2, table3, fig7, fig8, circuit, bench, sql, planner, wal, fault, chaos, all")
 	n := flag.Int("n", 0, "input size for table1/table3 (defaults: 4096, 65536)")
 	sizes := flag.String("sizes", "25000,50000,100000,200000", "comma-separated input sizes for fig8")
 	pgm := flag.String("pgm", "", "write Figure 7 as a PGM image to this path")
@@ -63,11 +59,8 @@ func main() {
 	bsizes := flag.String("bsizes", "16384,65536,131072", "comma-separated input sizes for bench")
 	ssizes := flag.String("ssizes", "4096,16384,65536", "comma-separated input sizes for sql")
 	pscales := flag.String("pscales", "1,2", "comma-separated catalog scale factors for the planner experiment")
-	workers := flag.Int("workers", 0, "parallel lanes for bench/sql/shard (0 = GOMAXPROCS)")
-	short := flag.Bool("short", false, "shard/wal/fault preset: small sizes for the CI gate (overridable by -shardn/-walcommits/-faultn)")
-	shardN := flag.Int("shardn", 65536, "input size for the shard experiment")
-	shardSet := flag.String("shardset", "1,2,4,8", "comma-separated shard counts for the shard experiment")
-	shardJSONPath := flag.String("shardjson", "BENCH_shard.json", "write shard results as JSON to this path (empty to skip)")
+	workers := flag.Int("workers", 0, "label for bench/sql records; execution is sequential")
+	short := flag.Bool("short", false, "wal/fault preset: small sizes for the CI gate (overridable by -walcommits/-faultn)")
 	walRows := flag.Int("walrows", 64, "rows per commit for the wal experiment")
 	walCommits := flag.Int("walcommits", 192, "fsynced commits in the wal experiment")
 	walJSONPath := flag.String("waljson", "BENCH_wal.json", "write wal results as JSON to this path (empty to skip)")
@@ -94,7 +87,7 @@ func main() {
 	// bench is opt-in only: it is a perf experiment that writes
 	// BENCH_join.json to the working directory, not one of the paper's
 	// figures, so a bare `oblivbench` (-exp all) does not run it.
-	optIn := map[string]bool{"bench": true, "sql": true, "planner": true, "shard": true, "wal": true, "fault": true, "chaos": true}
+	optIn := map[string]bool{"bench": true, "sql": true, "planner": true, "wal": true, "fault": true, "chaos": true}
 	run := func(name string, f func() error) {
 		if *which != name && (*which != "all" || optIn[name]) {
 			return
@@ -158,31 +151,6 @@ func main() {
 				return err
 			}
 			fmt.Printf("(bench results written to %s)\n", *jsonPath)
-		}
-		return nil
-	})
-	run("shard", func() error {
-		size := *shardN
-		if *short {
-			set := map[string]bool{}
-			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			if !set["shardn"] {
-				size = 8192
-			}
-		}
-		ss, err := parseSizes(*shardSet)
-		if err != nil {
-			return err
-		}
-		results, err := exp.BenchShard(os.Stdout, size, *workers, ss)
-		if err != nil {
-			return err
-		}
-		if *shardJSONPath != "" {
-			if err := exp.WriteShardBenchJSON(*shardJSONPath, results); err != nil {
-				return err
-			}
-			fmt.Printf("(shard results written to %s)\n", *shardJSONPath)
 		}
 		return nil
 	})

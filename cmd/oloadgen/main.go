@@ -8,17 +8,14 @@
 //	oloadgen [flags]
 //
 //	-scenarios list  comma-separated scenario families: uniform,
-//	                 powerlaw, pkfk, mixed, spill, shard (default all;
-//	                 spill runs its rotation under a 256 KiB per-query
-//	                 memory budget, forcing the sealed spill path;
-//	                 shard hash-partitions every join across 4
-//	                 concurrent shard pipelines and verifies composed
-//	                 trace hashes against a sequential reference at the
-//	                 same shard count)
+//	                 powerlaw, pkfk, mixed, spill (default all; spill
+//	                 runs its rotation under a 256 KiB per-query memory
+//	                 budget, forcing the sealed spill path)
 //	-n int           rows per generated table (default 2048)
 //	-clients int     closed-loop client goroutines (default 8)
 //	-ops int         operations per scenario (default 96)
-//	-workers int     oblivious parallelism per query (default 2)
+//	-workers int     label for the record; execution is sequential
+//	                 (default 2)
 //	-max-inflight int admission capacity in cost units (default 8)
 //	-queue int       admission wait-queue bound (default 32)
 //	-timeout dur     per-query deadline (default 30s)
@@ -54,11 +51,11 @@ import (
 )
 
 func main() {
-	scenarios := flag.String("scenarios", "", "comma-separated scenario families: uniform, powerlaw, pkfk, mixed, spill, shard (default all)")
+	scenarios := flag.String("scenarios", "", "comma-separated scenario families: uniform, powerlaw, pkfk, mixed, spill (default all)")
 	n := flag.Int("n", 2048, "rows per generated table")
 	clients := flag.Int("clients", 8, "closed-loop client goroutines")
 	ops := flag.Int("ops", 96, "operations per scenario")
-	workers := flag.Int("workers", 2, "oblivious parallelism per query")
+	workers := flag.Int("workers", 2, "label for the record; execution is sequential")
 	maxInFlight := flag.Int("max-inflight", 8, "admission capacity in cost units (0 = unbounded)")
 	queue := flag.Int("queue", 32, "admission wait-queue bound")
 	timeout := flag.Duration("timeout", 30e9, "per-query deadline (0 = none)")

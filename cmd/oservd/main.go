@@ -7,11 +7,8 @@
 //	oservd [flags]
 //
 //	-addr string        listen address (default ":8343")
-//	-workers int        parallel lanes per oblivious operator (0 sequential, <0 GOMAXPROCS)
 //	-encrypted          AES-seal every intermediate table entry
 //	-sealed-catalog     AES-seal registered tables at rest
-//	-shards int         hash-partition each join across this many
-//	                    concurrent shard pipelines (<= 1 unsharded)
 //	-stats              collect PlanStats for every query by default
 //	-cache int          prepared-plan LRU capacity (default 64)
 //	-max-inflight int   admission capacity in cost units of 4096 input
@@ -31,7 +28,7 @@
 //
 // Endpoints (all JSON):
 //
-//	POST /query    {"sql": "...", "workers": 4, "stats": true,
+//	POST /query    {"sql": "...", "stats": true,
 //	                "trace_hash": true, "explain": false}
 //	GET  /tables   registered schemas
 //	POST /tables   {"name": "t", "rows": [{"key": 1, "data": "a"}],
@@ -88,16 +85,16 @@ func (c *csvFlags) Set(v string) error {
 
 // options holds oservd's command line.
 type options struct {
-	csvs                        csvFlags
-	addr, spillDir, dataDir     string
-	encrypted, sealed, stats    bool
-	header, costPlan            bool
-	workers, cache, maxInFlight int
-	queueDepth, shards, demo    int
-	snapshotEvery, history      int
-	memBudget                   int64
-	queryTimeout                time.Duration
-	replanFactor                float64
+	csvs                     csvFlags
+	addr, spillDir, dataDir  string
+	encrypted, sealed, stats bool
+	header, costPlan         bool
+	cache, maxInFlight       int
+	queueDepth, demo         int
+	snapshotEvery, history   int
+	memBudget                int64
+	queryTimeout             time.Duration
+	replanFactor             float64
 }
 
 // flags registers every oservd flag on fs. README's flag table names
@@ -105,7 +102,6 @@ type options struct {
 func flags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8343", "listen address")
-	fs.IntVar(&o.workers, "workers", 0, "parallel lanes per oblivious operator (0 sequential, <0 GOMAXPROCS)")
 	fs.BoolVar(&o.encrypted, "encrypted", false, "AES-seal every intermediate table entry")
 	fs.BoolVar(&o.sealed, "sealed-catalog", false, "AES-seal registered tables at rest")
 	fs.BoolVar(&o.stats, "stats", false, "collect PlanStats for every query by default")
@@ -115,7 +111,6 @@ func flags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.queryTimeout, "query-timeout", 0, "per-query deadline covering queue wait + execution (0 = none)")
 	fs.Int64Var(&o.memBudget, "mem-budget", 0, "bound tracked per-query memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")
 	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for sealed spill files (default: system temp)")
-	fs.IntVar(&o.shards, "shards", 0, "hash-partition each join across this many concurrent shard pipelines (<= 1 unsharded)")
 	fs.BoolVar(&o.header, "header", false, "CSV files start with a header row")
 	fs.IntVar(&o.demo, "demo", 0, "register demo tables t1, t2, t3 with this many rows")
 	fs.StringVar(&o.dataDir, "data-dir", "", "durable catalog directory: sealed WAL + snapshots, recovered on boot (empty = memory-only)")
@@ -132,9 +127,6 @@ func main() {
 	flag.Parse()
 
 	var opts []oblivjoin.EngineOption
-	if o.workers != 0 {
-		opts = append(opts, oblivjoin.WithWorkers(o.workers))
-	}
 	if o.encrypted {
 		opts = append(opts, oblivjoin.WithEncryptedStore())
 	}
@@ -158,9 +150,6 @@ func main() {
 	}
 	if o.spillDir != "" {
 		opts = append(opts, oblivjoin.WithSpillDir(o.spillDir))
-	}
-	if o.shards > 1 {
-		opts = append(opts, oblivjoin.WithShards(o.shards))
 	}
 	if o.queryTimeout > 0 {
 		opts = append(opts, oblivjoin.WithQueryTimeout(o.queryTimeout))

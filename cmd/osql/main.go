@@ -12,9 +12,9 @@
 //	     "SELECT key, left.data, right.data FROM users JOIN orders USING (key)"
 //	osql -t users=users.csv "EXPLAIN SELECT key FROM users ORDER BY key"
 //
-// Flags -workers, -encrypted and -stats select parallel execution, an
-// AES-sealed entry store, and a per-operator execution report on
-// stderr (add -tracehash for the access-pattern digest).
+// Flags -encrypted and -stats select an AES-sealed entry store and a
+// per-operator execution report on stderr (add -tracehash for the
+// access-pattern digest).
 //
 // Supported grammar: SELECT [DISTINCT] items FROM t {JOIN tN USING
 // (key)} [WHERE pred] [GROUP BY key] [ORDER BY key] [LIMIT n]; see the
@@ -49,7 +49,6 @@ type options struct {
 	header, explain, replace    bool
 	encrypted, stats, traceHash bool
 	costPlan                    bool
-	workers, shards             int
 	memBudget                   int64
 	spillDir, dataDir           string
 	replanFactor                float64
@@ -62,13 +61,11 @@ func flags(fs *flag.FlagSet) *options {
 	fs.Var(o.tables, "t", "register a table: name=path.csv (repeatable)")
 	fs.BoolVar(&o.header, "header", false, "CSV files have a header row")
 	fs.BoolVar(&o.explain, "explain", false, "print the oblivious plan instead of executing")
-	fs.IntVar(&o.workers, "workers", 0, "parallel lanes for the oblivious operators (0 = sequential, < 0 = GOMAXPROCS)")
 	fs.BoolVar(&o.encrypted, "encrypted", false, "keep intermediate entries AES-sealed in public memory")
 	fs.BoolVar(&o.stats, "stats", false, "print a per-operator execution report to stderr")
 	fs.BoolVar(&o.traceHash, "tracehash", false, "also compute the SHA-256 access-pattern digest (implies -stats)")
 	fs.Int64Var(&o.memBudget, "mem-budget", 0, "bound tracked run memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")
 	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for sealed spill files (default: system temp)")
-	fs.IntVar(&o.shards, "shards", 0, "hash-partition each join across this many concurrent shard pipelines (<= 1 unsharded)")
 	fs.StringVar(&o.dataDir, "data-dir", "", "durable catalog directory (sealed WAL + snapshots): query persisted tables, including AS OF versions")
 	fs.BoolVar(&o.replace, "replace", false, "-t overwrites an existing durable table instead of failing")
 	fs.BoolVar(&o.costPlan, "cost-plan", false, "enable the cost-aware planner: greedy join ordering and predicate pushdown from public cardinalities")
@@ -93,9 +90,6 @@ func main() {
 	}
 
 	var opts []oblivjoin.EngineOption
-	if o.workers != 0 {
-		opts = append(opts, oblivjoin.WithWorkers(o.workers))
-	}
 	if o.encrypted {
 		opts = append(opts, oblivjoin.WithEncryptedStore())
 	}
@@ -110,9 +104,6 @@ func main() {
 	}
 	if o.spillDir != "" {
 		opts = append(opts, oblivjoin.WithSpillDir(o.spillDir))
-	}
-	if o.shards > 1 {
-		opts = append(opts, oblivjoin.WithShards(o.shards))
 	}
 	if o.dataDir != "" {
 		opts = append(opts, oblivjoin.WithDataDir(o.dataDir))

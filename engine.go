@@ -17,7 +17,7 @@ import (
 // group by, distinct, sort) is data-oblivious. See the package
 // documentation of internal/query for the grammar.
 //
-//	eng := oblivjoin.NewEngine(oblivjoin.WithWorkers(4))
+//	eng := oblivjoin.NewEngine(oblivjoin.WithTraceHash())
 //	eng.Register("users", users)
 //	eng.Register("orders", orders)
 //	res, err := eng.Query(
@@ -32,8 +32,8 @@ import (
 //
 // Queries execute as a plan of physical operators threading one shared
 // oblivious configuration, so the engine options below apply to every
-// stage uniformly: results, plans and trace hashes are identical at
-// every worker count and between plain and encrypted stores.
+// stage uniformly: results, plans and trace hashes are identical
+// between plain and encrypted stores.
 type Engine struct {
 	svc *service.Service
 
@@ -43,13 +43,6 @@ type Engine struct {
 
 // EngineOption configures a new Engine.
 type EngineOption func(*service.Config)
-
-// WithWorkers runs every oblivious operator of every query at the
-// given parallelism (> 1 lanes, 1 or 0 sequential, < 0 GOMAXPROCS).
-// Results and recorded traces are identical at every degree.
-func WithWorkers(n int) EngineOption {
-	return func(c *service.Config) { c.Defaults.Workers = n }
-}
 
 // WithEncryptedStore keeps every intermediate table entry AES-sealed in
 // public memory under a fresh per-engine key: the cloud-database
@@ -97,19 +90,6 @@ func WithMemBudget(bytes int64) EngineOption {
 // the system temp directory; see WithMemBudget.
 func WithSpillDir(dir string) EngineOption {
 	return func(c *service.Config) { c.Defaults.SpillDir = dir }
-}
-
-// WithShards hash-partitions every join barrier into n concurrently
-// executed per-shard pipelines: rows route obliviously into partitions
-// padded to a public size (⌈rows/n⌉ plus fixed slack), each partition
-// joins in its own worker group, and an oblivious merge recombines the
-// outputs. Results are identical at every shard count; the composed
-// trace hash is a deterministic function of the (public) sizes, the
-// shard count and the store mode. A key distribution too skewed for
-// the padding falls back deterministically to fewer shards. ≤ 1
-// selects the unsharded path.
-func WithShards(n int) EngineOption {
-	return func(c *service.Config) { c.Defaults.Shards = n }
 }
 
 // WithCostPlan enables the cost-aware planner: JOIN ... USING chains
@@ -501,7 +481,7 @@ type TableInfo = catalog.Schema
 // Handler returns the engine's HTTP JSON surface — the traffic-facing
 // endpoint cmd/oservd serves:
 //
-//	POST /query    {"sql": "...", "workers": 4, "stats": true}
+//	POST /query    {"sql": "...", "stats": true}
 //	GET  /tables   registered schemas
 //	POST /tables   {"name": "t", "rows": [{"key": 1, "data": "a"}]}
 //	GET  /healthz  liveness, catalog size, plan-cache counters

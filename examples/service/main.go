@@ -14,10 +14,7 @@ import (
 )
 
 func main() {
-	eng := oblivjoin.NewEngine(
-		oblivjoin.WithWorkers(4),
-		oblivjoin.WithTraceHash(),
-	)
+	eng := oblivjoin.NewEngine(oblivjoin.WithTraceHash())
 
 	users := oblivjoin.NewTable()
 	orders := oblivjoin.NewTable()

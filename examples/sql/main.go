@@ -49,11 +49,10 @@ func main() {
 	regions.MustAppend(2, "west")
 	regions.MustAppend(3, "east")
 
-	// WithWorkers parallelizes every oblivious operator; WithTraceHash
-	// records the SHA-256 access-pattern digest of each query — the
-	// result and the digest are identical at every worker count and
-	// with WithEncryptedStore.
-	eng := oblivjoin.NewEngine(oblivjoin.WithWorkers(4), oblivjoin.WithTraceHash())
+	// WithTraceHash records the SHA-256 access-pattern digest of each
+	// query — the result and the digest are identical with
+	// WithEncryptedStore.
+	eng := oblivjoin.NewEngine(oblivjoin.WithTraceHash())
 	for name, t := range map[string]*oblivjoin.Table{
 		"customers": customers, "orders": orders, "amounts": amounts,
 		"premium": premium, "regions": regions,

@@ -19,9 +19,8 @@
 //
 // Like internal/ops, every operator takes the pipeline's *core.Config:
 // entry storage comes from cfg.Alloc (plain or sealed), sorts run
-// through the configured network at the configured parallelism, and
-// the carry scans execute on the blocked scan engine, so recorded
-// traces are canonical at every parallelism degree.
+// through the configured network, and the carry scans execute on the
+// blocked scan engine, so recorded traces are canonical.
 package aggregate
 
 import (

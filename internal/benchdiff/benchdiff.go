@@ -38,7 +38,6 @@ type Record struct {
 	Workers  int
 	Scenario string
 	Clients  int
-	Shards   int
 	// Metrics holds every gated field of the record: "*_ns" metrics
 	// keyed by the metric name with the suffix stripped
 	// ("sequential_ns" → "sequential"), and "*_bytes" / "*_comparators"
@@ -76,9 +75,6 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 	if err := get("clients", &r.Clients); err != nil {
 		return err
 	}
-	if err := get("shards", &r.Shards); err != nil {
-		return err
-	}
 	r.Metrics = map[string]int64{}
 	for k, v := range raw {
 		name := ""
@@ -108,9 +104,6 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 // benchmark instead of silently comparing mismatched configurations.
 func (r Record) Key() string {
 	k := fmt.Sprintf("n=%d workers=%d", r.N, r.Workers)
-	if r.Shards != 0 {
-		k += fmt.Sprintf(" shards=%d", r.Shards)
-	}
 	if r.Scenario != "" {
 		k += fmt.Sprintf(" scenario=%s clients=%d", r.Scenario, r.Clients)
 	}

@@ -274,56 +274,6 @@ func TestServiceRecordsKeyOnScenario(t *testing.T) {
 	}
 }
 
-// TestShardRecordsKeyOnShards: the shard benchmark's rows gate keyed
-// on (n, workers, shards) — the S=1 baseline row and each sharded row
-// are distinct benchmarks, a wall or bytes regression at one shard
-// count fails alone, and a record that moved to a different shard
-// count surfaces as a missing benchmark, never a cross-compare.
-func TestShardRecordsKeyOnShards(t *testing.T) {
-	body := `[
-  {"n": 8192, "m": 8192, "workers": 4, "shards": 1,
-   "wall_ns": 400000000, "peak_bytes": 2400000, "total_alloc_bytes": 9000000,
-   "comparators": 3300000, "speedup_vs_s1": 1.0, "results_equal_s1": true, "gomaxprocs": 1},
-  {"n": 8192, "m": 8192, "workers": 4, "shards": 4,
-   "wall_ns": 560000000, "peak_bytes": 3200000, "total_alloc_bytes": 12000000,
-   "comparators": 4300000, "speedup_vs_s1": 0.7, "results_equal_s1": true, "gomaxprocs": 1}
-]`
-	baseline, err := Read(strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := baseline[0].Key(); got != "n=8192 workers=4 shards=1" {
-		t.Fatalf("Key = %q", got)
-	}
-	if got := baseline[1].Key(); got != "n=8192 workers=4 shards=4" {
-		t.Fatalf("Key = %q", got)
-	}
-	fresh, _ := Read(strings.NewReader(body))
-	if rep := Compare(baseline, fresh, 1.25); rep.Failed() || rep.Compared != 6 {
-		t.Fatalf("self-compare: %+v", rep)
-	}
-	fresh[1].Metrics["wall"] = 840_000_000 // +50% at S=4 only
-	rep := Compare(baseline, fresh, 1.25)
-	if len(rep.Regressions) != 1 || rep.Regressions[0].Metric != "wall" ||
-		!strings.Contains(rep.Regressions[0].Key, "shards=4") {
-		t.Fatalf("shard wall regression not flagged: %+v", rep)
-	}
-	fresh[1].Metrics["peak_bytes"] = 4_800_000 // +50% memory too
-	rep = Compare(baseline, fresh, 1.25)
-	if len(rep.Regressions) != 2 {
-		t.Fatalf("shard bytes regression not flagged: %+v", rep)
-	}
-
-	// Same record at a different shard count must not compare.
-	moved, _ := Read(strings.NewReader(body))
-	moved[1].Shards = 2
-	rep = Compare(baseline, moved, 1.25)
-	if len(rep.MissingInFresh) != 1 || len(rep.Regressions) != 0 ||
-		!strings.Contains(rep.MissingInFresh[0], "shards=4") {
-		t.Fatalf("cross-shard-count compare: %+v", rep)
-	}
-}
-
 // TestAgainstCommittedBaseline sanity-checks the committed baseline
 // files: they must parse and self-compare cleanly, so the CI gate can
 // never fail on baseline shape alone.
@@ -337,7 +287,6 @@ func TestAgainstCommittedBaseline(t *testing.T) {
 		{"BENCH_join.json", []int{4}}, // wall ×2 + the gauge's peak and total bytes
 		{"BENCH_sql.json", []int{4, 5}},
 		{"BENCH_service.json", []int{4}},
-		{"BENCH_shard.json", []int{3}},
 		{"BENCH_wal.json", []int{2}},
 		{"BENCH_fault.json", []int{2}},
 	} {

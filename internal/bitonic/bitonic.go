@@ -49,19 +49,37 @@ type LessFunc[T any] func(x, y T) uint64
 type CondSwapFunc[T any] func(c uint64, x, y *T)
 
 // Stats accumulates comparator counts across sorts; pass nil to skip
-// counting. The counts feed the comparison columns of Table 3. Counts
-// are accumulated deterministically at round barriers (a round's
-// comparator total is a function of the schedule, not of execution
-// interleaving), so they are exact under parallel execution too.
+// counting. The counts feed the comparison columns of Table 3.
 type Stats struct {
 	CompareExchanges uint64
 }
 
-// Sort sorts a ascending by less using the bitonic network, executing
-// the round schedule sequentially. It performs O(n log² n)
-// compare–exchanges with a schedule depending only on a.Len().
+// Sort sorts a ascending by less using the bitonic network. It
+// performs O(n log² n) compare–exchanges with a schedule depending only
+// on a.Len().
 func Sort[T any](a Array[T], less LessFunc[T], swap CondSwapFunc[T], st *Stats) {
-	SortParallel(a, less, swap, st, 1)
+	SortCheck(a, less, swap, st, nil)
+}
+
+// SortCheck is Sort with a cancellation probe (see RunRoundsCheck);
+// check may be nil.
+func SortCheck[T any](a Array[T], less LessFunc[T], swap CondSwapFunc[T], st *Stats, check func()) {
+	runNetwork(a, less, swap, st, check, bitonicRounds)
+}
+
+// runNetwork executes one sorting network's round schedule over a and
+// adds its comparator count to st.
+func runNetwork[T any](a Array[T], less LessFunc[T], swap CondSwapFunc[T], st *Stats, check func(), rounds func(n int, round func([]Segment))) {
+	n := a.Len()
+	if n <= 1 {
+		return
+	}
+	c := RunRoundsCheck(a, compareExchange(less, swap), check, func(round func([]Segment)) {
+		rounds(n, round)
+	})
+	if st != nil {
+		st.CompareExchanges += c
+	}
 }
 
 // compareExchange builds the Kernel of a sorting network: order every
@@ -98,14 +116,19 @@ func greatestPowerOfTwoLessThan(n int) int {
 }
 
 // MergeExchangeSort sorts a ascending using Batcher's merge-exchange
-// network (Knuth, TAOCP 5.2.2, Algorithm M), executing its round
-// schedule sequentially. It performs roughly half the
+// network (Knuth, TAOCP 5.2.2, Algorithm M). It performs roughly half the
 // compare–exchanges of the bitonic network and is likewise
 // data-independent for a fixed length; its rounds are less regular
 // than the bitonic network's, which is why the paper's implementation
 // (and ours) defaults to bitonic.
 func MergeExchangeSort[T any](a Array[T], less LessFunc[T], swap CondSwapFunc[T], st *Stats) {
-	MergeExchangeSortParallel(a, less, swap, st, 1)
+	MergeExchangeSortCheck(a, less, swap, st, nil)
+}
+
+// MergeExchangeSortCheck is MergeExchangeSort with a cancellation
+// probe; check may be nil.
+func MergeExchangeSortCheck[T any](a Array[T], less LessFunc[T], swap CondSwapFunc[T], st *Stats, check func()) {
+	runNetwork(a, less, swap, st, check, mergeExchangeRounds)
 }
 
 // MergeExchangeComparators returns the exact number of

@@ -47,7 +47,7 @@ func TestCompareExchangeMatchesTwoSidedSelect(t *testing.T) {
 }
 
 // Once the executor exists and its chunk list has grown, running rounds
-// allocates nothing: the kernel works in the lane's value block. n is
+// allocates nothing: the kernel works in the executor's value block. n is
 // chosen so rounds cut into both span chunks and pair chunks.
 func TestRoundLoopAllocFree(t *testing.T) {
 	const n = 5000
@@ -61,7 +61,7 @@ func TestRoundLoopAllocFree(t *testing.T) {
 		rounds = append(rounds, append([]Segment(nil), segs...))
 	})
 	a := memory.FromSlice(memory.NewSpace(nil, nil), data, 8)
-	ex := newRoundExec[uint64](a, compareExchange(lessU64, swapU64), 1, nil)
+	ex := newRoundExec[uint64](a, compareExchange(lessU64, swapU64), nil)
 	run := func() {
 		for _, segs := range rounds {
 			ex.runRound(segs)
@@ -81,8 +81,8 @@ func TestRoundLoopAllocFree(t *testing.T) {
 func TestValueBlockSizedByStoreLength(t *testing.T) {
 	for _, tt := range []struct{ n, want int }{{2, 2}, {64, 64}, {1 << 14, spanChunk}} {
 		a := memory.FromSlice(memory.NewSpace(nil, nil), make([]uint64, tt.n), 8)
-		ex := newRoundExec[uint64](a, compareExchange(lessU64, swapU64), 1, nil)
-		if got := len(ex.seq.blk); got != tt.want {
+		ex := newRoundExec[uint64](a, compareExchange(lessU64, swapU64), nil)
+		if got := len(ex.blk); got != tt.want {
 			t.Errorf("n=%d: value block holds %d entries, want %d", tt.n, got, tt.want)
 		}
 	}

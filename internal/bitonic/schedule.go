@@ -4,11 +4,10 @@ package bitonic
 // schedules. A Segment is a contiguous run of comparators sharing one
 // hop distance and direction; a round is a vector of segments whose
 // comparator pairs are mutually disjoint, so every comparator of a
-// round may execute concurrently (and in any order) without changing
-// the result. The schedule is a pure function of the input length n —
-// the defining property of a sorting network — which is what makes the
-// canonical round-ordered memory trace reproducible across sequential
-// and parallel executions.
+// round may execute in any order without changing the result. The
+// schedule is a pure function of the input length n — the defining
+// property of a sorting network — which is what makes the canonical
+// round-ordered memory trace reproducible.
 
 // Segment describes the comparator run (Lo+k, Lo+k+Hop) for
 // k ∈ [0, Cnt), all ordering towards Dir (1 = ascending). The

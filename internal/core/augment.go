@@ -42,8 +42,8 @@ func AugmentTables(cfg *Config, rows1, rows2 []table.Row) (tc table.Store, t1, t
 // sorted by ⟨j, tid⟩, and returns the total output size m. Each
 // direction is one carry scan — one read and one write per index,
 // executed by the blocked scan engine (scan.go) so the store traffic
-// batches and parallelizes; all data-dependent state lives in a
-// constant number of local variables and is manipulated branch-free.
+// batches; all data-dependent state lives in a constant number of local
+// variables and is manipulated branch-free.
 // RowFeed supplies one table's rows batch-wise: Len is the public total
 // row count, Next returns the next batch (the slice may be reused
 // between calls; nil at end of stream) and Close releases whatever the

@@ -1,20 +1,19 @@
 package core
 
 // This file is the cancellation half of Config: a run executing under a
-// cancellable context probes it at every round barrier of the sorting
-// and routing networks and at every scan-block boundary, and aborts by
-// panicking with an Abort carrying the context's error. The probe runs
-// only on the goroutine driving the round schedule — never on a pool
-// worker — so an abort unwinds exactly one stack: worker lanes always
-// complete the round they started, no store access is torn mid-flight,
-// and the shared worker pool survives intact. The executing query's
-// scratch stores are simply abandoned to the garbage collector; nothing
-// the run touched outlives it, which is why a cancelled query cannot
-// corrupt a catalog snapshot, a cached plan or a sealed store.
+// cancellable context probes it between the chunks and rounds of the
+// sorting and routing networks and at every scan-block boundary, and
+// aborts by panicking with an Abort carrying the context's error.
+// Execution is sequential, so the probe runs on the one goroutine
+// executing the query, always between two store accesses: no access is
+// torn mid-flight. The executing query's scratch stores are simply
+// abandoned to the garbage collector; nothing the run touched outlives
+// it, which is why a cancelled query cannot corrupt a catalog snapshot,
+// a cached plan or a sealed store.
 //
 // Rounds and scan blocks are fixed functions of the (public) input
 // sizes, so the probe cadence — and the cancellation latency of at most
-// one round — leaks nothing about table contents.
+// one chunk — leaks nothing about table contents.
 
 // Abort is the panic value carrying a context cancellation out of the
 // oblivious operator stack. The stack has no error returns on its hot
@@ -25,7 +24,7 @@ package core
 type Abort struct{ Err error }
 
 // checkCancel panics with an Abort when the config's context has been
-// cancelled. It is the probe installed at round barriers and block
+// cancelled. It is the probe installed between rounds and at block
 // boundaries.
 func (c *Config) checkCancel() {
 	if err := c.Ctx.Err(); err != nil {

@@ -277,119 +277,6 @@ func TestJoinComparatorsClosedForm(t *testing.T) {
 	})
 }
 
-func TestJoinParallelSorts(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, kind := range []string{"1x1", "powerlaw"} {
-		t1, t2 := genWorkload(kind, 300, rng)
-		sp := memory.NewSpace(nil, nil)
-		cfg := &Config{Alloc: table.PlainAlloc(sp), Parallel: true}
-		checkJoin(t, cfg, t1, t2)
-	}
-}
-
-func TestJoinWorkersCorrectAtEveryDegree(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, workers := range []int{2, 3, 8, -1} {
-		for _, kind := range []string{"1x1", "1xn", "powerlaw", "skewleft"} {
-			t1, t2 := genWorkload(kind, 200, rng)
-			sp := memory.NewSpace(nil, nil)
-			cfg := &Config{Alloc: table.PlainAlloc(sp), Workers: workers}
-			checkJoin(t, cfg, t1, t2)
-		}
-	}
-}
-
-// TestJoinParallelTraceEqualsSequential is the parallel half of the
-// §6.1 obliviousness experiment: the canonical trace of a join — lane
-// shards merged at round barriers — must be bit-identical to the
-// sequential run's, at every parallelism degree, for both sorting
-// networks, and the sharded instrumentation must report identical
-// counts.
-func TestJoinParallelTraceEqualsSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for _, net := range []SortNet{Bitonic, MergeExchange} {
-		for _, kind := range []string{"1x1", "powerlaw"} {
-			t1, t2 := genWorkload(kind, 400, rng)
-			run := func(workers int) (string, uint64, Stats) {
-				h := trace.NewHasher()
-				sp := memory.NewSpace(h, nil)
-				var st Stats
-				cfg := &Config{Alloc: table.PlainAlloc(sp), Net: net, Workers: workers, Stats: &st}
-				Join(cfg, t1, t2)
-				return h.Hex(), h.Count(), st
-			}
-			seqHash, seqCount, seqSt := run(1)
-			for _, workers := range []int{2, 4, 8} {
-				parHash, parCount, parSt := run(workers)
-				if parCount != seqCount {
-					t.Fatalf("net=%v kind=%s workers=%d: %d events, sequential has %d",
-						net, kind, workers, parCount, seqCount)
-				}
-				if parHash != seqHash {
-					t.Fatalf("net=%v kind=%s workers=%d: canonical trace differs from sequential",
-						net, kind, workers)
-				}
-				if parSt.AugmentSort != seqSt.AugmentSort ||
-					parSt.DistributeSort != seqSt.DistributeSort ||
-					parSt.AlignSort != seqSt.AlignSort ||
-					parSt.RouteOps != seqSt.RouteOps {
-					t.Fatalf("net=%v kind=%s workers=%d: sharded stats diverge: %+v vs %+v",
-						net, kind, workers, parSt, seqSt)
-				}
-			}
-		}
-	}
-}
-
-// TestJoinParallelExactLogEqualsSequential compares full event logs of
-// a parallel and a sequential join, pinning down the first divergence
-// on failure.
-func TestJoinParallelExactLogEqualsSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	t1, t2 := genWorkload("powerlaw", 120, rng)
-	run := func(workers int) *trace.Log {
-		log := trace.NewLog()
-		sp := memory.NewSpace(log, nil)
-		Join(&Config{Alloc: table.PlainAlloc(sp), Workers: workers}, t1, t2)
-		return log
-	}
-	seq := run(1)
-	par := run(4)
-	if !seq.Equal(par) {
-		t.Fatalf("exact logs diverge at event %d of %d/%d",
-			seq.FirstDivergence(par), seq.Len(), par.Len())
-	}
-}
-
-func TestJoinParallelOverEncryptedStore(t *testing.T) {
-	c := newTestCipher(t)
-	rng := rand.New(rand.NewSource(59))
-	t1, t2 := genWorkload("powerlaw", 60, rng)
-	sp := memory.NewSpace(nil, nil)
-	cfg := &Config{Alloc: table.BlockEncryptedAlloc(sp, c, 1), Workers: 4}
-	checkJoin(t, cfg, t1, t2)
-}
-
-// TestJoinParallelWithCostModelDegrades confirms that a cost-modeled
-// space refuses to shard: the parallel run must still produce the
-// sequential canonical trace and identical simulated-cost accounting.
-func TestJoinParallelWithCostModelDegrades(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	t1, t2 := genWorkload("powerlaw", 80, rng)
-	run := func(workers int) (string, uint64) {
-		h := trace.NewHasher()
-		cost := memory.DefaultSGX()
-		sp := memory.NewSpace(h, cost)
-		Join(&Config{Alloc: table.PlainAlloc(sp), Workers: workers}, t1, t2)
-		return h.Hex(), cost.Accesses
-	}
-	seqHash, seqAcc := run(1)
-	parHash, parAcc := run(4)
-	if seqHash != parHash || seqAcc != parAcc {
-		t.Fatal("cost-modeled parallel run diverged from sequential")
-	}
-}
-
 func TestOutputSize(t *testing.T) {
 	t1 := rowsFrom([][2]uint64{{1, 1}, {1, 2}, {2, 1}})
 	t2 := rowsFrom([][2]uint64{{1, 3}, {2, 4}, {2, 5}, {3, 6}})

@@ -63,9 +63,8 @@ func ExtObliviousDistribute(cfg *Config, x table.Store, m int) table.Store {
 // j; iteration i only depends on iterations ≥ i+j (the sole earlier
 // writer of a position it reads), so any j consecutive iterations form
 // a wave of disjoint pairs. Each wave is one round for the shared
-// round executor (bitonic.RunRoundsCheck): waves run top-down with a
-// barrier between them, wave members execute batched and in parallel.
-// The dataflow — and hence Theorem 1's invariant — is exactly that of
+// round executor (bitonic.RunRoundsCheck): waves run top-down, and a
+// wave's members execute as batched ranges. The dataflow — and hence Theorem 1's invariant — is exactly that of
 // the sequential loop.
 func routeDown(cfg *Config, a table.Store, l int, st *Stats) {
 	if l <= 1 {
@@ -82,7 +81,7 @@ func routeDown(cfg *Config, a table.Store, l int, st *Stats) {
 			table.CondSwapEntry(c, &y[k], &y2[k])
 		}
 	}
-	st.RouteOps += bitonic.RunRoundsCheck[table.Entry](a, op, cfg.workerCount(), cfg.checkFn(),
+	st.RouteOps += bitonic.RunRoundsCheck[table.Entry](a, op, cfg.checkFn(),
 		func(round func([]bitonic.Segment)) {
 			seg := make([]bitonic.Segment, 1)
 			for j := 1 << (bits.Len(uint(l-1)) - 1); j >= 1; j >>= 1 {

@@ -48,12 +48,6 @@ type LoadScenario struct {
 	// concurrent traffic (and the trace check verifies spilling never
 	// changes a canonical trace).
 	MemBudget int64
-	// Shards, when > 1, hash-partitions every join of the rotation
-	// across this many concurrent shard pipelines. The trace reference
-	// runs at the same shard count (the composed hash is a function of
-	// it), so the scenario verifies the sharded scheduler's determinism
-	// under concurrent traffic, not just in isolation.
-	Shards int
 }
 
 // shortRows rewrites rows with compact tagged payloads (≤ 4 chars) so
@@ -69,9 +63,8 @@ func shortRows(rows []table.Row, tag byte) []table.Row {
 // LoadScenarios returns the scenario families, covering the paper's
 // evaluation input classes (§6): uniform keys, power-law group sizes,
 // primary–foreign key references, a mixed SQL rotation with join
-// chains and aggregates, a memory-budgeted rotation that forces
-// every query through the sealed spill path, and a sharded rotation
-// that hash-partitions every join across concurrent shard pipelines.
+// chains and aggregates, and a memory-budgeted rotation that forces
+// every query through the sealed spill path.
 func LoadScenarios() []LoadScenario {
 	return []LoadScenario{
 		{
@@ -149,26 +142,6 @@ func LoadScenarios() []LoadScenario {
 				"SELECT key, COUNT(*) FROM t1 JOIN t2 USING (key) GROUP BY key",
 			},
 		},
-		{
-			// shard runs a join-heavy rotation with every join
-			// hash-partitioned across 4 concurrent shard pipelines, under
-			// concurrent clients — shard goroutines from neighboring
-			// queries interleave on the shared worker pool. The trace
-			// reference runs sequentially at the same shard count, so a
-			// completed query whose composed hash diverges exposes any
-			// nondeterminism in the sharded scheduler under traffic.
-			Name:   "shard",
-			Shards: 4,
-			Tables: func(n int, seed int64) map[string][]table.Row {
-				t1, t2 := workload.Uniform(n, n, n/4+1, seed)
-				return map[string][]table.Row{"t1": shortRows(t1, 'a'), "t2": shortRows(t2, 'b')}
-			},
-			Queries: []string{
-				"SELECT key, left.data, right.data FROM t1 JOIN t2 USING (key)",
-				"SELECT key, right.data FROM t1 JOIN t2 USING (key) WHERE key > 8 ORDER BY key",
-				"SELECT key, COUNT(*) FROM t1 JOIN t2 USING (key) GROUP BY key",
-			},
-		},
 	}
 }
 
@@ -183,7 +156,7 @@ type LoadConfig struct {
 	Clients int
 	// Ops is the per-scenario operation budget.
 	Ops int
-	// Workers is the per-query oblivious parallelism.
+	// Workers labels the record; execution is sequential.
 	Workers int
 	// MaxInFlight/Queue bound admission (see service.Config); 0 =
 	// unbounded / default.
@@ -208,7 +181,6 @@ type LoadResult struct {
 	N           int    `json:"n"`
 	Clients     int    `json:"clients"`
 	Workers     int    `json:"workers"`
-	Shards      int    `json:"shards,omitempty"`
 	MaxInFlight int    `json:"max_inflight"`
 	Queue       int    `json:"queue"`
 	Ops         int    `json:"ops"`
@@ -314,13 +286,10 @@ func RunLoad(w io.Writer, cfg LoadConfig) ([]LoadResult, error) {
 }
 
 // referenceHashes runs every query of the rotation once, sequentially
-// and single-worker on a plain store, and records the canonical trace
-// hash each completed load query must reproduce. A sharded scenario's
-// reference runs at the same shard count — the composed hash is a
-// deterministic function of it — so the comparison still pins the
-// under-traffic run to an uncontended sequential execution.
-func referenceHashes(tables map[string][]table.Row, queries []string, shards int) (map[string]string, error) {
-	eng := query.NewEngineWith(query.Options{Workers: 1, TraceHash: true, CollectStats: true, Shards: shards})
+// on a plain store, and records the canonical trace hash each completed
+// load query must reproduce.
+func referenceHashes(tables map[string][]table.Row, queries []string) (map[string]string, error) {
+	eng := query.NewEngineWith(query.Options{TraceHash: true, CollectStats: true})
 	for name, rows := range tables {
 		if err := eng.Register(name, rows); err != nil {
 			return nil, err
@@ -339,7 +308,7 @@ func referenceHashes(tables map[string][]table.Row, queries []string, shards int
 func runScenario(cfg LoadConfig, sc LoadScenario) (LoadResult, error) {
 	tables := sc.Tables(cfg.N, cfg.Seed)
 	r := LoadResult{
-		Scenario: sc.Name, N: cfg.N, Clients: cfg.Clients, Workers: cfg.Workers, Shards: sc.Shards,
+		Scenario: sc.Name, N: cfg.N, Clients: cfg.Clients, Workers: cfg.Workers,
 		MaxInFlight: cfg.MaxInFlight, Queue: cfg.Queue, Ops: cfg.Ops,
 		Encrypted: cfg.Encrypted, GOMAXPROCS: runtime.GOMAXPROCS(0),
 		TraceHashesMatch: true,
@@ -348,19 +317,17 @@ func runScenario(cfg LoadConfig, sc LoadScenario) (LoadResult, error) {
 	var ref map[string]string
 	if cfg.CheckTraces {
 		var err error
-		if ref, err = referenceHashes(tables, sc.Queries, sc.Shards); err != nil {
+		if ref, err = referenceHashes(tables, sc.Queries); err != nil {
 			return r, fmt.Errorf("exp: load %s: %w", sc.Name, err)
 		}
 	}
 
 	svc, err := service.New(service.Config{
 		Defaults: query.Options{
-			Workers:      cfg.Workers,
 			Encrypted:    cfg.Encrypted,
 			CollectStats: true,
 			TraceHash:    cfg.CheckTraces,
 			MemBudget:    sc.MemBudget,
-			Shards:       sc.Shards,
 		},
 		MaxInFlight:  cfg.MaxInFlight,
 		MaxQueue:     cfg.Queue,
@@ -375,7 +342,7 @@ func runScenario(cfg LoadConfig, sc LoadScenario) (LoadResult, error) {
 		}
 	}
 	// Warm up: one sequential pass over the rotation primes the plan
-	// cache and the shared worker pool, so the goroutine baseline below
+	// cache, so the goroutine baseline below
 	// reflects steady state, not lazy initialization.
 	for _, sql := range sc.Queries {
 		if _, _, err := svc.Query(context.Background(), sql); err != nil {

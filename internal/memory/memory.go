@@ -142,25 +142,25 @@ func (a *Array[T]) touchRange(op trace.Op, lo, n int) {
 }
 
 // Traced reports whether accesses to this array have an observable
-// side effect (a non-Nop recorder). Parallel executors consult it to
-// decide whether sharded accesses need event buffering at all.
+// side effect (a non-Nop recorder). table.Builder consults it to decide
+// whether its writes need deferred-event buffering at all.
 func (a *Array[T]) Traced() bool { return !a.space.nop }
 
-// Recorder returns the recorder that this array's accesses feed; shard
-// buffers are replayed into it at synchronization barriers.
+// Recorder returns the recorder that this array's accesses feed; a
+// shard's buffered events are replayed into it.
 func (a *Array[T]) Recorder() trace.Recorder { return a.space.rec }
 
 // Shard returns an alias of the array — same identifier, same backing
 // data — whose accesses are recorded to rec (trace.Nop{} if nil)
 // instead of the parent space's recorder, and charged to no cost model.
-// Parallel executors give each worker a shard recording to a private
-// trace.Buffer and replay the buffers in canonical order at round
-// barriers, which keeps the recorded trace a deterministic function of
-// the input size under concurrency.
+// Its one user is table.Builder's deferred write replay: the builder
+// fills a store through a shard recording into a trace.RunBuffer and
+// replays the buffer into the real recorder once the fill is done, so
+// the canonical trace keeps its collect-then-load order.
 //
 // Shard returns nil when the parent space has a cost model attached:
-// the enclave simulation's paging state is order-dependent and cannot
-// be sharded, so such arrays must be accessed sequentially.
+// the enclave simulation's paging state is order-dependent, so such
+// arrays are written directly.
 //
 // The untyped return (asserted to the caller's array interface) keeps
 // this package free of dependencies on its consumers.

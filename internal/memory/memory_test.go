@@ -259,7 +259,7 @@ func TestShardAliasesDataAndRedirectsTrace(t *testing.T) {
 	parent := trace.NewLog()
 	s := NewSpace(parent, nil)
 	a := Alloc[int](s, 4, 8)
-	buf := &trace.Buffer{}
+	buf := &trace.RunBuffer{}
 	res := a.Shard(buf)
 	if res == nil {
 		t.Fatal("Shard refused without a cost model")

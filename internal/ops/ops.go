@@ -7,10 +7,9 @@
 //
 // Every operator takes the same *core.Config as the join pipeline:
 // storage comes from cfg.Alloc (plain or encrypted), sorts run through
-// the configured network at the configured parallelism, and the carry
-// scans execute on the blocked scan engine — so an operator's recorded
-// trace is identical at every parallelism degree and between plain and
-// sealed storage.
+// the configured network, and the carry scans execute on the blocked
+// scan engine — so an operator's recorded trace is identical between
+// plain and sealed storage.
 //
 // Every operator's access pattern depends only on its input length and
 // its output length; the output length itself is public, exactly as for

@@ -36,7 +36,6 @@ import (
 	"strings"
 
 	"oblivjoin/internal/bitonic"
-	"oblivjoin/internal/shard"
 	"oblivjoin/internal/table"
 )
 
@@ -89,7 +88,7 @@ type StageCost struct {
 	// Estimated marks stages whose Rows (and the costs derived from
 	// downstream sizes) rest on an estimate — a data-dependent-but-
 	// public output size the model cannot know before execution
-	// (filter/semijoin survivors, unfed join sizes, sharded skew).
+	// (filter/semijoin survivors, unfed join sizes).
 	Estimated bool
 }
 
@@ -156,13 +155,7 @@ func (cm *costModel) footprint(n int) int64 {
 }
 
 // join models one oblivious equi-join of (n1, n2) inputs with output
-// size m: comparators, route ops and allocated store bytes. When the
-// run shards (Options.Shards > 1) the store bytes reflect the padded
-// per-shard geometry (shard.CapFor); comparator counts keep the
-// unsharded formula and the caller marks the stage Estimated — the
-// sharded totals add routing and merge work and depend on the
-// data-dependent (public) skew fallback, but they remain monotone in
-// the same input sizes, which is all the ordering decision needs.
+// size m: comparators, route ops and allocated store bytes.
 func (cm *costModel) join(n1, n2, m int) (comp, route uint64, bytes int64) {
 	l1, l2 := max(n1, m), max(n2, m)
 	comp = 2*cm.sortC(n1+n2) + // Augment-Tables
@@ -170,10 +163,6 @@ func (cm *costModel) join(n1, n2, m int) (comp, route uint64, bytes int64) {
 		cm.sortC(m) // alignment
 	route = DistributeRouteOps(l1) + DistributeRouteOps(l2)
 	bytes = cm.footprint(n1+n2) + cm.footprint(l1) + cm.footprint(l2)
-	if s := cm.opts.Shards; s > 1 {
-		c1, c2 := shard.CapFor(n1, s), shard.CapFor(n2, s)
-		bytes = int64(s) * (cm.footprint(c1+c2) + 2*cm.footprint(max(c1, c2)))
-	}
 	return comp, route, bytes
 }
 
@@ -227,9 +216,6 @@ func ComputePlanCost(plan PlanNode, card Card, opts Options) *PlanCostReport {
 				est = true
 			}
 			sc.Comparators, sc.RouteOps, sc.Bytes = cm.join(cur, nr, m)
-			if opts.Shards > 1 {
-				est = true
-			}
 			cur = m
 			left = append(left, v.Table)
 		case RekeyNode:

@@ -36,8 +36,7 @@ func seqTable(first, count int, tag string) []table.Row {
 // TestJoinCostModelExact pins the cost model against the instrumented
 // executor: with the true join output size fed in, modeled comparator
 // and route-op counts must equal the observed counts exactly, in every
-// execution configuration that does not shard (a sharded join's counts
-// depend on the public skew fallback, so its stage is Estimated).
+// execution configuration.
 func TestJoinCostModelExact(t *testing.T) {
 	// t1 keys 0..19, t2 keys 5..16 → every t2 key matches once: m = 12.
 	tables := map[string][]table.Row{
@@ -48,10 +47,9 @@ func TestJoinCostModelExact(t *testing.T) {
 	sql := "SELECT key, left.data, right.data FROM t1 JOIN t2 USING (key)"
 
 	for name, opts := range map[string]Options{
-		"bitonic":  {CollectStats: true},
-		"sealed":   {CollectStats: true, Encrypted: true},
-		"workers4": {CollectStats: true, Workers: 4},
-		"spilled":  {CollectStats: true, MemBudget: 1, SpillDir: t.TempDir()},
+		"bitonic": {CollectStats: true},
+		"sealed":  {CollectStats: true, Encrypted: true},
+		"spilled": {CollectStats: true, MemBudget: 1, SpillDir: t.TempDir()},
 	} {
 		t.Run(name, func(t *testing.T) {
 			e := NewEngineWith(opts)

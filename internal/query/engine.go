@@ -18,9 +18,9 @@ import (
 // Options configures how an Engine executes its plans. The zero value
 // is the sequential, plaintext, uninstrumented engine.
 type Options struct {
-	// Workers sets the parallelism of every oblivious operator (> 1
-	// lanes, 1 or 0 sequential, < 0 GOMAXPROCS). Results and traces are
-	// identical at every degree.
+	// Workers is ignored; execution is sequential and unsharded; kept
+	// only because benchmarks/ names it (ROADMAP 'A benchmark-archetype
+	// PR').
 	Workers int
 	// Encrypted stores every intermediate entry AES-sealed in public
 	// memory under a per-engine random key, table.DefaultSealedBlock
@@ -48,13 +48,9 @@ type Options struct {
 	// testing; it does not shape plans, results or traces, so it is
 	// excluded from the plan-cache fingerprint.
 	SpillFS fault.FS
-	// Shards, when > 1, hash-partitions every join barrier into that
-	// many concurrently executed per-shard pipelines (internal/shard):
-	// rows route obliviously into partitions padded to a public size,
-	// each partition joins in its own worker group, and an oblivious
-	// merge recombines the outputs. Results are identical at every
-	// shard count; the composed trace hash is a deterministic function
-	// of (sizes, Shards, store mode). ≤ 1 selects the unsharded path.
+	// Shards is ignored; execution is sequential and unsharded; kept
+	// only because benchmarks/ names it (ROADMAP 'A benchmark-archetype
+	// PR').
 	Shards int
 	// CostPlan enables the cost-aware planner (internal/query/cost.go):
 	// JOIN ... USING chains are greedily ordered by modeled comparator

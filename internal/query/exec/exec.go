@@ -16,9 +16,9 @@
 // Limit, Project and the free Sort over join output.
 //
 // The context carries a single *core.Config — store allocator (plain or
-// sealed), worker count, instrumentation — so every stage of a SQL
-// query runs with the same parallelism, storage backend and trace sink
-// as a bare core.Join would. Obliviousness composes stage-wise: each
+// sealed), instrumentation, cancellation — so every stage of a SQL
+// query runs with the same storage backend and trace sink as a bare
+// core.Join would. Obliviousness composes stage-wise: each
 // operator's access pattern depends only on its input and output
 // sizes, all of which are public.
 package exec
@@ -33,23 +33,17 @@ import (
 	"oblivjoin/internal/catalog"
 	"oblivjoin/internal/core"
 	"oblivjoin/internal/ops"
-	"oblivjoin/internal/shard"
 	"oblivjoin/internal/table"
 )
 
 // Context threads the shared execution state through every operator of
 // one query run.
 type Context struct {
-	// Cfg is the one shared configuration: allocator, workers, stats.
-	// Every operator allocates and sorts through it.
+	// Cfg is the one shared configuration: allocator, stats,
+	// cancellation. Every operator allocates and sorts through it.
 	Cfg *core.Config
 	// Tables resolves table names for Scan/Semijoin/Join operators.
 	Tables map[string][]table.Row
-	// Shard, when non-nil, routes join barriers through the sharded
-	// scheduler (Options.Shards > 1): hash-partitioned concurrent
-	// per-shard pipelines with an oblivious merge. Every other
-	// operator keeps running on Cfg unchanged.
-	Shard *shard.Group
 }
 
 // Kind discriminates the shape a Relation currently has as it flows

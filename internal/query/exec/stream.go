@@ -334,20 +334,14 @@ func (s Semijoin) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 // extra slice — the left is the upstream stage's stream, the right is
 // drained from the catalog in batch windows. The keyed output is
 // materialized — a join is a barrier; its m output rows exist at once
-// by construction. With sharding enabled the same two feeds drain into
-// the sharded scheduler instead.
+// by construction.
 func (j Join) RunFeed(ctx *Context, src RowSource) (Relation, error) {
 	right, err := lookup(ctx, j.Table, "")
 	if err != nil {
 		src.Close()
 		return Relation{}, err
 	}
-	var pairs []table.KeyedPair
-	if ctx.Shard != nil {
-		pairs, err = ctx.Shard.JoinKeyed(src, newSliceSource(ctx, right))
-	} else {
-		pairs, err = core.JoinKeyedFeed2(ctx.Cfg, src, newSliceSource(ctx, right))
-	}
+	pairs, err := core.JoinKeyedFeed2(ctx.Cfg, src, newSliceSource(ctx, right))
 	if err != nil {
 		return Relation{}, err
 	}

@@ -254,8 +254,7 @@ type PlanConfig struct {
 	// consumes. Nil plans as if every table were empty (deterministic,
 	// but orders nothing usefully).
 	Card Card
-	// Opts selects the store mode and shard count the cost model
-	// prices with.
+	// Opts selects the store mode the cost model prices with.
 	Opts Options
 }
 

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,17 +69,14 @@ func corpusEngine(t *testing.T, o Options, payload string) *Engine {
 
 // TestQueryEquivalenceAcrossConfigs is the SQL-layer determinism
 // property: every corpus query produces identical rows, columns and
-// trace hashes when run sequentially, with Workers=4, with an
-// encrypted store, and with both at once.
+// trace hashes on the plain and on the encrypted store.
 func TestQueryEquivalenceAcrossConfigs(t *testing.T) {
 	configs := []struct {
 		name string
 		o    Options
 	}{
-		{"seq-plain", Options{TraceHash: true}},
-		{"workers4", Options{TraceHash: true, Workers: 4}},
+		{"plain", Options{TraceHash: true}},
 		{"encrypted", Options{TraceHash: true, Encrypted: true}},
-		{"workers4-encrypted", Options{TraceHash: true, Workers: 4, Encrypted: true}},
 	}
 	for _, src := range queryCorpus {
 		var baseRes *Result
@@ -100,11 +96,11 @@ func TestQueryEquivalenceAcrossConfigs(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(res, baseRes) {
-				t.Fatalf("%s: Query(%q) rows diverge from sequential plaintext:\n%v\nvs\n%v",
+				t.Fatalf("%s: Query(%q) rows diverge from plaintext:\n%v\nvs\n%v",
 					c.name, src, res.Rows, baseRes.Rows)
 			}
 			if st.TraceHash != baseHash {
-				t.Fatalf("%s: Query(%q) trace hash diverges from sequential plaintext", c.name, src)
+				t.Fatalf("%s: Query(%q) trace hash diverges from plaintext", c.name, src)
 			}
 		}
 	}
@@ -298,36 +294,5 @@ func TestGroupByLimitApplies(t *testing.T) {
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
-// TestWorkersRandomized stress-tests parallel equivalence over random
-// catalogs and query shapes (beyond the fixed corpus).
-func TestWorkersRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		tables := randCatalog(rng)
-		src := randQuery(rng)
-		var base *Result
-		var baseHash string
-		for i, o := range []Options{{TraceHash: true}, {TraceHash: true, Workers: 4}} {
-			e := NewEngineWith(o)
-			for name, rows := range tables {
-				if err := e.Register(name, rows); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err := e.Query(src)
-			if err != nil {
-				t.Fatalf("trial %d %q: %v", trial, src, err)
-			}
-			if i == 0 {
-				base, baseHash = res, e.LastStats().TraceHash
-				continue
-			}
-			if !reflect.DeepEqual(res, base) || e.LastStats().TraceHash != baseHash {
-				t.Fatalf("trial %d %q: parallel run diverges", trial, src)
-			}
-		}
 	}
 }

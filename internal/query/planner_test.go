@@ -123,15 +123,14 @@ func runNoReorder(t *testing.T, o Options, tables map[string][]table.Row, sql st
 
 // TestGreedyByteIdentity: the greedy-ordered plan and the written-order
 // canonicalized plan produce byte-identical results — with duplicate
-// rows and separator bytes in payloads, across plain, sealed and
-// sharded execution — and both hold exactly the default plan's row
+// rows and separator bytes in payloads, on the plain and the sealed
+// store — and both hold exactly the default plan's row
 // multiset.
 func TestGreedyByteIdentity(t *testing.T) {
 	tables := plannerCatalog()
 	for name, o := range map[string]Options{
-		"plain":   {},
-		"sealed":  {Encrypted: true},
-		"sharded": {Shards: 2, Workers: 2},
+		"plain":  {},
+		"sealed": {Encrypted: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			greedyOpts := o

@@ -10,7 +10,6 @@ import (
 	"oblivjoin/internal/crypto"
 	"oblivjoin/internal/memory"
 	"oblivjoin/internal/query/exec"
-	"oblivjoin/internal/shard"
 	"oblivjoin/internal/table"
 	"oblivjoin/internal/trace"
 )
@@ -84,14 +83,11 @@ func RunStream(ctx context.Context, opts Options, cipher *crypto.Cipher, tables 
 	return ps, err
 }
 
-// allocStack assembles one execution context's allocator chain — store
-// mode, gauge tracking, optional sealed spilling under budget — over a
-// fresh memory space recording into rec. The run's own context and the
-// sharded scheduler's per-unit contexts build through the same stack,
-// which is what makes a per-shard trace bit-identical to a standalone
-// run of the same sizes in the same mode. sc may be nil when budget
-// is 0.
-func allocStack(opts Options, cipher, sc *crypto.Cipher, rec trace.Recorder, budget int64) (table.Alloc, *table.Gauge) {
+// allocStack assembles the run's allocator chain — store mode, gauge
+// tracking, optional sealed spilling under opts.MemBudget — over a fresh
+// memory space recording into rec. sc may be nil when there is no
+// budget.
+func allocStack(opts Options, cipher, sc *crypto.Cipher, rec trace.Recorder) (table.Alloc, *table.Gauge) {
 	sp := memory.NewSpace(rec, nil)
 	alloc := table.PlainAlloc(sp)
 	if opts.Encrypted {
@@ -99,61 +95,11 @@ func allocStack(opts Options, cipher, sc *crypto.Cipher, rec trace.Recorder, bud
 	}
 	g := &table.Gauge{}
 	alloc = table.TrackedAlloc(alloc, g)
-	if budget > 0 {
+	if opts.MemBudget > 0 {
 		spiller := table.NewSpillerFS(sp, sc, opts.SpillFS, opts.SpillDir, table.DefaultSealedBlock, g)
-		alloc = table.BudgetAlloc(alloc, spiller, g, budget, modeFootprint(opts))
+		alloc = table.BudgetAlloc(alloc, spiller, g, opts.MemBudget, modeFootprint(opts))
 	}
 	return alloc, g
-}
-
-// unitFactory returns the sharded scheduler's Unit constructor: each
-// unit mirrors the run's own execution context — same store mode, same
-// spill policy over a budget share — with private trace sink, memory
-// space and gauge, so units execute concurrently with no shared mutable
-// instrumentation and their digests fold back into the run at
-// deterministic barriers.
-func unitFactory(ctx context.Context, opts Options, cipher, sc *crypto.Cipher, collect bool) func() *shard.Unit {
-	budget := opts.MemBudget
-	if budget > 0 {
-		// Units run concurrently: each gets an equal share of the run's
-		// budget so the combined live total stays near the configured
-		// bound.
-		budget /= int64(opts.Shards)
-		if budget < 1 {
-			budget = 1
-		}
-	}
-	return func() *shard.Unit {
-		var (
-			urec trace.Recorder
-			uh   *trace.Hasher
-			uc   *trace.Counter
-		)
-		if opts.TraceHash {
-			uh = trace.NewHasher()
-			urec = uh
-		} else if opts.CollectStats {
-			uc = &trace.Counter{}
-			urec = uc
-		}
-		alloc, g := allocStack(opts, cipher, sc, urec, budget)
-		var ust *core.Stats
-		if collect {
-			ust = &core.Stats{}
-		}
-		return &shard.Unit{
-			Cfg: &core.Config{
-				Alloc:  alloc,
-				Stats:  ust,
-				Ctx:    ctx,
-				Mem:    g,
-				Shards: 1,
-			},
-			Hasher:  uh,
-			Counter: uc,
-			Gauge:   g,
-		}
-	}
 }
 
 // modeFootprint returns the in-memory footprint model of the run's
@@ -240,7 +186,7 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 	// Every store the run allocates is tracked in the gauge; ReleaseAll
 	// frees whatever is still live on the way out — including spill
 	// files abandoned by an error or a cancellation panic.
-	alloc, gauge := allocStack(opts, cipher, sc, rec, opts.MemBudget)
+	alloc, gauge := allocStack(opts, cipher, sc, rec)
 	defer gauge.ReleaseAll()
 
 	collect := opts.CollectStats || opts.TraceHash
@@ -249,24 +195,12 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 		coreStats = &core.Stats{}
 	}
 	cfg := &core.Config{
-		Alloc:   alloc,
-		Workers: opts.Workers,
-		Stats:   coreStats,
-		Ctx:     ctx,
-		Mem:     gauge,
-		Shards:  opts.Shards,
+		Alloc: alloc,
+		Stats: coreStats,
+		Ctx:   ctx,
+		Mem:   gauge,
 	}
 	ectx := &exec.Context{Cfg: cfg, Tables: tables}
-	if opts.Shards > 1 {
-		ectx.Shard = &shard.Group{
-			Parent:  cfg,
-			Shards:  opts.Shards,
-			Hasher:  hasher,
-			Counter: counter,
-			Gauge:   gauge,
-			New:     unitFactory(ctx, opts, cipher, sc, collect),
-		}
-	}
 
 	if collect {
 		ps = &PlanStats{}

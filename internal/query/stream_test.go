@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oblivjoin/internal/query/exec"
@@ -37,8 +38,7 @@ var storeModes = []struct {
 const goldenFile = "golden_trace.json"
 
 // goldenEntry is one (case, store mode) row of the golden table. Every
-// value is a pure function of the query and the public sizes, and none
-// depends on the worker count.
+// value is a pure function of the query and the public sizes.
 type goldenEntry struct {
 	Case        string `json:"case"`
 	Mode        string `json:"mode"`
@@ -104,12 +104,11 @@ func joinChainCases() []goldenCase {
 	return cs
 }
 
-// runGoldenCase executes c in one store mode at one worker count and
-// reports the result with its golden row.
-func runGoldenCase(t *testing.T, c goldenCase, mode string, set func(*Options), workers int) (*Result, goldenEntry) {
+// runGoldenCase executes c under o and reports the result with its
+// golden row for mode.
+func runGoldenCase(t *testing.T, c goldenCase, mode string, o Options) (*Result, goldenEntry, *PlanStats) {
 	t.Helper()
-	o := Options{TraceHash: true, Workers: workers}
-	set(&o)
+	o.TraceHash = true
 	e := NewEngineWith(o)
 	registerAll(t, e, c.tables)
 	res, err := e.Query(c.sql)
@@ -126,7 +125,7 @@ func runGoldenCase(t *testing.T, c goldenCase, mode string, set func(*Options), 
 		Case: c.name, Mode: mode, Rows: hex.EncodeToString(h.Sum(nil)),
 		Comparators: ps.Comparators, TraceEvents: ps.TraceEvents,
 		PeakBytes: ps.PeakBytes, TraceHash: ps.TraceHash,
-	}
+	}, ps
 }
 
 // checkAgainstRef compares res with the naive reference executor of
@@ -164,10 +163,8 @@ func checkAgainstRef(t *testing.T, c goldenCase, res *Result) {
 	}
 }
 
-// checkGolden runs every case in every store mode at Workers 1 and 4
-// and requires the golden table's values bit for bit, and the naive
-// reference executor's rows.
-func checkGolden(t *testing.T, cases []goldenCase) {
+// loadGolden reads the golden table, keyed by case and store mode.
+func loadGolden(t *testing.T) map[string]goldenEntry {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", goldenFile))
 	if err != nil {
@@ -181,6 +178,15 @@ func checkGolden(t *testing.T, cases []goldenCase) {
 	for _, g := range entries {
 		golden[g.Case+"\x1f"+g.Mode] = g
 	}
+	return golden
+}
+
+// checkGolden runs every case in every store mode and requires the
+// golden table's values bit for bit, and the naive reference executor's
+// rows.
+func checkGolden(t *testing.T, cases []goldenCase) {
+	t.Helper()
+	golden := loadGolden(t)
 	var fresh []goldenEntry
 	for _, c := range cases {
 		for _, mode := range storeModes {
@@ -188,15 +194,13 @@ func checkGolden(t *testing.T, cases []goldenCase) {
 			if !ok {
 				t.Errorf("%s/%s: no golden entry", c.name, mode.name)
 			}
-			for _, workers := range []int{1, 4} {
-				res, got := runGoldenCase(t, c, mode.name, mode.set, workers)
-				if workers == 1 {
-					checkAgainstRef(t, c, res)
-					fresh = append(fresh, got)
-				}
-				if ok && got != want {
-					t.Errorf("%s/%s workers=%d:\n got %+v\nwant %+v", c.name, mode.name, workers, got, want)
-				}
+			var o Options
+			mode.set(&o)
+			res, got, _ := runGoldenCase(t, c, mode.name, o)
+			checkAgainstRef(t, c, res)
+			fresh = append(fresh, got)
+			if ok && got != want {
+				t.Errorf("%s/%s:\n got %+v\nwant %+v", c.name, mode.name, got, want)
 			}
 		}
 	}
@@ -207,7 +211,7 @@ func checkGolden(t *testing.T, cases []goldenCase) {
 }
 
 // TestStreamedMatchesMaterializedCorpus: every corpus query, in every
-// store mode and at both worker counts, still produces the rows,
+// store mode, still produces the rows,
 // comparator count, trace-event count, peak bytes and canonical trace
 // hash the materialized executor produced for it.
 func TestStreamedMatchesMaterializedCorpus(t *testing.T) {
@@ -385,6 +389,62 @@ func TestSpillUnderMemBudget(t *testing.T) {
 		if len(ents) != 0 {
 			t.Fatalf("%s: %d spill files survive the run", mode.name, len(ents))
 		}
+	}
+}
+
+// TestSpillKeepsGoldenTrace reruns golden cases under a one-byte memory
+// budget, so every store the run allocates spills to a sealed file, and
+// requires the golden rows, comparator count and canonical trace hash,
+// and no spill file left behind. Every corpus case and both chains at
+// n = 1 run in both store modes; both chains at the batch-straddling
+// n = 1025 run in plain mode only. Under this budget the two modes
+// spill into the same file-backed sealed store, so the second mode
+// would rerun the same code at ~1 s per chain.
+func TestSpillKeepsGoldenTrace(t *testing.T) {
+	golden := loadGolden(t)
+	dir := t.TempDir()
+	type run struct {
+		c     goldenCase
+		modes int // how many of storeModes, from the first
+	}
+	var runs []run
+	for _, c := range corpusCases() {
+		runs = append(runs, run{c, len(storeModes)})
+	}
+	for _, chain := range [][]goldenCase{streamChainCases(), joinChainCases()} {
+		for _, c := range chain {
+			switch {
+			case strings.HasSuffix(c.name, "/n=1"):
+				runs = append(runs, run{c, len(storeModes)})
+			case strings.HasSuffix(c.name, fmt.Sprintf("/n=%d", exec.DefaultBatch+1)):
+				runs = append(runs, run{c, 1})
+			}
+		}
+	}
+	for _, r := range runs {
+		for _, mode := range storeModes[:r.modes] {
+			want, ok := golden[r.c.name+"\x1f"+mode.name]
+			if !ok {
+				t.Fatalf("%s/%s: no golden entry", r.c.name, mode.name)
+			}
+			o := Options{MemBudget: 1, SpillDir: dir}
+			mode.set(&o)
+			_, got, ps := runGoldenCase(t, r.c, mode.name, o)
+			if got.Rows != want.Rows || got.Comparators != want.Comparators || got.TraceHash != want.TraceHash {
+				t.Errorf("%s/%s spilled:\n got %+v\nwant %+v", r.c.name, mode.name, got, want)
+			}
+			// A run with no traced access allocated no store to spill.
+			if ps.SpillCount == 0 && ps.TraceEvents > 0 {
+				t.Errorf("%s/%s: a one-byte budget spilled nothing", r.c.name, mode.name)
+			}
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("%d spill files survive the runs", len(ents))
 	}
 }
 

@@ -45,16 +45,16 @@
 //     internal/query/exec; Run walks the pipeline with the one
 //     executor, exec.Driver — row batches streaming between stages —
 //     threading one exec.Context whose single core.Config carries the
-//     store allocator (plain or block-sealed), the worker count and
-//     instrumentation through every operator.
+//     store allocator (plain or block-sealed) and instrumentation
+//     through every operator.
 //
-// The nine Options select parallel execution (Workers), the sealed
-// entry store (Encrypted), per-query PlanStats reports with an optional
-// SHA-256 access-pattern hash (CollectStats, TraceHash), a memory
-// budget with sealed spilling (MemBudget, SpillDir, SpillFS), sharded
-// joins (Shards) and the cost-aware planner (CostPlan). Results, plans
-// and trace hashes are identical at every worker count and between
-// plain and encrypted stores.
+// Execution is sequential and unsharded. The seven live Options select
+// the sealed entry store (Encrypted), per-query PlanStats reports with
+// an optional SHA-256 access-pattern hash (CollectStats, TraceHash), a
+// memory budget with sealed spilling (MemBudget, SpillDir, SpillFS) and
+// the cost-aware planner (CostPlan); Workers and Shards are ignored.
+// Results, plans and trace hashes are identical between plain and
+// encrypted stores.
 //
 // Every operator in the executed plan is oblivious: filters compile to
 // branch-free predicates evaluated on every row, joins run the paper's

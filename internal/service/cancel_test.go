@@ -139,7 +139,7 @@ func TestCancelDeadlineTyped(t *testing.T) {
 // every completed neighbor returned the reference trace hash — a
 // cancelled run must not perturb anyone else's access pattern.
 func TestCancelNeighborsUnaffected(t *testing.T) {
-	s, err := New(Config{Defaults: query.Options{Workers: 2, TraceHash: true, CollectStats: true}})
+	s, err := New(Config{Defaults: query.Options{TraceHash: true, CollectStats: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestCancelNeighborsUnaffected(t *testing.T) {
 // cancellation, or a typed unknown-table error; never a torn result or
 // a data race.
 func TestCancelMidSortDropReplaceRace(t *testing.T) {
-	s, err := New(Config{Defaults: query.Options{Workers: 2}})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

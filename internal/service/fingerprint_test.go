@@ -1,21 +1,23 @@
 package service
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"oblivjoin/internal/fault"
 	"oblivjoin/internal/query"
+	"oblivjoin/internal/table"
 )
 
 // TestFingerprintCoversEveryOption walks query.Options by reflection
 // and asserts that changing any single field changes the plan-cache
-// fingerprint. Instrumentation knobs are the deliberate exceptions —
-// they shape reports, not plans or execution semantics — and must be
-// added here explicitly when introduced. Everything else participating
-// is what keeps a new execution-shaping option (worker counts, store
-// modes, shard fan-out, budgets) from silently reusing a plan cached
+// fingerprint. Instrumentation knobs and ignored fields are the
+// deliberate exceptions — they shape reports, or nothing, not plans or
+// execution semantics — and must be added here explicitly. Everything
+// else participating is what keeps a new execution-shaping option
+// (store modes, budgets, planners) from silently reusing a plan cached
 // under a different configuration.
 func TestFingerprintCoversEveryOption(t *testing.T) {
 	excluded := map[string]bool{
@@ -24,6 +26,11 @@ func TestFingerprintCoversEveryOption(t *testing.T) {
 		// The spill filesystem seam injects faults; it never shapes the
 		// plan, the results or the trace.
 		"SpillFS": true,
+		// Ignored: execution is sequential and unsharded, and nothing
+		// reads these two fields; they exist only because benchmarks/
+		// names them.
+		"Workers": true,
+		"Shards":  true,
 	}
 	base := query.Options{}
 	baseFP := fingerprint(base)
@@ -73,5 +80,44 @@ func TestFingerprintCoversEveryOption(t *testing.T) {
 		if !changed {
 			t.Errorf("query.Options.%s does not participate in the plan-cache fingerprint", f.Name)
 		}
+	}
+}
+
+// TestIgnoredOptionsAreInert: the Workers and Shards tombstones change
+// nothing. A join chain under {Workers: 4, Shards: 4} returns the rows,
+// comparator and route-op counts, canonical trace hash and peak bytes
+// of the default options, and caches under the same fingerprint.
+func TestIgnoredOptionsAreInert(t *testing.T) {
+	const sql = "SELECT key, left.data, right.data FROM l JOIN r USING (key) JOIN s USING (key) WHERE key >= 1 ORDER BY key"
+	run := func(o query.Options) (*query.Result, *query.PlanStats) {
+		o.TraceHash = true
+		e := query.NewEngineWith(o)
+		for _, name := range []string{"l", "r", "s"} {
+			rows := make([]table.Row, 200)
+			for i := range rows {
+				rows[i] = table.Row{J: uint64(i), D: table.MustData(fmt.Sprintf("%s%d", name, i))}
+			}
+			if err := e.Register(name, rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := e.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, e.LastStats()
+	}
+	ignored := query.Options{Workers: 4, Shards: 4}
+	wantRes, want := run(query.Options{})
+	gotRes, got := run(ignored)
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatal("rows differ under the ignored options")
+	}
+	if got.Comparators != want.Comparators || got.RouteOps != want.RouteOps ||
+		got.TraceHash != want.TraceHash || got.PeakBytes != want.PeakBytes {
+		t.Fatalf("ignored options changed the run:\n got %+v\nwant %+v", got, want)
+	}
+	if fingerprint(ignored) != fingerprint(query.Options{}) {
+		t.Fatal("ignored options change the plan-cache fingerprint")
 	}
 }

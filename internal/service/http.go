@@ -17,7 +17,7 @@ import (
 // This file is the traffic-facing JSON surface of the service — the
 // handler cmd/oservd serves:
 //
-//	POST /query    {"sql": "...", "workers": 4, "stats": true}
+//	POST /query    {"sql": "...", "stats": true}
 //	GET  /tables   list registered schemas
 //	POST /tables   {"name": "t", "rows": [{"key": 1, "data": "a"}]}
 //	GET  /healthz  liveness + catalog and plan-cache counters
@@ -35,7 +35,6 @@ import (
 // the service defaults.
 type QueryRequest struct {
 	SQL       string `json:"sql"`
-	Workers   *int   `json:"workers,omitempty"`
 	Stats     *bool  `json:"stats,omitempty"`
 	TraceHash *bool  `json:"trace_hash,omitempty"`
 	// Explain short-circuits execution and returns only the plan.
@@ -140,9 +139,6 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		var opts []SessionOption
-		if req.Workers != nil {
-			opts = append(opts, WithWorkers(clampWorkers(*req.Workers)))
-		}
 		if req.Stats != nil {
 			opts = append(opts, WithStats(*req.Stats))
 		}
@@ -229,28 +225,13 @@ type StatsResponse struct {
 	PlanCache CacheStats   `json:"plan_cache"`
 }
 
-// maxHTTPWorkers bounds the per-request worker count a remote client
-// may ask for: lanes beyond it buy nothing (results are identical at
-// every degree) while each lane costs allocation, so an unbounded
-// value would let one request OOM the daemon.
-const maxHTTPWorkers = 256
-
-// Request-body bounds, same rationale: a query is SQL text plus a few
-// options; a table upload is bounded by what the engine can hold.
+// Request-body bounds: a query is SQL text plus a few options; a table
+// upload is bounded by what the engine can hold, and an unbounded body
+// would let one request OOM the daemon.
 const (
 	maxQueryBody = 1 << 20  // 1 MiB
 	maxTableBody = 64 << 20 // 64 MiB
 )
-
-func clampWorkers(n int) int {
-	if n < 0 {
-		return -1 // GOMAXPROCS
-	}
-	if n > maxHTTPWorkers {
-		return maxHTTPWorkers
-	}
-	return n
-}
 
 // statusClientClosedRequest is nginx's conventional status for a
 // request whose client went away before the response; there is no

@@ -51,8 +51,8 @@ const DefaultPlanCache = 64
 // Config configures a new Service.
 type Config struct {
 	// Defaults are the engine options every session starts from;
-	// sessions may override Workers and the instrumentation flags per
-	// call (see SessionOption).
+	// sessions may override the instrumentation flags per call (see
+	// SessionOption).
 	Defaults query.Options
 	// PlanCache bounds the number of cached prepared plans (LRU);
 	// 0 means DefaultPlanCache.
@@ -292,8 +292,6 @@ func (s *Service) Tables() []catalog.Schema { return s.cat.Schemas() }
 // the plan shape unchanged are per-session; store backend and sorting
 // network stay service-wide.
 type Session struct {
-	// Workers overrides the parallelism of every oblivious operator.
-	Workers *int
 	// Stats overrides PlanStats collection.
 	Stats *bool
 	// TraceHash overrides access-pattern hashing (implies stats).
@@ -302,11 +300,6 @@ type Session struct {
 
 // SessionOption mutates a Session.
 type SessionOption func(*Session)
-
-// WithWorkers overrides the worker count for this call.
-func WithWorkers(n int) SessionOption {
-	return func(se *Session) { se.Workers = &n }
-}
 
 // WithStats turns PlanStats collection on or off for this call.
 func WithStats(on bool) SessionOption {
@@ -325,9 +318,6 @@ func (s *Service) effective(opts []SessionOption) query.Options {
 		opt(&se)
 	}
 	o := s.defaults
-	if se.Workers != nil {
-		o.Workers = *se.Workers
-	}
 	if se.Stats != nil {
 		o.CollectStats = *se.Stats
 	}
@@ -347,14 +337,12 @@ func (s *Service) effective(opts []SessionOption) query.Options {
 
 // fingerprint canonicalizes the execution-shaping options into the
 // plan-cache key. Keying on these knobs partitions the cache per
-// configuration — a fingerprint change always re-plans, never reuses —
-// at the cost of caching an identical pipeline once per worker-count a
-// client sweeps. Instrumentation (stats, trace hashing) changes
-// neither the plan nor execution semantics, so it is excluded:
-// flipping stats on reuses the cached plan.
+// configuration — a fingerprint change always re-plans, never reuses.
+// Instrumentation (stats, trace hashing) changes neither the plan nor
+// execution semantics, so it is excluded: flipping stats on reuses the
+// cached plan. So are the ignored Workers and Shards fields.
 func fingerprint(o query.Options) string {
-	return fmt.Sprintf("w%d|e%t|mb%d|sd%s|sh%d|cp%t",
-		o.Workers, o.Encrypted, o.MemBudget, o.SpillDir, o.Shards, o.CostPlan)
+	return fmt.Sprintf("e%t|mb%d|sd%s|cp%t", o.Encrypted, o.MemBudget, o.SpillDir, o.CostPlan)
 }
 
 func planKey(sql string, o query.Options, version uint64) string {

@@ -87,18 +87,14 @@ func touches(n int) []struct{} { return make([]struct{}, n) }
 //     entries in, and seals the whole block again, so overwriting an
 //     entry with its previous value is indistinguishable from a real
 //     update — the property that makes the sorting network's dummy
-//     write-backs safe (§3.5). Per-block mutexes make that
-//     read-modify-write atomic, so parallel lanes writing disjoint
-//     entry ranges that share a boundary block compose correctly;
-//     lanes lock blocks in ascending order, so there is no deadlock.
-//   - Faults are raised only after unlocking. A failed authentication
-//     (the untrusted server tampered with a block) or spill-file IO
-//     error is fatal for the run and unwinds as a typed *Fault panic
-//     (ErrSealedAuth, ErrSpillIO) that the query runner converts to an
-//     error at its boundary; the error is collected inside the critical
-//     section and raised after the span's mutexes are released, because
-//     unwinding with one held would strand every later access to that
-//     block behind a lock nobody can release.
+//     write-backs safe (§3.5). The read-modify-write is not locked: like
+//     the plain store, a sealed store is only ever touched by the one
+//     goroutine executing its query.
+//   - Faults are raised only after the staging buffers are returned. A
+//     failed authentication (the untrusted server tampered with a block)
+//     or spill-file IO error is fatal for the run and unwinds as a typed
+//     *Fault panic (ErrSealedAuth, ErrSpillIO) that the query runner
+//     converts to an error at its boundary.
 //
 // The enclave cost model, like the trace, is charged at logical-entry
 // granularity (SealedSize bytes per access) by design: cost-modeled
@@ -110,7 +106,8 @@ type BlockEncrypted struct {
 	st *blockState
 }
 
-// blockState is the storage shared by a BlockEncrypted and its shards.
+// blockState is the storage shared by a BlockEncrypted and its trace
+// shards.
 type blockState struct {
 	cipher *crypto.Cipher
 	b      int     // entries per block
@@ -118,7 +115,6 @@ type blockState struct {
 	pt     int     // plaintext bytes per block: b*EncodedSize
 	unit   int     // sealed bytes per block: SealedLen(pt)
 	bk     backing // where the ⌈n/b⌉ sealed blocks live
-	locks  []sync.Mutex
 }
 
 // backing is where a sealed store's ciphertext blocks live: block k
@@ -185,7 +181,6 @@ func newSealed(s *memory.Space, c *crypto.Cipher, n, b int, bk backing) (*BlockE
 		pt:     b * EncodedSize,
 		unit:   crypto.SealedLen(b * EncodedSize),
 		bk:     bk,
-		locks:  make([]sync.Mutex, nb),
 	}
 	chunk := min(nb, max(initChunk/b, 1))
 	p, zeros := getBuf(chunk * st.pt)
@@ -217,7 +212,7 @@ func (e *BlockEncrypted) Block() int { return e.st.b }
 func (e *BlockEncrypted) Close() { e.st.bk.close() }
 
 // openBlock loads block k into ct, its slot of a staged span, and
-// opens it into plain. Callers hold the block's lock.
+// opens it into plain.
 func (st *blockState) openBlock(plain, ct []byte, k int) error {
 	if err := st.bk.load(ct, k); err != nil {
 		return err
@@ -233,9 +228,7 @@ func (e *BlockEncrypted) Get(i int) Entry {
 	p, plain := getBuf(st.pt)
 	defer putBuf(p)
 	ct, cp := st.bk.span(k, k)
-	st.locks[k].Lock()
 	err := st.openBlock(plain, ct, k)
-	st.locks[k].Unlock()
 	putBuf(cp)
 	raise(err)
 	off := (i - k*st.b) * EncodedSize
@@ -250,29 +243,14 @@ func (e *BlockEncrypted) Set(i int, v Entry) {
 	p, plain := getBuf(st.pt)
 	defer putBuf(p)
 	ct, cp := st.bk.span(k, k)
-	st.locks[k].Lock()
 	err := st.openBlock(plain, ct, k)
 	if err == nil {
 		v.Encode(plain[(i-k*st.b)*EncodedSize : (i-k*st.b+1)*EncodedSize])
 		st.cipher.Seal(ct, plain)
 		err = st.bk.persist(ct, k)
 	}
-	st.locks[k].Unlock()
 	putBuf(cp)
 	raise(err)
-}
-
-// lockSpan locks blocks [k0, k1] in ascending order.
-func (st *blockState) lockSpan(k0, k1 int) {
-	for k := k0; k <= k1; k++ {
-		st.locks[k].Lock()
-	}
-}
-
-func (st *blockState) unlockSpan(k0, k1 int) {
-	for k := k0; k <= k1; k++ {
-		st.locks[k].Unlock()
-	}
 }
 
 // GetRange decrypts the run [lo, lo+len(dst)) into dst, emitting the
@@ -288,12 +266,10 @@ func (e *BlockEncrypted) GetRange(lo int, dst []Entry) {
 	p, plain := getBuf((k1 - k0 + 1) * st.pt)
 	defer putBuf(p)
 	ct, cp := st.bk.span(k0, k1)
-	st.lockSpan(k0, k1)
 	err := st.bk.load(ct, k0)
 	if err == nil {
 		err = authErr(st.cipher.OpenRange(plain, ct, st.pt))
 	}
-	st.unlockSpan(k0, k1)
 	putBuf(cp)
 	raise(err)
 	base := (lo - k0*st.b) * EncodedSize
@@ -317,7 +293,6 @@ func (e *BlockEncrypted) SetRange(lo int, src []Entry) {
 	p, plain := getBuf((k1 - k0 + 1) * st.pt)
 	defer putBuf(p)
 	ct, cp := st.bk.span(k0, k1)
-	st.lockSpan(k0, k1)
 	err := st.fillBoundaries(plain, ct, lo, hi, k0, k1)
 	if err == nil {
 		base := (lo - k0*st.b) * EncodedSize
@@ -327,7 +302,6 @@ func (e *BlockEncrypted) SetRange(lo int, src []Entry) {
 		st.cipher.SealRange(ct, plain, st.pt)
 		err = st.bk.persist(ct, k0)
 	}
-	st.unlockSpan(k0, k1)
 	putBuf(cp)
 	raise(err)
 }
@@ -336,7 +310,7 @@ func (e *BlockEncrypted) SetRange(lo int, src []Entry) {
 // [lo, hi) spanning blocks [k0, k1], staged in ct: partially covered
 // boundary blocks are opened into place, and the padding tail of the
 // table's final block is zeroed. Interior blocks are fully covered and
-// need no read-back. Callers hold the span's locks.
+// need no read-back.
 func (st *blockState) fillBoundaries(plain, ct []byte, lo, hi, k0, k1 int) error {
 	headPartial := lo%st.b != 0
 	if headPartial {
@@ -364,9 +338,9 @@ func (e *BlockEncrypted) Traced() bool { return e.ev.Traced() }
 // Recorder returns the recorder the sealed storage feeds.
 func (e *BlockEncrypted) Recorder() trace.Recorder { return e.ev.Recorder() }
 
-// Shard returns an alias of the store recording to rec, for parallel
-// executors; nil when the underlying memory cannot be sharded. The
-// block state — cipher, backing and per-block locks — is shared.
+// Shard returns an alias of the store recording to rec, for Builder's
+// deferred write replay; nil when the underlying memory cannot be
+// sharded. The block state — cipher and backing — is shared.
 func (e *BlockEncrypted) Shard(rec trace.Recorder) any {
 	res := e.ev.Shard(rec)
 	if res == nil {

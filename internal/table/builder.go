@@ -6,9 +6,8 @@ import (
 	"oblivjoin/internal/trace"
 )
 
-// sharded is the structural capability the traced stores share (it
-// mirrors bitonic.Sharder without importing it): access to the store's
-// recorder and trace-redirected aliases.
+// sharded is the structural capability the traced stores share:
+// access to the store's recorder and trace-redirected aliases.
 type sharded interface {
 	Traced() bool
 	Recorder() trace.Recorder

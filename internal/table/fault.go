@@ -25,7 +25,7 @@ var (
 
 // Fault is the panic payload carrying a typed storage fault across the
 // error-free Store interface. Only the query runner's boundary recover
-// (and the worker pool's panic barrier) should see it.
+// should see it.
 type Fault struct {
 	Err error
 }
@@ -52,7 +52,7 @@ func ioErr(op string, err error) error {
 }
 
 // raise unwinds with err, if any, as a *Fault panic. The sealed store
-// calls it only after releasing its block mutexes.
+// calls it only after returning its staging buffers.
 func raise(err error) {
 	if err != nil {
 		panic(&Fault{Err: err})

@@ -147,26 +147,6 @@ func (g *Gauge) ReleaseAll() {
 	}
 }
 
-// Absorb folds the readings of child gauges that ran concurrently on
-// top of g's current live bytes: peak is the summed high-water marks of
-// the children (the sharded executor assumes every concurrent unit hits
-// its peak at once, a deterministic upper bound), total/spills/
-// spillBytes accumulate. Children account their own stores in their own
-// gauges, so the parent's live figure is untouched.
-func (g *Gauge) Absorb(peak, total, spills, spillBytes int64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	if g.live+peak > g.peak {
-		g.peak = g.live + peak
-	}
-	g.total += total
-	g.spills += spills
-	g.spillBytes += spillBytes
-	g.mu.Unlock()
-}
-
 // Live returns the current outstanding bytes.
 func (g *Gauge) Live() int64 {
 	if g == nil {
@@ -255,7 +235,7 @@ func Footprint(st Store) int64 {
 
 // TrackedAlloc wraps base so every allocated store is registered in g
 // with its heap footprint. The stores themselves are returned untouched
-// (no wrapper type), so range, trace and sharding capabilities keep
+// (no wrapper type), so range and trace-shard capabilities keep
 // type-asserting exactly as before.
 func TrackedAlloc(base Alloc, g *Gauge) Alloc {
 	if g == nil {

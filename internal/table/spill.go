@@ -11,8 +11,6 @@ import (
 // fileBlocks keeps the sealed blocks in a temporary file instead of the
 // heap, so an intermediate larger than the run's memory budget costs
 // O(batch) heap and nothing but ciphertext and MACs ever touches disk.
-// ReadAt/WriteAt run under the store's per-block mutexes, so parallel
-// lanes over disjoint entry ranges compose.
 type fileBlocks struct {
 	fs   fault.FS
 	f    fault.File

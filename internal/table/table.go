@@ -3,8 +3,8 @@
 // encoding, and storage: plain traced memory and the one sealed store,
 // BlockEncrypted, over a heap or spill-file backing. What sealed memory
 // owes the security argument — block boundaries a public function of
-// the index, every write re-sealed under a fresh nonce, faults raised
-// only after unlocking — is stated and held once, at BlockEncrypted.
+// the index, every write re-sealed under a fresh nonce, faults typed —
+// is stated and held once, at BlockEncrypted.
 //
 // An Entry carries the attributes of §5 of the paper: the join attribute
 // j, the data attribute d, the table identifier tid, the group dimensions
@@ -321,5 +321,5 @@ type Store interface {
 }
 
 // RangeStore survives only because benchmarks/ names it; it goes with
-// ROADMAP item 1(e).
+// ROADMAP 'A benchmark-archetype PR'.
 type RangeStore = Store

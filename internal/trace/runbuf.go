@@ -38,13 +38,6 @@ func (b *RunBuffer) push(op Op, array uint32, lo uint64, n int) {
 // Record appends one event.
 func (b *RunBuffer) Record(e Event) { b.push(e.Op, e.Array, e.Index, 1) }
 
-// RecordBatch appends a run of events.
-func (b *RunBuffer) RecordBatch(evs []Event) {
-	for _, e := range evs {
-		b.push(e.Op, e.Array, e.Index, 1)
-	}
-}
-
 // RecordRun appends an ascending same-op run in constant space.
 func (b *RunBuffer) RecordRun(op Op, array uint32, lo uint64, n int) {
 	b.push(op, array, lo, n)

@@ -31,9 +31,9 @@
 // comparable across the two. All verification in this repository
 // compares digests between runs of the same build, never against
 // stored constants, so the definition may evolve — but it must change
-// everywhere at once, and it must be identical for sequential,
-// parallel, plain, sealed and block-sealed executions. Hasher is the
-// single implementation; nothing else may hash events.
+// everywhere at once, and it must be identical for plain, sealed and
+// block-sealed executions. Hasher is the single implementation;
+// nothing else may hash events.
 package trace
 
 import (
@@ -81,28 +81,6 @@ type Recorder interface {
 	Record(e Event)
 }
 
-// BatchRecorder is an optional Recorder extension: RecordBatch folds a
-// run of events with a single dynamic dispatch, amortizing the
-// per-event interface-call overhead on hot paths (the batched range
-// accesses of internal/memory and the round executor of
-// internal/bitonic). Semantically it must equal calling Record on each
-// event in order.
-type BatchRecorder interface {
-	RecordBatch(evs []Event)
-}
-
-// RecordAll folds evs into r in order, using RecordBatch when r
-// implements it.
-func RecordAll(r Recorder, evs []Event) {
-	if br, ok := r.(BatchRecorder); ok {
-		br.RecordBatch(evs)
-		return
-	}
-	for _, e := range evs {
-		r.Record(e)
-	}
-}
-
 // RunRecorder is an optional Recorder extension for the most common
 // event shape on hot paths: a contiguous run of n same-operation
 // accesses to one array at ascending indices lo, lo+1, …, lo+n-1.
@@ -133,45 +111,8 @@ type Nop struct{}
 // Record implements Recorder by doing nothing.
 func (Nop) Record(Event) {}
 
-// RecordBatch implements BatchRecorder by doing nothing.
-func (Nop) RecordBatch([]Event) {}
-
 // RecordRun implements RunRecorder by doing nothing.
 func (Nop) RecordRun(Op, uint32, uint64, int) {}
-
-// Buffer is an append-only event shard used by parallel executors: each
-// worker records into its own Buffer, and the shards are replayed into
-// the real recorder in canonical order at a synchronization barrier
-// (ReplayTo). Reset keeps the backing capacity so a buffer can be
-// reused across rounds without reallocating.
-type Buffer struct {
-	Events []Event
-}
-
-// Record appends the event.
-func (b *Buffer) Record(e Event) { b.Events = append(b.Events, e) }
-
-// RecordBatch appends a run of events.
-func (b *Buffer) RecordBatch(evs []Event) { b.Events = append(b.Events, evs...) }
-
-// RecordRun appends an ascending same-op run.
-func (b *Buffer) RecordRun(op Op, array uint32, lo uint64, n int) {
-	for k := 0; k < n; k++ {
-		b.Events = append(b.Events, Event{Op: op, Array: array, Index: lo + uint64(k)})
-	}
-}
-
-// Len returns the number of buffered events.
-func (b *Buffer) Len() int { return len(b.Events) }
-
-// Reset empties the buffer, keeping capacity.
-func (b *Buffer) Reset() { b.Events = b.Events[:0] }
-
-// ReplayTo drains the buffer into r, preserving order, and resets it.
-func (b *Buffer) ReplayTo(r Recorder) {
-	RecordAll(r, b.Events)
-	b.Reset()
-}
 
 // Log stores the complete event sequence in memory for exact comparison
 // and rendering. Only suitable for small executions.
@@ -184,9 +125,6 @@ func NewLog() *Log { return &Log{} }
 
 // Record appends the event.
 func (l *Log) Record(e Event) { l.Events = append(l.Events, e) }
-
-// RecordBatch appends a run of events.
-func (l *Log) RecordBatch(evs []Event) { l.Events = append(l.Events, evs...) }
 
 // RecordRun appends an ascending same-op run.
 func (l *Log) RecordRun(op Op, array uint32, lo uint64, n int) {
@@ -287,16 +225,6 @@ func (s *Hasher) RecordRun(op Op, array uint32, lo uint64, n int) {
 	s.n += uint64(n)
 }
 
-// RecordBatch folds a run of events into the digest in order with one
-// call: the encodings go straight into the internal buffer without
-// per-event interface dispatch.
-func (s *Hasher) RecordBatch(evs []Event) {
-	for i := range evs {
-		s.put(evs[i].Op, evs[i].Array, evs[i].Index)
-	}
-	s.n += uint64(len(evs))
-}
-
 // Sum returns the digest of the events recorded so far. The stream is
 // not finalized: recording may continue after a Sum, and repeated Sums
 // without intervening Records return the same digest.
@@ -320,29 +248,6 @@ func (s *Hasher) Hex() string {
 // must agree on this as well as on the digest.
 func (s *Hasher) Count() uint64 { return s.n }
 
-// Absorb folds the finished digest of a sub-stream into this hash and
-// adds the sub-stream's event count to the total. It is how the
-// sharded executor composes a run's canonical hash: each shard records
-// its own events into a private Hasher, and the parent absorbs the
-// per-shard digests in shard order between its own event runs, so the
-// composed digest is
-//
-//	H = SHA-256( … ‖ enc(e_i) ‖ … ‖ Sum(shard_0) ‖ … ‖ Sum(shard_S−1) ‖ … )
-//
-// — a deterministic function of the public sizes and the shard count.
-// The 32-byte digest injection is unambiguous in practice because the
-// absorption points are a fixed function of the (public) plan, never of
-// the data; composed digests are only ever compared against other
-// composed digests of the same shape.
-func (s *Hasher) Absorb(sum [sha256.Size]byte, events uint64) {
-	s.flush()
-	if s.h == nil {
-		s.h = sha256.New()
-	}
-	s.h.Write(sum[:])
-	s.n += events
-}
-
 // Counter tallies reads and writes without storing them; it is used for
 // the operation-count columns of Table 3.
 type Counter struct {
@@ -359,16 +264,6 @@ func (c *Counter) Record(e Event) {
 	}
 }
 
-// RecordBatch tallies a run of events with one dynamic dispatch.
-func (c *Counter) RecordBatch(evs []Event) {
-	var w uint64
-	for _, e := range evs {
-		w += uint64(e.Op)
-	}
-	c.Writes += w
-	c.Reads += uint64(len(evs)) - w
-}
-
 // RecordRun tallies an ascending same-op run in constant time.
 func (c *Counter) RecordRun(op Op, _ uint32, _ uint64, n int) {
 	if op == Read {
@@ -380,14 +275,6 @@ func (c *Counter) RecordRun(op Op, _ uint32, _ uint64, n int) {
 
 // Total returns reads + writes.
 func (c *Counter) Total() uint64 { return c.Reads + c.Writes }
-
-// Add accumulates another counter's tallies — the Counter analogue of
-// Hasher.Absorb, used when sharded execution units count events into
-// private counters folded into the run's counter at a barrier.
-func (c *Counter) Add(o *Counter) {
-	c.Reads += o.Reads
-	c.Writes += o.Writes
-}
 
 // Summary aggregates an event stream per array: how many reads and
 // writes each array received and its touched extent. It feeds the

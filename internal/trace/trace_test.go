@@ -102,24 +102,11 @@ func TestHasherOrderSensitive(t *testing.T) {
 }
 
 // TestHasherBatchAndRunMatchRecord pins the core invariant of the
-// canonical hash: RecordBatch and RecordRun must produce exactly the
-// digest (and count) of the equivalent per-event Record sequence,
-// including across the internal buffer's flush boundary.
+// canonical hash: RecordRun must produce exactly the digest (and count)
+// of the equivalent per-event Record sequence, including across the
+// internal buffer's flush boundary.
 func TestHasherBatchAndRunMatchRecord(t *testing.T) {
 	const n = 1000 // larger than the internal buffer's 248-event capacity
-	evs := make([]Event, n)
-	for i := range evs {
-		evs[i] = Event{Op: Op(i & 1), Array: uint32(i % 7), Index: uint64(i * 3)}
-	}
-	one, batch := NewHasher(), NewHasher()
-	for _, e := range evs {
-		one.Record(e)
-	}
-	batch.RecordBatch(evs)
-	if one.Sum() != batch.Sum() || one.Count() != batch.Count() {
-		t.Fatal("RecordBatch diverges from per-event Record")
-	}
-
 	run, loop := NewHasher(), NewHasher()
 	run.RecordRun(Write, 3, 100, n)
 	for k := 0; k < n; k++ {
@@ -170,24 +157,15 @@ func TestRecordRunToFallback(t *testing.T) {
 	if len(l.Events) != 2 || l.Events[0] != want[0] || l.Events[1] != want[1] {
 		t.Fatalf("Log.RecordRun: %+v", l.Events)
 	}
-	var b Buffer
-	RecordRunTo(&b, Write, 1, 3, 2)
-	if len(b.Events) != 2 || b.Events[1] != (Event{Write, 1, 4}) {
-		t.Fatalf("Buffer.RecordRun: %+v", b.Events)
-	}
 }
 
 // TestHasherAllocFree: the streamed hasher must not allocate per event
 // (or per run) in steady state.
 func TestHasherAllocFree(t *testing.T) {
 	h := NewHasher()
-	evs := make([]Event, 300)
-	h.RecordBatch(evs) // warm-up, crosses a flush
+	h.RecordRun(Read, 2, 0, 300) // warm-up, crosses a flush
 	if avg := testing.AllocsPerRun(50, func() { h.Record(Event{Write, 1, 9}) }); avg != 0 {
 		t.Errorf("Record: %.1f allocs/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(50, func() { h.RecordBatch(evs) }); avg != 0 {
-		t.Errorf("RecordBatch: %.1f allocs/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(50, func() { h.RecordRun(Read, 2, 0, 300) }); avg != 0 {
 		t.Errorf("RecordRun: %.1f allocs/op, want 0", avg)
@@ -330,20 +308,6 @@ func BenchmarkHasherRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Record(e)
 	}
-}
-
-func BenchmarkHasherRecordBatch(b *testing.B) {
-	h := NewHasher()
-	evs := make([]Event, 512)
-	for i := range evs {
-		evs[i] = Event{Op: Op(i & 1), Array: 1, Index: uint64(i)}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.RecordBatch(evs)
-	}
-	b.ReportMetric(float64(b.N)*512/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }
 
 func BenchmarkHasherRecordRun(b *testing.B) {

@@ -15,11 +15,10 @@ import (
 // TestSealedStoresTraceEqualAcrossGranularities is the sealed store's
 // central invariant at the pipeline level: the full join over plain and
 // block-sealed storage — at several block granularities, the per-entry
-// B=1 among them, sequentially and across parallel lanes — produces
+// B=1 among them — produces
 // identical outputs, identical canonical trace hashes and identical
 // event counts. Sizes straddle the default block width (1, B−1, B, B+1)
-// and include non-multiples of it. Run under -race this also exercises the block
-// store's lock discipline and the cipher's atomic nonce reservation.
+// and include non-multiples of it; B = 3 keeps odd block widths covered.
 func TestSealedStoresTraceEqualAcrossGranularities(t *testing.T) {
 	cipher, _, err := crypto.NewRandom()
 	if err != nil {
@@ -30,18 +29,14 @@ func TestSealedStoresTraceEqualAcrossGranularities(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t1, t2 := workload.MatchingPairs(n)
 			type variant struct {
-				name    string
-				alloc   func(sp *memory.Space) table.Alloc
-				workers int
+				name  string
+				alloc func(sp *memory.Space) table.Alloc
 			}
 			variants := []variant{
-				{"plain/seq", table.PlainAlloc, 1},
-				{"plain/par", table.PlainAlloc, 4},
-				{"block1/par", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 1) }, 4},
-				{"block16/seq", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 0) }, 1},
-				{"block16/par", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 0) }, 4},
-				{"block3/par", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 3) }, 4},
-				{"block1/seq", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 1) }, 1},
+				{"plain", table.PlainAlloc},
+				{"block16", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 0) }},
+				{"block3", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 3) }},
+				{"block1", func(sp *memory.Space) table.Alloc { return table.BlockEncryptedAlloc(sp, cipher, 1) }},
 			}
 			var refHash string
 			var refCount uint64
@@ -49,7 +44,7 @@ func TestSealedStoresTraceEqualAcrossGranularities(t *testing.T) {
 			for i, v := range variants {
 				h := trace.NewHasher()
 				sp := memory.NewSpace(h, nil)
-				pairs := core.Join(&core.Config{Alloc: v.alloc(sp), Workers: v.workers}, t1, t2)
+				pairs := core.Join(&core.Config{Alloc: v.alloc(sp)}, t1, t2)
 				if i == 0 {
 					refHash, refCount, refPairs = h.Hex(), h.Count(), pairs
 					continue
@@ -58,7 +53,7 @@ func TestSealedStoresTraceEqualAcrossGranularities(t *testing.T) {
 					t.Errorf("%s: %d trace events, want %d", v.name, h.Count(), refCount)
 				}
 				if h.Hex() != refHash {
-					t.Errorf("%s: canonical trace hash diverges from plain/seq", v.name)
+					t.Errorf("%s: canonical trace hash diverges from plain", v.name)
 				}
 				if len(pairs) != len(refPairs) {
 					t.Fatalf("%s: %d pairs, want %d", v.name, len(pairs), len(refPairs))
@@ -75,7 +70,7 @@ func TestSealedStoresTraceEqualAcrossGranularities(t *testing.T) {
 
 // TestJoinOptionsSealedBlock exercises the public Options plumbing:
 // Encrypted selects the block-sealed store, and it agrees with the
-// plain run sequentially and across parallel lanes.
+// plain run.
 func TestJoinOptionsSealedBlock(t *testing.T) {
 	left, right := NewTable(), NewTable()
 	for i := 0; i < 40; i++ {
@@ -87,7 +82,6 @@ func TestJoinOptionsSealedBlock(t *testing.T) {
 	for _, opt := range []*Options{
 		{TraceHash: true},
 		{TraceHash: true, Encrypted: true},
-		{TraceHash: true, Encrypted: true, Workers: 3},
 	} {
 		res, err := Join(left, right, opt)
 		if err != nil {
