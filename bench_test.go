@@ -1,11 +1,12 @@
 // Benchmarks regenerating the paper's evaluation, one benchmark family
-// per table/figure, plus ablations of the design choices DESIGN.md calls
-// out. Run with:
+// per table/figure, plus ablations that vary the distribute variant, the
+// sorting network, the null-filtering method, the branchless discipline
+// and the store's sealing. This file is the paper reproduction; the
+// repository benchmark lives in benchmarks/. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Sizes are kept moderate so a full run finishes in minutes; the
-// oblivbench command sweeps the larger sizes of the paper's figures.
+// Sizes are kept moderate so a full run finishes in minutes.
 package oblivjoin
 
 import (
@@ -148,7 +149,7 @@ func BenchmarkFig8_SGXTransformed(b *testing.B) {
 	})
 }
 
-// ── Ablations (DESIGN.md §5) ─────────────────────────────────────────
+// ── Ablations: distribute, network, compaction, branchless, sealing ──
 
 // Deterministic routing distribute vs the probabilistic PRP variant.
 func BenchmarkAblationDistribute(b *testing.B) {

@@ -23,8 +23,7 @@ import (
 // interchanged (ii = ⌊q/α2⌋ + (q mod α2)·α1), which contradicts the
 // paper's own worked example in Figures 1 and 5 (it would map the second
 // copy of (x,u1) to index 2 rather than 3). The form implemented here is
-// the one consistent with the figures and with the expansion layout;
-// DESIGN.md records the discrepancy.
+// the one consistent with the figures and with the expansion layout.
 //
 // The block offset q is maintained exactly like the counter in
 // Fill-Dimensions: reset on a join-value change, branch-free. The final

@@ -5,10 +5,9 @@
 // scheduled faults — EIO, ENOSPC, short writes, fsync failure, added
 // latency, and ciphertext bit flips on reads.
 //
-// The seam exists so that chaos tests and the `oblivbench -exp chaos`
-// harness can drive the full service under storage failure without
-// touching the real disk layer, while production runs pay only an
-// interface-call indirection (gated by BENCH_fault.json).
+// The seam exists so that the chaos tests can drive the full service
+// under storage failure without touching the real disk layer, while
+// production runs pay only an interface-call indirection.
 package fault
 
 import (

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -205,9 +206,11 @@ func TestAdmissionUnboundedByDefault(t *testing.T) {
 }
 
 // TestShutdownDrainsInFlight: Shutdown waits for executing queries,
-// fails queued and new ones with ErrShuttingDown, and is idempotent.
+// fails queued and new ones with ErrShuttingDown, is idempotent, and
+// leaves no goroutine behind.
 func TestShutdownDrainsInFlight(t *testing.T) {
 	s, hold := blockingFixture(t, 4)
+	base := runtime.NumGoroutine()
 	release := hold() // simulated in-flight query
 
 	// A queued waiter must fail with ErrShuttingDown at close.
@@ -250,6 +253,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if st := s.Stats(); !st.ShuttingDown {
 		t.Fatalf("stats = %+v, want ShuttingDown", st)
 	}
+	waitUntil(t, func() bool { return runtime.NumGoroutine() <= base })
 }
 
 // TestShutdownDrainsTimeout: a drain that outlives its context returns

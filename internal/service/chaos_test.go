@@ -15,6 +15,8 @@ import (
 
 	"oblivjoin/internal/catalog"
 	"oblivjoin/internal/fault"
+	"oblivjoin/internal/query"
+	"oblivjoin/internal/table"
 	"oblivjoin/internal/wal"
 )
 
@@ -54,12 +56,15 @@ func refResult(t *testing.T) ([][]string, string) {
 // TestChaosWALFaultsContained: writers hammer a durable service while
 // the WAL path fails persistently; queries keep serving bit-identical
 // results throughout, writers see only typed errors, and recovery is
-// complete after the fault clears.
+// complete after the fault clears. Snapshot and spill faults follow,
+// each contained the same way, and a fault-free reopen of the data
+// directory reproduces the reference rows and trace hash.
 func TestChaosWALFaultsContained(t *testing.T) {
 	wantRows, wantHash := refResult(t)
 	in := fault.NewInjector(nil, 99)
+	dir := t.TempDir()
 	s := newFixture(t, Config{
-		DataDir:      t.TempDir(),
+		DataDir:      dir,
 		FS:           in,
 		RetryBackoff: 50 * time.Microsecond,
 	})
@@ -129,10 +134,80 @@ func TestChaosWALFaultsContained(t *testing.T) {
 	if err := s.Register("late", fixtureRows(4, "l")); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
-	res, ps, err := s.Query(context.Background(), chaosSQL, WithTraceHash(true))
-	if err != nil || !reflect.DeepEqual(res.Rows, wantRows) || ps.TraceHash != wantHash {
-		t.Fatalf("post-recovery query diverged: %v", err)
+	checkQuery := func(s *Service, phase string) {
+		t.Helper()
+		res, ps, err := s.Query(context.Background(), chaosSQL, WithTraceHash(true))
+		if err != nil || !reflect.DeepEqual(res.Rows, wantRows) || ps.TraceHash != wantHash {
+			t.Fatalf("%s: query diverged: %v", phase, err)
+		}
 	}
+	checkQuery(s, "post-recovery")
+
+	// A failed snapshot degrades health but not commits; a checkpoint
+	// after the fault clears succeeds.
+	in.Arm(fault.Rule{Op: fault.OpOpen, Path: "snap-", Err: fault.EIO})
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("checkpoint under snapshot fault succeeded")
+	}
+	if h := s.Health(); h.State != wal.HealthDegraded {
+		t.Fatalf("health under snapshot fault = %+v, want degraded", h)
+	}
+	if err := s.Replace("late", fixtureRows(4, "m")); err != nil {
+		t.Fatalf("commit while degraded: %v", err)
+	}
+	checkQuery(s, "degraded")
+	in.Disarm()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after snapshot fault cleared: %v", err)
+	}
+
+	// A memory-budgeted sibling on the same injector spills every
+	// intermediate: a flipped spill bit and a failed spill write or read
+	// fail its query typed, while the main service keeps serving
+	// bit-identical results.
+	sp := newFixture(t, Config{Defaults: query.Options{MemBudget: 1}, FS: in})
+	defer sp.Shutdown(context.Background())
+	for _, tc := range []struct {
+		rule fault.Rule
+		want error
+	}{
+		{fault.Rule{Op: fault.OpRead, Path: "oblivspill", FlipBit: true}, table.ErrSealedAuth},
+		{fault.Rule{Op: fault.OpWrite, Path: "oblivspill", After: 1, Err: fault.EIO}, table.ErrSpillIO},
+		{fault.Rule{Op: fault.OpRead, Path: "oblivspill", Err: fault.EIO}, table.ErrSpillIO},
+	} {
+		in.Arm(tc.rule)
+		if _, _, err := sp.Query(context.Background(), chaosSQL); !errors.Is(err, tc.want) {
+			t.Fatalf("spill fault %+v: query = %v, want %v", tc.rule, err, tc.want)
+		}
+		in.Disarm()
+		checkQuery(s, "spill-fault neighbor")
+	}
+	// A spill file that cannot even be initialised is contained the
+	// other way: the stores stay resident and the query completes.
+	in.Arm(fault.Rule{Op: fault.OpWrite, Path: "oblivspill", Err: fault.ENOSPC})
+	res, ps, err := sp.Query(context.Background(), chaosSQL, WithTraceHash(true))
+	if err != nil || !reflect.DeepEqual(res.Rows, wantRows) || ps.TraceHash != wantHash || ps.SpillBytes != 0 {
+		t.Fatalf("spill-allocation fallback diverged or spilled: %v", err)
+	}
+	in.Disarm()
+	res, ps, err = sp.Query(context.Background(), chaosSQL, WithTraceHash(true))
+	if err != nil || !reflect.DeepEqual(res.Rows, wantRows) || ps.TraceHash != wantHash {
+		t.Fatalf("spilled query after faults cleared diverged: %v", err)
+	}
+	if ps.SpillBytes == 0 {
+		t.Fatal("budgeted query did not spill")
+	}
+
+	// Everything survives a clean reopen of the same directory.
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatalf("reopen after chaos: %v", err)
+	}
+	defer s2.Shutdown(context.Background())
+	checkQuery(s2, "reopened")
 }
 
 // TestChaosQuarantineContained: a quarantined table 409s its own

@@ -104,16 +104,12 @@ func (m *metrics) percentilesLocked() (p50, p95, p99 int64) {
 	}
 	buf := make([]int64, n)
 	copy(buf, m.lat[:n])
-	return LatencyPercentiles(buf)
+	return latencyPercentiles(buf)
 }
 
-// LatencyPercentiles computes nearest-rank p50/p95/p99 over ns,
-// sorting it in place; zeroes when empty. It is THE percentile
-// definition of the serving stack — /stats and the load generator's
-// BENCH_service.json records (which the CI regression gate diffs)
-// both report through it, so the two can never disagree on what a
-// percentile means.
-func LatencyPercentiles(ns []int64) (p50, p95, p99 int64) {
+// latencyPercentiles computes nearest-rank p50/p95/p99 over ns,
+// sorting it in place; zeroes when empty. /stats reports through it.
+func latencyPercentiles(ns []int64) (p50, p95, p99 int64) {
 	n := len(ns)
 	if n == 0 {
 		return 0, 0, 0

@@ -1,6 +1,6 @@
 // Package workload generates the input families used in the paper's
-// evaluation (§6): n 1×1 groups, a single 1×n group, power-law group
-// sizes, primary–foreign-key tables, and equal-output-size classes for
+// evaluation (§6): n 1×1 groups, power-law group sizes,
+// primary–foreign-key tables, and equal-output-size classes for
 // the access-log experiments. All generators are deterministic given
 // their seed, so experiments are reproducible run to run.
 package workload
@@ -33,21 +33,6 @@ func OneToOne(n int) (t1, t2 []table.Row) {
 	}
 	for i := 0; i < n-k; i++ {
 		t2[i] = mkRow(2, uint64(i), 1)
-	}
-	return t1, t2
-}
-
-// SingleGroup produces one group of dimensions n1×n2: every row shares
-// the same join value, so m = n1·n2 (the paper's "single 1×n group"
-// class generalized).
-func SingleGroup(n1, n2 int) (t1, t2 []table.Row) {
-	t1 = make([]table.Row, n1)
-	t2 = make([]table.Row, n2)
-	for i := range t1 {
-		t1[i] = mkRow(1, 0, i)
-	}
-	for i := range t2 {
-		t2[i] = mkRow(2, 0, i)
 	}
 	return t1, t2
 }

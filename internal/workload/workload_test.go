@@ -33,13 +33,6 @@ func TestOneToOneOdd(t *testing.T) {
 	}
 }
 
-func TestSingleGroup(t *testing.T) {
-	t1, t2 := SingleGroup(3, 5)
-	if m := outputSize(t1, t2); m != 15 {
-		t.Fatalf("m = %d, want 15", m)
-	}
-}
-
 func TestPowerLawDeterministicAndSized(t *testing.T) {
 	a1, a2 := PowerLaw(200, 2.0, 42)
 	b1, b2 := PowerLaw(200, 2.0, 42)
