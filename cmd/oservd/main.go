@@ -86,13 +86,12 @@ func (c *csvFlags) Set(v string) error {
 // options holds oservd's command line.
 type options struct {
 	csvs                     csvFlags
-	addr, spillDir, dataDir  string
+	addr, dataDir            string
 	encrypted, sealed, stats bool
 	header, costPlan         bool
 	cache, maxInFlight       int
 	queueDepth, demo         int
 	snapshotEvery, history   int
-	memBudget                int64
 	queryTimeout             time.Duration
 	replanFactor             float64
 }
@@ -109,8 +108,6 @@ func flags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.maxInFlight, "max-inflight", 0, "admission capacity in cost units of 4096 input rows (0 = unbounded)")
 	fs.IntVar(&o.queueDepth, "queue", 0, "admission wait-queue bound (0 = default 64)")
 	fs.DurationVar(&o.queryTimeout, "query-timeout", 0, "per-query deadline covering queue wait + execution (0 = none)")
-	fs.Int64Var(&o.memBudget, "mem-budget", 0, "bound tracked per-query memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")
-	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for sealed spill files (default: system temp)")
 	fs.BoolVar(&o.header, "header", false, "CSV files start with a header row")
 	fs.IntVar(&o.demo, "demo", 0, "register demo tables t1, t2, t3 with this many rows")
 	fs.StringVar(&o.dataDir, "data-dir", "", "durable catalog directory: sealed WAL + snapshots, recovered on boot (empty = memory-only)")
@@ -144,12 +141,6 @@ func main() {
 	}
 	if o.queueDepth > 0 {
 		opts = append(opts, oblivjoin.WithQueueDepth(o.queueDepth))
-	}
-	if o.memBudget > 0 {
-		opts = append(opts, oblivjoin.WithMemBudget(o.memBudget))
-	}
-	if o.spillDir != "" {
-		opts = append(opts, oblivjoin.WithSpillDir(o.spillDir))
 	}
 	if o.queryTimeout > 0 {
 		opts = append(opts, oblivjoin.WithQueryTimeout(o.queryTimeout))

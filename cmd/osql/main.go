@@ -49,8 +49,7 @@ type options struct {
 	header, explain, replace    bool
 	encrypted, stats, traceHash bool
 	costPlan                    bool
-	memBudget                   int64
-	spillDir, dataDir           string
+	dataDir                     string
 	replanFactor                float64
 }
 
@@ -64,8 +63,6 @@ func flags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.encrypted, "encrypted", false, "keep intermediate entries AES-sealed in public memory")
 	fs.BoolVar(&o.stats, "stats", false, "print a per-operator execution report to stderr")
 	fs.BoolVar(&o.traceHash, "tracehash", false, "also compute the SHA-256 access-pattern digest (implies -stats)")
-	fs.Int64Var(&o.memBudget, "mem-budget", 0, "bound tracked run memory to this many bytes, spilling stores to sealed disk blocks (0 = unbounded)")
-	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for sealed spill files (default: system temp)")
 	fs.StringVar(&o.dataDir, "data-dir", "", "durable catalog directory (sealed WAL + snapshots): query persisted tables, including AS OF versions")
 	fs.BoolVar(&o.replace, "replace", false, "-t overwrites an existing durable table instead of failing")
 	fs.BoolVar(&o.costPlan, "cost-plan", false, "enable the cost-aware planner: greedy join ordering and predicate pushdown from public cardinalities")
@@ -98,12 +95,6 @@ func main() {
 	}
 	if o.traceHash {
 		opts = append(opts, oblivjoin.WithTraceHash())
-	}
-	if o.memBudget > 0 {
-		opts = append(opts, oblivjoin.WithMemBudget(o.memBudget))
-	}
-	if o.spillDir != "" {
-		opts = append(opts, oblivjoin.WithSpillDir(o.spillDir))
 	}
 	if o.dataDir != "" {
 		opts = append(opts, oblivjoin.WithDataDir(o.dataDir))

@@ -74,24 +74,6 @@ func WithTraceHash() EngineOption {
 	return func(c *service.Config) { c.Defaults.TraceHash = true; c.Defaults.CollectStats = true }
 }
 
-// WithMemBudget bounds the tracked in-memory bytes of every query run:
-// a store allocation that would push a run's live total past bytes is
-// diverted to a sealed spill file on disk — ciphertext-only, the same
-// block format as the sealed store, deleted the moment the store is
-// released or the run ends. Plain-store engines seal their spill
-// blocks under a fresh per-run key. 0 or negative leaves runs
-// unbounded. Results and canonical traces are identical with and
-// without spilling.
-func WithMemBudget(bytes int64) EngineOption {
-	return func(c *service.Config) { c.Defaults.MemBudget = bytes }
-}
-
-// WithSpillDir puts budget-diverted spill files under dir instead of
-// the system temp directory; see WithMemBudget.
-func WithSpillDir(dir string) EngineOption {
-	return func(c *service.Config) { c.Defaults.SpillDir = dir }
-}
-
 // WithCostPlan enables the cost-aware planner: JOIN ... USING chains
 // are greedily ordered by modeled comparator count, the WHERE filter
 // is pushed below semijoins, and every multi-join plan ends in a

@@ -59,11 +59,6 @@ var ErrShuttingDown = service.ErrShuttingDown
 // against healthy tables are unaffected.
 var ErrSealedAuth = table.ErrSealedAuth
 
-// ErrSpillIO is wrapped by errors returned when a sealed spill file
-// read or write fails mid-query (disk error, out of space). Like
-// ErrSealedAuth, it fails only the affected query.
-var ErrSpillIO = table.ErrSpillIO
-
 // ErrQuarantined is wrapped by errors returned for queries touching a
 // quarantined table — one whose sealed backing failed authentication.
 // Replace or Restore installs a fresh backing and lifts the mark.

@@ -67,15 +67,13 @@ type Config struct {
 	// handed out by Alloc is tracked in it, the query driver charges
 	// relation hand-off buffers to it, and the streaming stages release
 	// what they have drained through ReleaseStore. The query layer uses
-	// it to report PeakBytes/TotalAllocBytes and to divert allocations
-	// to sealed spill files under a memory budget.
+	// it to report PeakBytes/TotalAllocBytes.
 	Mem *table.Gauge
 }
 
-// ReleaseStore marks st dead for the run's allocation gauge (freeing
-// its spill file, if any); a no-op without a gauge. The feed-based join
-// and the streaming stages call it the moment an intermediate store is
-// fully drained.
+// ReleaseStore marks st dead for the run's allocation gauge; a no-op
+// without a gauge. The feed-based join and the streaming stages call it
+// the moment an intermediate store is fully drained.
 func (c *Config) ReleaseStore(st table.Store) {
 	if c.Mem == nil {
 		return

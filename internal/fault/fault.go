@@ -1,6 +1,6 @@
 // Package fault provides the storage fault-injection seam: a small
-// filesystem interface (FS) that the WAL and spill layers perform all
-// their file IO through, a passthrough OS implementation, and a
+// filesystem interface (FS) that the WAL performs all its file IO
+// through, a passthrough OS implementation, and a
 // deterministic, seeded Injector that wraps any FS and injects
 // scheduled faults — EIO, ENOSPC, short writes, fsync failure, added
 // latency, and ciphertext bit flips on reads.
@@ -20,8 +20,9 @@ import (
 	"time"
 )
 
-// File is the subset of *os.File the storage layers use. Reads and
-// writes are positional (the spill store) or appending (the WAL).
+// File is the subset of *os.File the storage layers use. The WAL
+// appends; the positional ReaderAt/WriterAt half is kept for the
+// repository benchmark's counting FS, which wraps it.
 type File interface {
 	io.ReaderAt
 	io.WriterAt

@@ -109,11 +109,11 @@ func TestBitFlipDeterministic(t *testing.T) {
 func TestPathFilter(t *testing.T) {
 	in := NewInjector(nil, 1)
 	in.Arm(Rule{Op: OpRemove, Path: "wal", Err: EIO})
-	if err := in.Remove(filepath.Join(t.TempDir(), "spill.seal")); err == nil || errors.Is(err, EIO) {
-		// Removing a nonexistent spill file fails with ENOENT, not EIO:
+	if err := in.Remove(filepath.Join(t.TempDir(), "snap-1")); err == nil || errors.Is(err, EIO) {
+		// Removing a nonexistent snapshot fails with ENOENT, not EIO:
 		// the rule must not match a non-"wal" path.
 		if errors.Is(err, EIO) {
-			t.Fatal("path filter did not exclude spill path")
+			t.Fatal("path filter did not exclude snapshot path")
 		}
 	}
 	if err := in.Remove(filepath.Join(t.TempDir(), "wal.log")); !errors.Is(err, EIO) {

@@ -149,9 +149,12 @@ func (cm *costModel) sortC(n int) uint64 {
 }
 
 // footprint is the padded store footprint of n entries in the run's
-// store mode (mirrors run.go's modeFootprint).
+// store mode, as table.Footprint charges it.
 func (cm *costModel) footprint(n int) int64 {
-	return modeFootprint(cm.opts)(n)
+	if cm.opts.Encrypted {
+		return table.BlockFootprint(n, table.DefaultSealedBlock)
+	}
+	return table.PlainFootprint(n)
 }
 
 // join models one oblivious equi-join of (n1, n2) inputs with output

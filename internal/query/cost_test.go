@@ -49,7 +49,6 @@ func TestJoinCostModelExact(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"bitonic": {CollectStats: true},
 		"sealed":  {CollectStats: true, Encrypted: true},
-		"spilled": {CollectStats: true, MemBudget: 1, SpillDir: t.TempDir()},
 	} {
 		t.Run(name, func(t *testing.T) {
 			e := NewEngineWith(opts)

@@ -8,7 +8,6 @@ import (
 
 	"oblivjoin/internal/catalog"
 	"oblivjoin/internal/crypto"
-	"oblivjoin/internal/fault"
 	"oblivjoin/internal/obliv"
 	"oblivjoin/internal/ops"
 	"oblivjoin/internal/query/exec"
@@ -34,20 +33,6 @@ type Options struct {
 	// SHA-256 trace hash (the §6.1 construction), reported in
 	// PlanStats.TraceHash. Implies stats collection.
 	TraceHash bool
-	// MemBudget, when > 0, bounds the tracked in-memory bytes of a run:
-	// a store allocation that would push the live total past the budget
-	// is diverted to a sealed spill file on disk (ciphertext-only, same
-	// block format as the sealed store) and deleted when the store is
-	// released or the run ends. 0 means unbounded.
-	MemBudget int64
-	// SpillDir is where budget-diverted stores keep their sealed files
-	// ("" selects the system temp directory).
-	SpillDir string
-	// SpillFS is the filesystem seam spill files are created through
-	// (nil selects the real OS). A fault-injection hook for chaos
-	// testing; it does not shape plans, results or traces, so it is
-	// excluded from the plan-cache fingerprint.
-	SpillFS fault.FS
 	// Shards is ignored; execution is sequential and unsharded; kept
 	// only because benchmarks/ names it (ROADMAP 'A benchmark-archetype
 	// PR').
@@ -88,12 +73,6 @@ type PlanStats struct {
 	PeakBytes int64
 	// TotalAllocBytes is the cumulative tracked bytes ever charged.
 	TotalAllocBytes int64
-	// SpillCount is the number of stores diverted to sealed spill files
-	// under Options.MemBudget.
-	SpillCount int64
-	// SpillBytes is the total on-disk ciphertext written by those
-	// diversions.
-	SpillBytes int64
 	// Total is the end-to-end execution wall time.
 	Total time.Duration
 	// CacheHit reports that the query executed from a cached prepared
@@ -121,9 +100,6 @@ func (s *PlanStats) String() string {
 	fmt.Fprintf(&b, "%-40s %12s\n", "total", s.Total.Round(time.Microsecond))
 	fmt.Fprintf(&b, "comparators=%d route-ops=%d trace-events=%d", s.Comparators, s.RouteOps, s.TraceEvents)
 	fmt.Fprintf(&b, "\npeak-bytes=%d total-alloc-bytes=%d", s.PeakBytes, s.TotalAllocBytes)
-	if s.SpillCount > 0 {
-		fmt.Fprintf(&b, " spills=%d spill-bytes=%d", s.SpillCount, s.SpillBytes)
-	}
 	if s.TraceHash != "" {
 		fmt.Fprintf(&b, "\ntrace-hash=%s", s.TraceHash)
 	}
@@ -236,7 +212,7 @@ func (e *Engine) LastStats() *PlanStats { return e.last }
 // execute runs the physical pipeline through Run and reports the
 // projected result, keeping the stats report for LastStats.
 func (e *Engine) execute(pipeline []exec.Operator) (*Result, error) {
-	if (e.opts.Encrypted || e.opts.MemBudget > 0) && e.cipher == nil {
+	if e.opts.Encrypted && e.cipher == nil {
 		c, _, err := crypto.NewRandom()
 		if err != nil {
 			return nil, fmt.Errorf("query: encrypted store: %w", err)

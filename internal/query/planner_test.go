@@ -109,7 +109,7 @@ func runNoReorder(t *testing.T, o Options, tables map[string][]table.Row, sql st
 		t.Fatal(err)
 	}
 	var cipher *crypto.Cipher
-	if o.Encrypted || o.MemBudget > 0 {
+	if o.Encrypted {
 		if cipher, _, err = crypto.NewRandom(); err != nil {
 			t.Fatal(err)
 		}

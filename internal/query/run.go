@@ -63,8 +63,7 @@ func ctxErr(cause error) error {
 // networks, routing waves, blocked scans and the batch drivers all
 // probe the context — and returns an error wrapping ErrCanceled or
 // ErrDeadline. An aborted run abandons only its private scratch
-// stores (spill files included: the run's gauge deletes them on the
-// way out). A nil ctx means context.Background().
+// stores. A nil ctx means context.Background().
 func Run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[string][]table.Row, pipeline []exec.Operator) (*Result, *PlanStats, error) {
 	return run(ctx, opts, cipher, tables, pipeline, nil)
 }
@@ -83,32 +82,16 @@ func RunStream(ctx context.Context, opts Options, cipher *crypto.Cipher, tables 
 	return ps, err
 }
 
-// allocStack assembles the run's allocator chain — store mode, gauge
-// tracking, optional sealed spilling under opts.MemBudget — over a fresh
-// memory space recording into rec. sc may be nil when there is no
-// budget.
-func allocStack(opts Options, cipher, sc *crypto.Cipher, rec trace.Recorder) (table.Alloc, *table.Gauge) {
+// allocStack assembles the run's allocator — the store mode, tracked
+// in a fresh gauge — over a fresh memory space recording into rec.
+func allocStack(opts Options, cipher *crypto.Cipher, rec trace.Recorder) (table.Alloc, *table.Gauge) {
 	sp := memory.NewSpace(rec, nil)
 	alloc := table.PlainAlloc(sp)
 	if opts.Encrypted {
 		alloc = table.BlockEncryptedAlloc(sp, cipher, table.DefaultSealedBlock)
 	}
 	g := &table.Gauge{}
-	alloc = table.TrackedAlloc(alloc, g)
-	if opts.MemBudget > 0 {
-		spiller := table.NewSpillerFS(sp, sc, opts.SpillFS, opts.SpillDir, table.DefaultSealedBlock, g)
-		alloc = table.BudgetAlloc(alloc, spiller, g, opts.MemBudget, modeFootprint(opts))
-	}
-	return alloc, g
-}
-
-// modeFootprint returns the in-memory footprint model of the run's
-// store mode, used to predict whether an allocation fits the budget.
-func modeFootprint(opts Options) func(n int) int64 {
-	if opts.Encrypted {
-		return func(n int) int64 { return table.BlockFootprint(n, table.DefaultSealedBlock) }
-	}
-	return table.PlainFootprint
+	return table.TrackedAlloc(alloc, g), g
 }
 
 func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[string][]table.Row, pipeline []exec.Operator, sink exec.RowSink) (res *Result, ps *PlanStats, err error) {
@@ -128,14 +111,13 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 	//
 	//   - cancellation, a core.Abort panic from a round barrier, mapped
 	//     to ErrCanceled/ErrDeadline;
-	//   - storage faults, a *table.Fault panic from a sealed store or
-	//     spill file (auth failure or disk IO error), mapped to an
-	//     error wrapping table.ErrSealedAuth or table.ErrSpillIO.
+	//   - storage faults, a *table.Fault panic from a sealed store
+	//     (auth failure), mapped to an error wrapping
+	//     table.ErrSealedAuth.
 	//
-	// Either way the failure kills this query alone: the deferred
-	// gauge.ReleaseAll (installed below, so it runs first) has already
-	// reclaimed the run's scratch, and concurrent runs share nothing
-	// mutable with this one.
+	// Either way the failure kills this query alone: its scratch stores
+	// are private to the run and left to the garbage collector, and
+	// concurrent runs share nothing mutable with this one.
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -169,24 +151,10 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 	if opts.Encrypted && cipher == nil {
 		return nil, nil, fmt.Errorf("query: encrypted execution without a cipher: %w", ErrInternal)
 	}
-	var sc *crypto.Cipher
-	if opts.MemBudget > 0 {
-		sc = cipher
-		if sc == nil {
-			// Plain-mode spill still seals its on-disk blocks: a fresh
-			// per-run key, never persisted, is all the file needs.
-			c, _, cerr := crypto.NewRandom()
-			if cerr != nil {
-				return nil, nil, fmt.Errorf("query: spill cipher: %w", cerr)
-			}
-			sc = c
-		}
-	}
-
 	// Every store the run allocates is tracked in the gauge; ReleaseAll
-	// frees whatever is still live on the way out — including spill
-	// files abandoned by an error or a cancellation panic.
-	alloc, gauge := allocStack(opts, cipher, sc, rec)
+	// discharges whatever is still live on the way out — including
+	// stores abandoned by an error or a cancellation panic.
+	alloc, gauge := allocStack(opts, cipher, rec)
 	defer gauge.ReleaseAll()
 
 	collect := opts.CollectStats || opts.TraceHash
@@ -236,8 +204,6 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 		ps.RouteOps = coreStats.RouteOps
 		ps.PeakBytes = gauge.Peak()
 		ps.TotalAllocBytes = gauge.Total()
-		ps.SpillCount = gauge.Spills()
-		ps.SpillBytes = gauge.SpillBytes()
 		if hasher != nil {
 			ps.TraceEvents = hasher.Count()
 			ps.TraceHash = hasher.Hex()

@@ -5,13 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
+	"oblivjoin/internal/crypto"
 	"oblivjoin/internal/query/exec"
 	"oblivjoin/internal/table"
 )
@@ -115,17 +116,23 @@ func runGoldenCase(t *testing.T, c goldenCase, mode string, o Options) (*Result,
 	if err != nil {
 		t.Fatalf("%s/%s: %v", c.name, mode, err)
 	}
+	ps := e.LastStats()
+	return res, goldenEntry{
+		Case: c.name, Mode: mode, Rows: rowsHash(res),
+		Comparators: ps.Comparators, TraceEvents: ps.TraceEvents,
+		PeakBytes: ps.PeakBytes, TraceHash: ps.TraceHash,
+	}, ps
+}
+
+// rowsHash is the golden table's digest of a result: columns, then
+// every row, in order.
+func rowsHash(res *Result) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%q\n", res.Columns)
 	for _, row := range res.Rows {
 		fmt.Fprintf(h, "%q\n", row)
 	}
-	ps := e.LastStats()
-	return res, goldenEntry{
-		Case: c.name, Mode: mode, Rows: hex.EncodeToString(h.Sum(nil)),
-		Comparators: ps.Comparators, TraceEvents: ps.TraceEvents,
-		PeakBytes: ps.PeakBytes, TraceHash: ps.TraceHash,
-	}, ps
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // checkAgainstRef compares res with the naive reference executor of
@@ -325,129 +332,6 @@ func lowerSQL(t *testing.T, sql string, tables map[string][]table.Row) []exec.Op
 	return pipeline
 }
 
-// TestSpillUnderMemBudget: a join whose intermediates exceed a 1 MiB
-// budget diverts stores to sealed spill files, produces the same rows
-// and the same canonical trace as an unbudgeted run, and removes every
-// spill file by the end of the run.
-func TestSpillUnderMemBudget(t *testing.T) {
-	// n is sized so the join's combined table alone (2n entries) plus
-	// one m-entry intermediate crosses the 1 MiB budget in every store
-	// mode; smaller joins stay in memory thanks to eager releases.
-	const n = 4096
-	l := make([]table.Row, n)
-	r := make([]table.Row, n)
-	for i := range l {
-		l[i] = table.Row{J: uint64(i), D: table.MustData(fmt.Sprintf("L%d", i))}
-		r[i] = table.Row{J: uint64(i), D: table.MustData(fmt.Sprintf("R%d", i))}
-	}
-	tables := map[string][]table.Row{"l": l, "r": r}
-	const sql = "SELECT key, left.data, right.data FROM l JOIN r USING (key) ORDER BY key"
-
-	dir := t.TempDir()
-	for _, mode := range storeModes {
-		if testing.Short() && mode.name != "plain" {
-			continue
-		}
-		var base Options
-		mode.set(&base)
-		base.TraceHash = true
-
-		run := func(o Options) (*Result, *PlanStats) {
-			e := NewEngineWith(o)
-			for name, rows := range tables {
-				if err := e.Register(name, rows); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err := e.Query(sql)
-			if err != nil {
-				t.Fatalf("%s: %v", mode.name, err)
-			}
-			return res, e.LastStats()
-		}
-
-		wantRes, wantPS := run(base)
-
-		budgeted := base
-		budgeted.MemBudget = 1 << 20
-		budgeted.SpillDir = dir
-		res, ps := run(budgeted)
-
-		if ps.SpillCount == 0 || ps.SpillBytes == 0 {
-			t.Fatalf("%s: budget run did not spill (count=%d bytes=%d)", mode.name, ps.SpillCount, ps.SpillBytes)
-		}
-		if !reflect.DeepEqual(res, wantRes) {
-			t.Fatalf("%s: spilled result diverges", mode.name)
-		}
-		if ps.TraceHash != wantPS.TraceHash {
-			t.Fatalf("%s: spilled trace hash %s != unbudgeted %s", mode.name, ps.TraceHash, wantPS.TraceHash)
-		}
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ents) != 0 {
-			t.Fatalf("%s: %d spill files survive the run", mode.name, len(ents))
-		}
-	}
-}
-
-// TestSpillKeepsGoldenTrace reruns golden cases under a one-byte memory
-// budget, so every store the run allocates spills to a sealed file, and
-// requires the golden rows, comparator count and canonical trace hash,
-// and no spill file left behind. Every corpus case and both chains at
-// n = 1 run in both store modes; both chains at the batch-straddling
-// n = 1025 run in plain mode only. Under this budget the two modes
-// spill into the same file-backed sealed store, so the second mode
-// would rerun the same code at ~1 s per chain.
-func TestSpillKeepsGoldenTrace(t *testing.T) {
-	golden := loadGolden(t)
-	dir := t.TempDir()
-	type run struct {
-		c     goldenCase
-		modes int // how many of storeModes, from the first
-	}
-	var runs []run
-	for _, c := range corpusCases() {
-		runs = append(runs, run{c, len(storeModes)})
-	}
-	for _, chain := range [][]goldenCase{streamChainCases(), joinChainCases()} {
-		for _, c := range chain {
-			switch {
-			case strings.HasSuffix(c.name, "/n=1"):
-				runs = append(runs, run{c, len(storeModes)})
-			case strings.HasSuffix(c.name, fmt.Sprintf("/n=%d", exec.DefaultBatch+1)):
-				runs = append(runs, run{c, 1})
-			}
-		}
-	}
-	for _, r := range runs {
-		for _, mode := range storeModes[:r.modes] {
-			want, ok := golden[r.c.name+"\x1f"+mode.name]
-			if !ok {
-				t.Fatalf("%s/%s: no golden entry", r.c.name, mode.name)
-			}
-			o := Options{MemBudget: 1, SpillDir: dir}
-			mode.set(&o)
-			_, got, ps := runGoldenCase(t, r.c, mode.name, o)
-			if got.Rows != want.Rows || got.Comparators != want.Comparators || got.TraceHash != want.TraceHash {
-				t.Errorf("%s/%s spilled:\n got %+v\nwant %+v", r.c.name, mode.name, got, want)
-			}
-			// A run with no traced access allocated no store to spill.
-			if ps.SpillCount == 0 && ps.TraceEvents > 0 {
-				t.Errorf("%s/%s: a one-byte budget spilled nothing", r.c.name, mode.name)
-			}
-		}
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("%d spill files survive the runs", len(ents))
-	}
-}
-
 // TestStreamBatchWidthAlignment: the one batch width is a positive
 // multiple of the sealed block width, so a batch boundary never splits
 // a ciphertext block.
@@ -458,7 +342,7 @@ func TestStreamBatchWidthAlignment(t *testing.T) {
 }
 
 // TestStreamedCancellation: a pre-cancelled context aborts a run with
-// the typed sentinel, leaving no spill files behind.
+// the typed sentinel before it assembles anything.
 func TestStreamedCancellation(t *testing.T) {
 	rows := make([]table.Row, 4096)
 	for i := range rows {
@@ -482,17 +366,54 @@ func TestStreamedCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dir := t.TempDir()
-	o := Options{MemBudget: 1, SpillDir: dir}
-	if _, _, err := Run(ctx, o, nil, map[string][]table.Row{"t": rows}, pipeline); err == nil {
-		t.Fatal("cancelled run succeeded")
+	_, _, err = Run(ctx, Options{}, nil, map[string][]table.Row{"t": rows}, pipeline)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run = %v, want ErrCanceled wrapping context.Canceled", err)
 	}
-	ents, err := os.ReadDir(dir)
+}
+
+// tamperedStore is a test-only Whole stage that fails the way a sealed
+// store fails when the untrusted memory under it was tampered with: a
+// typed *table.Fault panic from inside the operator stack.
+type tamperedStore struct{}
+
+func (tamperedStore) Name() string { return "tampered-store" }
+
+func (tamperedStore) Run(*exec.Context, exec.Relation) (exec.Relation, error) {
+	panic(&table.Fault{Err: fmt.Errorf("%w: block 0: injected", table.ErrSealedAuth)})
+}
+
+// TestSealedFaultContained: a storage fault raised mid-pipeline kills
+// that run alone — Run returns an error matching table.ErrSealedAuth
+// instead of panicking — and the next run of the unmodified pipeline
+// reproduces the golden rows and trace hash.
+func TestSealedFaultContained(t *testing.T) {
+	const sql = "SELECT key, left.data, right.data FROM a JOIN b USING (key)"
+	c := goldenCase{"corpus/" + sql, sql, corpusCatalog("x")}
+	want, ok := loadGolden(t)[c.name+"\x1fblock-sealed"]
+	if !ok {
+		t.Fatalf("%s: no golden entry", c.name)
+	}
+	pipeline := lowerSQL(t, c.sql, c.tables)
+	if _, ok := pipeline[0].(exec.Scan); !ok {
+		t.Fatalf("pipeline starts with %s, not a scan", pipeline[0].Name())
+	}
+	tampered := append([]exec.Operator{pipeline[0], tamperedStore{}}, pipeline[1:]...)
+
+	cipher, _, err := crypto.NewRandom()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 0 {
-		t.Fatalf("%d spill files survive a cancelled run", len(ents))
+	o := Options{Encrypted: true, TraceHash: true}
+	if _, _, err := Run(context.Background(), o, cipher, c.tables, tampered); !errors.Is(err, table.ErrSealedAuth) {
+		t.Fatalf("tampered run = %v, want ErrSealedAuth", err)
+	}
+	res, ps, err := Run(context.Background(), o, cipher, c.tables, pipeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowsHash(res); got != want.Rows || ps.TraceHash != want.TraceHash {
+		t.Fatalf("run after the fault: rows %s trace %s, want %s / %s", got, ps.TraceHash, want.Rows, want.TraceHash)
 	}
 }
 

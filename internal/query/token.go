@@ -48,10 +48,9 @@
 //     store allocator (plain or block-sealed) and instrumentation
 //     through every operator.
 //
-// Execution is sequential and unsharded. The seven live Options select
+// Execution is sequential and unsharded. The four live Options select
 // the sealed entry store (Encrypted), per-query PlanStats reports with
-// an optional SHA-256 access-pattern hash (CollectStats, TraceHash), a
-// memory budget with sealed spilling (MemBudget, SpillDir, SpillFS) and
+// an optional SHA-256 access-pattern hash (CollectStats, TraceHash) and
 // the cost-aware planner (CostPlan); Workers and Shards are ignored.
 // Results, plans and trace hashes are identical between plain and
 // encrypted stores.

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"oblivjoin/internal/catalog"
+	"oblivjoin/internal/core"
 	"oblivjoin/internal/query"
+	"oblivjoin/internal/query/exec"
 	"oblivjoin/internal/table"
 )
 
@@ -24,77 +26,95 @@ func bigRows(n int, tag string) []table.Row {
 	return out
 }
 
-// TestCancelMidSortEncrypted is the acceptance contract of the
-// traffic-hardening work: a query over an encrypted 64k-row table,
-// cancelled while its oblivious sort is in flight, must return a typed
-// context error within 250ms of the cancellation, and the service must
-// stay healthy — subsequent queries succeed with trace hashes
-// bit-identical to an undisturbed run.
-func TestCancelMidSortEncrypted(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the encrypted 64k sort runs ~10x slower under the race detector; the contract is exercised race-free by the CI load job")
+// probeCtx is a cancellable context whose cancellation is a schedule
+// position rather than a moment: Done is non-nil, so the run installs
+// its probes, and Err reports context.Canceled from its k-th call on
+// (never when k ≤ 0). It counts the calls and stamps the first failing
+// one. The service calls it from the executing goroutine only.
+type probeCtx struct {
+	context.Context
+	done     chan struct{} // never closed
+	k, calls int
+	failedAt time.Time
+}
+
+func newProbeCtx(k int) *probeCtx {
+	return &probeCtx{Context: context.Background(), done: make(chan struct{}), k: k}
+}
+
+func (c *probeCtx) Done() <-chan struct{} { return c.done }
+
+func (c *probeCtx) Err() error {
+	c.calls++
+	if c.k <= 0 || c.calls < c.k {
+		return nil
 	}
-	const n = 65536
-	// A full oblivious sort over the encrypted 64k store: the heaviest
-	// single pass the engine runs at this size.
-	const sql = "SELECT key, data FROM big ORDER BY key"
+	if c.calls == c.k {
+		c.failedAt = time.Now()
+	}
+	return context.Canceled
+}
+
+// cfgTap is a pass-through stage that keeps the run's core.Config, so
+// a test can read the comparators a run executed even when it aborts.
+type cfgTap struct{ cfg **core.Config }
+
+func (cfgTap) Name() string { return "cfg-tap" }
+
+func (t cfgTap) RunStream(ctx *exec.Context, src exec.RowSource) (exec.RowSource, error) {
+	*t.cfg = ctx.Cfg
+	return src, nil
+}
+
+// TestCancelMidSortEncrypted is the acceptance contract of
+// cancellation: a join over encrypted stores, cancelled while one of
+// its oblivious sorts is in flight, returns a typed context error
+// promptly after the cancellation, having executed some but not all of
+// its modeled comparators (a sort counts its comparators when it
+// finishes), and the service stays healthy — the next run's trace hash
+// is bit-identical to an undisturbed run's. The cancellation lands at
+// a chosen probe of the run's fixed schedule: half-way through the
+// probes a full run makes.
+func TestCancelMidSortEncrypted(t *testing.T) {
+	const sql = "SELECT key, left.data, right.data FROM big JOIN big2 USING (key)"
 	s, err := New(Config{Defaults: query.Options{Encrypted: true, TraceHash: true, CollectStats: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Register("big", bigRows(n, "b")); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"big", "big2"} {
+		if err := s.Register(name, bigRows(512, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	// Reference run to completion: the trace hash later queries must
-	// reproduce, and proof the query genuinely takes far longer than
-	// the cancellation budget (otherwise "cancelled mid-sort" would be
-	// vacuous).
 	st, err := s.Prepare(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refStart := time.Now()
-	_, refPS, err := st.Exec(context.Background())
+	var cfg *core.Config
+	tapped := *st
+	tapped.pipeline = append([]exec.Operator{st.pipeline[0], cfgTap{&cfg}}, st.pipeline[1:]...)
+
+	// Reference run to completion, counting the probes of the schedule.
+	counter := newProbeCtx(0)
+	_, refPS, err := tapped.Exec(counter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refWall := time.Since(refStart)
-	if refPS == nil || refPS.TraceHash == "" {
-		t.Fatal("reference run reported no trace hash")
-	}
-	if refWall < 500*time.Millisecond {
-		t.Fatalf("reference run finished in %v — too fast for a meaningful mid-sort cancellation", refWall)
+	if refPS.TraceHash == "" || refPS.Comparators != st.Model().Comparators {
+		t.Fatalf("reference run: hash %q, %d comparators, modeled %d", refPS.TraceHash, refPS.Comparators, st.Model().Comparators)
 	}
 
-	// Cancel mid-sort: let the query get ~10% into the reference wall
-	// time (well inside the first big sort), then cancel and time the
-	// abort.
-	ctx, cancel := context.WithCancel(context.Background())
-	delay := refWall / 10
-	if delay < 10*time.Millisecond {
-		delay = 10 * time.Millisecond
+	cancel := newProbeCtx(counter.calls / 2)
+	_, _, err = tapped.Exec(cancel)
+	returned := time.Now()
+	if !errors.Is(err, query.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled query returned %v, want ErrCanceled wrapping context.Canceled", err)
 	}
-	errc := make(chan error, 1)
-	done := make(chan time.Time, 1)
-	go func() {
-		_, _, err := st.Exec(ctx)
-		done <- time.Now()
-		errc <- err
-	}()
-	time.Sleep(delay)
-	cancelled := time.Now()
-	cancel()
-	returned := <-done
-	err = <-errc
-	if !errors.Is(err, query.ErrCanceled) {
-		t.Fatalf("cancelled query returned %v, want ErrCanceled", err)
+	if obs := cfg.Stats.Comparators(); obs == 0 || obs >= st.Model().Comparators {
+		t.Fatalf("cancelled run executed %d comparators, want some but fewer than the modeled %d", obs, st.Model().Comparators)
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled query error %v does not match context.Canceled", err)
-	}
-	if lat := returned.Sub(cancelled); lat > 250*time.Millisecond {
-		t.Fatalf("cancellation latency %v exceeds 250ms (reference wall %v)", lat, refWall)
+	if lat := returned.Sub(cancel.failedAt); lat > 250*time.Millisecond {
+		t.Fatalf("cancellation latency %v exceeds 250ms", lat)
 	}
 
 	// The service stays healthy: the same statement still executes and

@@ -58,12 +58,9 @@ type StatsJSON struct {
 	TraceHash   string         `json:"trace_hash,omitempty"`
 	TotalNS     int64          `json:"total_ns"`
 	// PeakBytes and TotalAllocBytes are the run's deterministic
-	// allocation-gauge readings; SpillCount/SpillBytes report stores
-	// diverted to sealed spill files under a memory budget.
+	// allocation-gauge readings.
 	PeakBytes       int64 `json:"peak_bytes"`
 	TotalAllocBytes int64 `json:"total_alloc_bytes"`
-	SpillCount      int64 `json:"spill_count,omitempty"`
-	SpillBytes      int64 `json:"spill_bytes,omitempty"`
 	CacheHit        bool  `json:"cache_hit"`
 }
 
@@ -86,8 +83,6 @@ func statsJSON(ps *query.PlanStats) *StatsJSON {
 		TotalNS:         int64(ps.Total / time.Nanosecond),
 		PeakBytes:       ps.PeakBytes,
 		TotalAllocBytes: ps.TotalAllocBytes,
-		SpillCount:      ps.SpillCount,
-		SpillBytes:      ps.SpillBytes,
 		CacheHit:        ps.CacheHit,
 	}
 	for _, op := range ps.Operators {
@@ -262,7 +257,7 @@ func errStatus(err error) int {
 	case errors.Is(err, wal.ErrReadOnly):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, crypto.ErrAuth), errors.Is(err, query.ErrInternal),
-		errors.Is(err, table.ErrSealedAuth), errors.Is(err, table.ErrSpillIO):
+		errors.Is(err, table.ErrSealedAuth):
 		return http.StatusInternalServerError
 	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrShuttingDown),
 		errors.Is(err, query.ErrDeadline):

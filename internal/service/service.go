@@ -90,10 +90,9 @@ type Config struct {
 	// for AS OF reads; 0 means catalog.DefaultHistory, negative means
 	// unlimited.
 	History int
-	// FS is the filesystem seam the durable layer and spill files go
-	// through (nil selects the real OS) — the fault-injection hook for
-	// chaos testing. It is threaded to the WAL, snapshots, recovery
-	// reads and, when Defaults.SpillFS is unset, query spill files.
+	// FS is the filesystem seam the durable layer goes through (nil
+	// selects the real OS) — the fault-injection hook for chaos
+	// testing. It is threaded to the WAL, snapshots and recovery reads.
 	FS fault.FS
 	// RetryAppend and RetryBackoff tune the WAL's transient-failure
 	// retry loop (see wal.Options); zero values select the defaults.
@@ -150,9 +149,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.History != 0 {
 		cat.SetHistory(cfg.History)
-	}
-	if cfg.Defaults.SpillFS == nil {
-		cfg.Defaults.SpillFS = cfg.FS
 	}
 	var db *wal.DB
 	var rec *wal.RecoveryInfo
@@ -342,7 +338,7 @@ func (s *Service) effective(opts []SessionOption) query.Options {
 // execution semantics, so it is excluded: flipping stats on reuses the
 // cached plan. So are the ignored Workers and Shards fields.
 func fingerprint(o query.Options) string {
-	return fmt.Sprintf("e%t|mb%d|sd%s|cp%t", o.Encrypted, o.MemBudget, o.SpillDir, o.CostPlan)
+	return fmt.Sprintf("e%t|cp%t", o.Encrypted, o.CostPlan)
 }
 
 func planKey(sql string, o query.Options, version uint64) string {

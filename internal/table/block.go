@@ -52,13 +52,8 @@ func getBuf(n int) (*[]byte, []byte) {
 	return p, (*p)[:n]
 }
 
-// putBuf returns a getBuf token to the pool; a nil token (a span the
-// heap backing aliased rather than staged) is nothing to return.
-func putBuf(p *[]byte) {
-	if p != nil {
-		bufPool.Put(p)
-	}
-}
+// putBuf returns a getBuf token to the pool.
+func putBuf(p *[]byte) { bufPool.Put(p) }
 
 // touches returns a zero-width slice for emitting an n-event trace run
 // through a memory.Array[struct{}]; it performs no allocation (zero-size
@@ -68,20 +63,17 @@ func touches(n int) []struct{} { return make([]struct{}, n) }
 // BlockEncrypted is the one sealed Store: entries live encrypted in
 // untrusted memory in blocks of B entries per ciphertext record, so a
 // k-entry range operation costs ⌈k/B⌉+1 crypto operations instead of k.
-// Where the ciphertext lives — the heap, or a spill file when the run's
-// memory budget says so (BudgetAlloc) — is its backing's business; the
-// three invariants the security argument (§3.1, §3.5) needs are held
-// here, once, for both:
+// The three invariants the security argument (§3.1, §3.5) needs are
+// held here, once:
 //
 //   - Block boundaries are a public function of the index. Every
 //     logical entry access emits exactly the per-entry trace event of
 //     the plain store (same array identifier, same index, same order),
-//     so plain, sealed and spilled runs of the same computation produce
+//     so plain and sealed runs of the same computation produce
 //     bit-identical canonical traces at every block width. Physically
-//     the untrusted memory (or file) is read and written at block
-//     granularity; since block = index / B, the physical pattern is a
-//     deterministic function of the logical trace and leaks nothing
-//     beyond it.
+//     the untrusted memory is read and written at block granularity;
+//     since block = index / B, the physical pattern is a deterministic
+//     function of the logical trace and leaks nothing beyond it.
 //   - Every write re-seals under a fresh nonce. A Set (or a range write
 //     covering part of a block) opens the block, splices the new
 //     entries in, and seals the whole block again, so overwriting an
@@ -90,11 +82,11 @@ func touches(n int) []struct{} { return make([]struct{}, n) }
 //     write-backs safe (§3.5). The read-modify-write is not locked: like
 //     the plain store, a sealed store is only ever touched by the one
 //     goroutine executing its query.
-//   - Faults are raised only after the staging buffers are returned. A
-//     failed authentication (the untrusted server tampered with a block)
-//     or spill-file IO error is fatal for the run and unwinds as a typed
-//     *Fault panic (ErrSealedAuth, ErrSpillIO) that the query runner
-//     converts to an error at its boundary.
+//   - Faults are typed and leak no staging buffer. A failed
+//     authentication (the untrusted memory was tampered with) is fatal
+//     for the run and unwinds as a typed *Fault panic (ErrSealedAuth)
+//     that the query runner converts to an error at its boundary; the
+//     deferred buffer return runs as it unwinds.
 //
 // The enclave cost model, like the trace, is charged at logical-entry
 // granularity (SealedSize bytes per access) by design: cost-modeled
@@ -110,69 +102,29 @@ type BlockEncrypted struct {
 // shards.
 type blockState struct {
 	cipher *crypto.Cipher
-	b      int     // entries per block
-	n      int     // logical entries
-	pt     int     // plaintext bytes per block: b*EncodedSize
-	unit   int     // sealed bytes per block: SealedLen(pt)
-	bk     backing // where the ⌈n/b⌉ sealed blocks live
+	b      int    // entries per block
+	n      int    // logical entries
+	pt     int    // plaintext bytes per block: b*EncodedSize
+	unit   int    // sealed bytes per block: SealedLen(pt)
+	ct     []byte // the ⌈n/b⌉ sealed blocks; block k is ct[k*unit:(k+1)*unit]
 }
 
-// backing is where a sealed store's ciphertext blocks live: block k
-// occupies bytes [k*unit, (k+1)*unit) of the heap slice or spill file,
-// so the two hold the same layout and nothing but ciphertext.
-type backing interface {
-	// span returns the buffer sealed blocks [k0, k1] are staged in and
-	// the pool token to putBuf when done with it. The heap backing
-	// hands out an alias of its resident blocks (nil token), which is
-	// why its load and persist have nothing to do; the file backing
-	// hands out pooled scratch.
-	span(k0, k1 int) (ct []byte, p *[]byte)
-	// load fills ct, a whole number of blocks within a span, with the
-	// sealed blocks from k on.
-	load(ct []byte, k int) error
-	// persist makes ct the sealed blocks from k on.
-	persist(ct []byte, k int) error
-	// close releases the backing; idempotent.
-	close()
-	// heapBytes is the footprint the gauge charges for the blocks.
-	heapBytes() int64
-}
-
-// heapBlocks keeps the sealed blocks contiguous on the heap.
-type heapBlocks struct {
-	ct   []byte
-	unit int
-}
-
-func (h *heapBlocks) span(k0, k1 int) ([]byte, *[]byte) {
-	return h.ct[k0*h.unit : (k1+1)*h.unit], nil
-}
-func (h *heapBlocks) load([]byte, int) error    { return nil }
-func (h *heapBlocks) persist([]byte, int) error { return nil }
-func (h *heapBlocks) close()                    {}
-func (h *heapBlocks) heapBytes() int64          { return int64(len(h.ct)) }
-
-// NewBlockEncrypted allocates a heap-backed sealed store of n null
-// entries in s, sealed under c, with b entries per block (b ≤ 0 selects
+// NewBlockEncrypted allocates a sealed store of n null entries in s,
+// sealed under c, with b entries per block (b ≤ 0 selects
 // DefaultSealedBlock; 1 seals every entry on its own).
+//
+// Every block is initialized with a valid ciphertext of zero entries,
+// so a Get before the first Set authenticates; the final block is
+// padded with zero entries to the full block width, sealed like
+// everything else and never addressable through the Store interface.
+// The initialization writes bypass the trace: like the allocation
+// itself they are a fixed function of the (public) size n, and keeping
+// them out of the event stream makes a sealed run's trace identical to
+// a plain run's.
 func NewBlockEncrypted(s *memory.Space, c *crypto.Cipher, n, b int) *BlockEncrypted {
 	if b <= 0 {
 		b = DefaultSealedBlock
 	}
-	h := &heapBlocks{ct: make([]byte, BlockFootprint(n, b)), unit: crypto.SealedLen(b * EncodedSize)}
-	e, _ := newSealed(s, c, n, b, h) // persisting to the heap cannot fail
-	return e
-}
-
-// newSealed builds the store over bk. Every block is initialized with a
-// valid ciphertext of zero entries, so a Get before the first Set
-// authenticates; the final block is padded with zero entries to the
-// full block width, sealed like everything else and never addressable
-// through the Store interface. The initialization writes bypass the
-// trace: like the allocation itself they are a fixed function of the
-// (public) size n, and keeping them out of the event stream makes a
-// sealed run's trace identical to a plain run's. On error bk is closed.
-func newSealed(s *memory.Space, c *crypto.Cipher, n, b int, bk backing) (*BlockEncrypted, error) {
 	nb := (n + b - 1) / b
 	st := &blockState{
 		cipher: c,
@@ -180,7 +132,7 @@ func newSealed(s *memory.Space, c *crypto.Cipher, n, b int, bk backing) (*BlockE
 		n:      n,
 		pt:     b * EncodedSize,
 		unit:   crypto.SealedLen(b * EncodedSize),
-		bk:     bk,
+		ct:     make([]byte, BlockFootprint(n, b)),
 	}
 	chunk := min(nb, max(initChunk/b, 1))
 	p, zeros := getBuf(chunk * st.pt)
@@ -188,16 +140,9 @@ func newSealed(s *memory.Space, c *crypto.Cipher, n, b int, bk backing) (*BlockE
 	clear(zeros)
 	for k := 0; k < nb; k += chunk {
 		m := min(chunk, nb-k)
-		ct, cp := bk.span(k, k+m-1)
-		c.SealRange(ct, zeros[:m*st.pt], st.pt)
-		err := bk.persist(ct, k)
-		putBuf(cp)
-		if err != nil {
-			bk.close()
-			return nil, err
-		}
+		c.SealRange(st.blocks(k, k+m-1), zeros[:m*st.pt], st.pt)
 	}
-	return &BlockEncrypted{ev: memory.Alloc[struct{}](s, n, SealedSize), st: st}, nil
+	return &BlockEncrypted{ev: memory.Alloc[struct{}](s, n, SealedSize), st: st}
 }
 
 // Len returns the number of logical entries.
@@ -206,18 +151,14 @@ func (e *BlockEncrypted) Len() int { return e.st.n }
 // Block returns the store's entries-per-block granularity B.
 func (e *BlockEncrypted) Block() int { return e.st.b }
 
-// Close releases the backing (deleting a spill file). Idempotent; the
-// gauge's release hook calls it when a streaming stage (or the run's
-// teardown) is done with the store.
-func (e *BlockEncrypted) Close() { e.st.bk.close() }
+// blocks returns sealed blocks [k0, k1] as one contiguous record range.
+func (st *blockState) blocks(k0, k1 int) []byte {
+	return st.ct[k0*st.unit : (k1+1)*st.unit]
+}
 
-// openBlock loads block k into ct, its slot of a staged span, and
-// opens it into plain.
-func (st *blockState) openBlock(plain, ct []byte, k int) error {
-	if err := st.bk.load(ct, k); err != nil {
-		return err
-	}
-	return authErr(st.cipher.Open(plain, ct))
+// openBlock opens block k into plain.
+func (st *blockState) openBlock(plain []byte, k int) error {
+	return authErr(st.cipher.Open(plain, st.blocks(k, k)))
 }
 
 // Get decrypts the block holding entry i and returns the entry.
@@ -227,10 +168,7 @@ func (e *BlockEncrypted) Get(i int) Entry {
 	k := i / st.b
 	p, plain := getBuf(st.pt)
 	defer putBuf(p)
-	ct, cp := st.bk.span(k, k)
-	err := st.openBlock(plain, ct, k)
-	putBuf(cp)
-	raise(err)
+	raise(st.openBlock(plain, k))
 	off := (i - k*st.b) * EncodedSize
 	return DecodeEntry(plain[off : off+EncodedSize])
 }
@@ -242,20 +180,14 @@ func (e *BlockEncrypted) Set(i int, v Entry) {
 	k := i / st.b
 	p, plain := getBuf(st.pt)
 	defer putBuf(p)
-	ct, cp := st.bk.span(k, k)
-	err := st.openBlock(plain, ct, k)
-	if err == nil {
-		v.Encode(plain[(i-k*st.b)*EncodedSize : (i-k*st.b+1)*EncodedSize])
-		st.cipher.Seal(ct, plain)
-		err = st.bk.persist(ct, k)
-	}
-	putBuf(cp)
-	raise(err)
+	raise(st.openBlock(plain, k))
+	v.Encode(plain[(i-k*st.b)*EncodedSize : (i-k*st.b+1)*EncodedSize])
+	st.cipher.Seal(st.blocks(k, k), plain)
 }
 
 // GetRange decrypts the run [lo, lo+len(dst)) into dst, emitting the
 // per-index read events in ascending order; the spanned blocks are
-// loaded and opened as one contiguous record range.
+// opened as one contiguous record range.
 func (e *BlockEncrypted) GetRange(lo int, dst []Entry) {
 	e.ev.GetRange(lo, touches(len(dst)))
 	if len(dst) == 0 {
@@ -265,13 +197,7 @@ func (e *BlockEncrypted) GetRange(lo int, dst []Entry) {
 	k0, k1 := lo/st.b, (lo+len(dst)-1)/st.b
 	p, plain := getBuf((k1 - k0 + 1) * st.pt)
 	defer putBuf(p)
-	ct, cp := st.bk.span(k0, k1)
-	err := st.bk.load(ct, k0)
-	if err == nil {
-		err = authErr(st.cipher.OpenRange(plain, ct, st.pt))
-	}
-	putBuf(cp)
-	raise(err)
+	raise(authErr(st.cipher.OpenRange(plain, st.blocks(k0, k1), st.pt)))
 	base := (lo - k0*st.b) * EncodedSize
 	for j := range dst {
 		dst[j] = DecodeEntry(plain[base+j*EncodedSize : base+(j+1)*EncodedSize])
@@ -292,29 +218,23 @@ func (e *BlockEncrypted) SetRange(lo int, src []Entry) {
 	k0, k1 := lo/st.b, (hi-1)/st.b
 	p, plain := getBuf((k1 - k0 + 1) * st.pt)
 	defer putBuf(p)
-	ct, cp := st.bk.span(k0, k1)
-	err := st.fillBoundaries(plain, ct, lo, hi, k0, k1)
-	if err == nil {
-		base := (lo - k0*st.b) * EncodedSize
-		for j := range src {
-			src[j].Encode(plain[base+j*EncodedSize : base+(j+1)*EncodedSize])
-		}
-		st.cipher.SealRange(ct, plain, st.pt)
-		err = st.bk.persist(ct, k0)
+	raise(st.fillBoundaries(plain, lo, hi, k0, k1))
+	base := (lo - k0*st.b) * EncodedSize
+	for j := range src {
+		src[j].Encode(plain[base+j*EncodedSize : base+(j+1)*EncodedSize])
 	}
-	putBuf(cp)
-	raise(err)
+	st.cipher.SealRange(st.blocks(k0, k1), plain, st.pt)
 }
 
 // fillBoundaries prepares the plaintext staging buffer for a write of
-// [lo, hi) spanning blocks [k0, k1], staged in ct: partially covered
-// boundary blocks are opened into place, and the padding tail of the
-// table's final block is zeroed. Interior blocks are fully covered and
-// need no read-back.
-func (st *blockState) fillBoundaries(plain, ct []byte, lo, hi, k0, k1 int) error {
+// [lo, hi) spanning blocks [k0, k1]: partially covered boundary blocks
+// are opened into place, and the padding tail of the table's final
+// block is zeroed. Interior blocks are fully covered and need no
+// read-back.
+func (st *blockState) fillBoundaries(plain []byte, lo, hi, k0, k1 int) error {
 	headPartial := lo%st.b != 0
 	if headPartial {
-		if err := st.openBlock(plain[:st.pt], ct[:st.unit], k0); err != nil {
+		if err := st.openBlock(plain[:st.pt], k0); err != nil {
 			return err
 		}
 	}
@@ -324,7 +244,7 @@ func (st *blockState) fillBoundaries(plain, ct []byte, lo, hi, k0, k1 int) error
 	d := k1 - k0
 	tail := plain[d*st.pt : (d+1)*st.pt]
 	if hi < st.n {
-		return st.openBlock(tail, ct[d*st.unit:(d+1)*st.unit], k1)
+		return st.openBlock(tail, k1)
 	}
 	// hi == n: everything past it in block k1 is padding — zero entries
 	// by construction — so stage zeros instead of reading back.
@@ -340,7 +260,7 @@ func (e *BlockEncrypted) Recorder() trace.Recorder { return e.ev.Recorder() }
 
 // Shard returns an alias of the store recording to rec, for Builder's
 // deferred write replay; nil when the underlying memory cannot be
-// sharded. The block state — cipher and backing — is shared.
+// sharded. The block state — cipher and sealed blocks — is shared.
 func (e *BlockEncrypted) Shard(rec trace.Recorder) any {
 	res := e.ev.Shard(rec)
 	if res == nil {
@@ -349,9 +269,8 @@ func (e *BlockEncrypted) Shard(rec trace.Recorder) any {
 	return &BlockEncrypted{ev: res.(*memory.Array[struct{}]), st: e.st}
 }
 
-// BlockEncryptedAlloc returns an Alloc producing heap-backed sealed
-// stores in s under c with b entries per block (b ≤ 0 selects
-// DefaultSealedBlock).
+// BlockEncryptedAlloc returns an Alloc producing sealed stores in s
+// under c with b entries per block (b ≤ 0 selects DefaultSealedBlock).
 func BlockEncryptedAlloc(s *memory.Space, c *crypto.Cipher, b int) Alloc {
 	return func(n int) Store {
 		return NewBlockEncrypted(s, c, n, b)

@@ -9,9 +9,8 @@ import (
 
 func newBenchCipher() (*crypto.Cipher, []byte, error) { return crypto.NewRandom() }
 
-// The TestBlockEncrypted* names below pin the default width on the heap
-// backing; the bodies, and the other widths and the file backing, are
-// in sealed_test.go.
+// The TestBlockEncrypted* names below pin the default width; the
+// bodies, and the other widths, are in sealed_test.go.
 
 func TestBlockEncryptedGetSetRoundTrip(t *testing.T) { checkGetSet(t, heap16) }
 
@@ -48,7 +47,7 @@ func TestBlockEncryptedAlloc(t *testing.T) {
 	}
 }
 
-// TestStoreRangeOpsAllocFree: the sealed store, on either backing, must
+// TestStoreRangeOpsAllocFree: the sealed store, at every width, must
 // not allocate per call in steady state (untraced spaces; traced runs
 // append to the recorder, whose growth is the recorder's).
 func TestStoreRangeOpsAllocFree(t *testing.T) {
@@ -59,7 +58,7 @@ func TestStoreRangeOpsAllocFree(t *testing.T) {
 	const n = 256
 	buf := make([]Entry, 96)
 	for _, k := range sealedKinds {
-		st := k.new(t, memory.NewSpace(nil, nil), c, n)
+		st := k.new(memory.NewSpace(nil, nil), c, n)
 		st.SetRange(3, buf) // warm the scratch pools
 		st.GetRange(3, buf)
 		for name, fn := range map[string]func(){

@@ -5,23 +5,16 @@ import (
 	"fmt"
 )
 
-// Typed storage-fault sentinels. Auth failures and spill IO errors on
-// the oblivious hot path cannot be returned through the Store
-// interface (its methods have no error results — by design, so the
-// data-oblivious inner loops stay branch-free), so they unwind as a
+// ErrSealedAuth is the typed storage fault: a sealed block or entry
+// failed authentication — the untrusted memory was tampered with. An
+// auth failure on the oblivious hot path cannot be returned through the
+// Store interface (its methods have no error results — by design, so
+// the data-oblivious inner loops stay branch-free), so it unwinds as a
 // *Fault panic instead of a raw string. The query runner recovers the
 // *Fault at its boundary and returns the wrapped error, which
-// errors.Is-matches one of these sentinels: a tampered block or a
-// failed spill disk kills one query, not the process.
-var (
-	// ErrSealedAuth: a sealed block or entry failed authentication —
-	// the untrusted memory or spill file was tampered with.
-	ErrSealedAuth = errors.New("table: sealed data authentication failed")
-
-	// ErrSpillIO: reading or writing a spill file failed (EIO, ENOSPC,
-	// short write, ...).
-	ErrSpillIO = errors.New("table: spill file I/O failed")
-)
+// errors.Is-matches this sentinel: a tampered block kills one query,
+// not the process.
+var ErrSealedAuth = errors.New("table: sealed data authentication failed")
 
 // Fault is the panic payload carrying a typed storage fault across the
 // error-free Store interface. Only the query runner's boundary recover
@@ -40,15 +33,6 @@ func authErr(err error) error {
 		return nil
 	}
 	return fmt.Errorf("%w: block: %w", ErrSealedAuth, err)
-}
-
-// ioErr types a spill-file IO failure (nil stays nil), keeping the
-// underlying errno (EIO, ENOSPC, ...) matchable through the wrap.
-func ioErr(op string, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %s: %w", ErrSpillIO, op, err)
 }
 
 // raise unwinds with err, if any, as a *Fault panic. The sealed store

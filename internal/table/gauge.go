@@ -15,22 +15,15 @@ import (
 // function of the plan and the (public) table sizes, which is what
 // makes it safe to gate in CI and meaningful for admission control.
 //
-// A Gauge is safe for concurrent use; the registry also carries cleanup
-// hooks (spill-file deletion), so ReleaseAll at the end of a run frees
-// whatever the run abandoned, including after a cancellation panic.
+// A Gauge is safe for concurrent use; ReleaseAll at the end of a run
+// discharges whatever the run abandoned, including after a
+// cancellation panic.
 type Gauge struct {
-	mu         sync.Mutex
-	live       int64
-	peak       int64
-	total      int64
-	spills     int64
-	spillBytes int64
-	tracked    map[Store]trackedStore
-}
-
-type trackedStore struct {
-	bytes   int64
-	cleanup func()
+	mu      sync.Mutex
+	live    int64
+	peak    int64
+	total   int64
+	tracked map[Store]int64 // store → charged heap footprint
 }
 
 func (g *Gauge) charge(n int64) {
@@ -64,97 +57,48 @@ func (g *Gauge) Discharge(n int64) {
 	g.mu.Unlock()
 }
 
-// Track registers a store with its heap footprint and an optional
-// cleanup hook, charging the footprint as live.
-func (g *Gauge) Track(st Store, bytes int64, cleanup func()) {
+// Track registers a store with its heap footprint, charging the
+// footprint as live. Re-registering a store adds to its footprint.
+func (g *Gauge) Track(st Store, bytes int64) {
 	if g == nil {
-		if cleanup != nil {
-			cleanup()
-		}
 		return
 	}
 	g.mu.Lock()
 	if g.tracked == nil {
-		g.tracked = map[Store]trackedStore{}
+		g.tracked = map[Store]int64{}
 	}
-	ts := trackedStore{bytes: bytes, cleanup: cleanup}
-	if old, ok := g.tracked[st]; ok {
-		// Re-registering merges: the footprints add and both cleanup
-		// hooks run on release.
-		ts.bytes += old.bytes
-		if old.cleanup != nil && cleanup != nil {
-			oldClean := old.cleanup
-			ts.cleanup = func() { cleanup(); oldClean() }
-		} else if cleanup == nil {
-			ts.cleanup = old.cleanup
-		}
-	}
-	g.tracked[st] = ts
+	g.tracked[st] += bytes
 	g.charge(bytes)
 	g.mu.Unlock()
 }
 
-// Spilled records that one intermediate of bytes on-disk bytes went to
-// the spill store instead of the heap.
-func (g *Gauge) Spilled(bytes int64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.spills++
-	g.spillBytes += bytes
-	g.mu.Unlock()
-}
-
-// Release discharges a tracked store and runs its cleanup hook.
-// Unknown stores and repeated releases are no-ops, so streaming stages
-// can release eagerly without coordinating with the run's teardown.
+// Release discharges a tracked store. Unknown stores and repeated
+// releases are no-ops, so streaming stages can release eagerly without
+// coordinating with the run's teardown.
 func (g *Gauge) Release(st Store) {
 	if g == nil || st == nil {
 		return
 	}
 	g.mu.Lock()
-	ts, ok := g.tracked[st]
-	if ok {
+	if bytes, ok := g.tracked[st]; ok {
 		delete(g.tracked, st)
-		g.live -= ts.bytes
+		g.live -= bytes
 	}
 	g.mu.Unlock()
-	if ok && ts.cleanup != nil {
-		ts.cleanup()
-	}
 }
 
-// ReleaseAll discharges every still-tracked store and runs the cleanup
-// hooks; the run-end backstop that guarantees spill files never outlive
-// their query, however the run ended.
+// ReleaseAll discharges every still-tracked store: the run-end
+// backstop, however the run ended.
 func (g *Gauge) ReleaseAll() {
 	if g == nil {
 		return
 	}
 	g.mu.Lock()
-	var hooks []func()
-	for st, ts := range g.tracked {
-		delete(g.tracked, st)
-		g.live -= ts.bytes
-		if ts.cleanup != nil {
-			hooks = append(hooks, ts.cleanup)
-		}
+	for _, bytes := range g.tracked {
+		g.live -= bytes
 	}
+	clear(g.tracked)
 	g.mu.Unlock()
-	for _, h := range hooks {
-		h()
-	}
-}
-
-// Live returns the current outstanding bytes.
-func (g *Gauge) Live() int64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.live
 }
 
 // Peak returns the high-water mark of outstanding bytes.
@@ -177,36 +121,11 @@ func (g *Gauge) Total() int64 {
 	return g.total
 }
 
-// Spills returns how many intermediates were diverted to spill storage.
-func (g *Gauge) Spills() int64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.spills
-}
-
-// SpillBytes returns the cumulative on-disk bytes of spilled
-// intermediates.
-func (g *Gauge) SpillBytes() int64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.spillBytes
-}
-
-// ReleaseStore releases st from g; both may be nil. The free function
-// the streaming stages call when a drained store is dead.
-func ReleaseStore(g *Gauge, st Store) { g.Release(st) }
-
 // ── heap footprints ──────────────────────────────────────────────────
 //
 // The per-kind footprint formulas below are the accounting weights the
-// budget allocator predicts with and the gauge charges: the dominant
-// backing allocation of each store kind, ignoring constant-size struct
+// gauge charges and the cost model predicts with: the dominant
+// allocation of each store kind, ignoring constant-size struct
 // overhead. They only need to be deterministic and consistent between
 // prediction and charge.
 
@@ -224,11 +143,10 @@ func BlockFootprint(n, b int) int64 {
 }
 
 // Footprint reports the heap footprint of an allocated store using the
-// same formulas as the predictors above. A sealed store answers for its
-// backing: blocks in a spill file weigh zero by this accounting.
+// same formulas as the predictors above.
 func Footprint(st Store) int64 {
 	if s, ok := st.(*BlockEncrypted); ok {
-		return s.st.bk.heapBytes()
+		return int64(len(s.st.ct))
 	}
 	return PlainFootprint(st.Len())
 }
@@ -243,7 +161,7 @@ func TrackedAlloc(base Alloc, g *Gauge) Alloc {
 	}
 	return func(n int) Store {
 		st := base(n)
-		g.Track(st, Footprint(st), nil)
+		g.Track(st, Footprint(st))
 		return st
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -14,22 +13,20 @@ import (
 )
 
 // This file is the conformance suite of the one sealed store: every
-// check runs through the same BlockEncrypted code over each backing and
-// a sweep of block widths. The older per-store test names in
-// block_test.go, encrypted_test.go and spill_test.go call into it.
+// check runs through the same BlockEncrypted code over a sweep of block
+// widths. The older per-store test names in block_test.go and
+// encrypted_test.go call into it.
 
 // sealedKind is one configuration of the sealed store under test.
 type sealedKind struct {
-	b    int  // entries per block
-	file bool // blocks in a spill file instead of the heap
+	b int // entries per block
 }
 
 var (
 	heap1  = sealedKind{b: 1}
 	heap16 = sealedKind{b: DefaultSealedBlock}
-	file16 = sealedKind{b: DefaultSealedBlock, file: true}
 
-	sealedKinds = []sealedKind{heap1, {b: 3}, heap16, file16}
+	sealedKinds = []sealedKind{heap1, {b: 3}, heap16}
 )
 
 func newCipher(t testing.TB) *crypto.Cipher {
@@ -45,25 +42,11 @@ func plainStore(s *memory.Space, n int) Store {
 	return memory.Alloc[Entry](s, n, EncodedSize)
 }
 
-func (k sealedKind) String() string {
-	if k.file {
-		return fmt.Sprintf("file/B=%d", k.b)
-	}
-	return fmt.Sprintf("heap/B=%d", k.b)
-}
+func (k sealedKind) String() string { return fmt.Sprintf("heap/B=%d", k.b) }
 
-// new allocates an n-entry store of this kind, closed with the test.
-func (k sealedKind) new(t testing.TB, s *memory.Space, c *crypto.Cipher, n int) *BlockEncrypted {
-	t.Helper()
-	if !k.file {
-		return NewBlockEncrypted(s, c, n, k.b)
-	}
-	st, err := NewSpillFS(s, c, nil, t.TempDir(), n, k.b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(st.Close)
-	return st
+// new allocates an n-entry store of this kind.
+func (k sealedKind) new(s *memory.Space, c *crypto.Cipher, n int) *BlockEncrypted {
+	return NewBlockEncrypted(s, c, n, k.b)
 }
 
 // sizes covers the boundary shapes the store must get right: one entry,
@@ -78,30 +61,15 @@ func (k sealedKind) sizes() []int {
 	return out
 }
 
-// blockBytes returns a copy of block k's ciphertext, through the
-// backing's own operations.
-func blockBytes(t testing.TB, st *BlockEncrypted, k int) []byte {
-	t.Helper()
-	ct, p := st.st.bk.span(k, k)
-	defer putBuf(p)
-	if err := st.st.bk.load(ct, k); err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Clone(ct)
+// blockBytes returns a copy of block k's ciphertext.
+func blockBytes(st *BlockEncrypted, k int) []byte {
+	return bytes.Clone(st.st.blocks(k, k))
 }
 
 // tamper flips one bit of block k's ciphertext where it lives.
-func tamper(t testing.TB, st *BlockEncrypted, k int) {
-	t.Helper()
-	ct, p := st.st.bk.span(k, k)
-	defer putBuf(p)
-	if err := st.st.bk.load(ct, k); err != nil {
-		t.Fatal(err)
-	}
+func tamper(st *BlockEncrypted, k int) {
+	ct := st.st.blocks(k, k)
 	ct[len(ct)/2] ^= 0x01
-	if err := st.st.bk.persist(ct, k); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // catchFault runs fn and returns the typed fault error it panicked
@@ -139,7 +107,7 @@ func checkGetSet(t *testing.T, k sealedKind) {
 	c := newCipher(t)
 	for _, n := range k.sizes() {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			st := k.new(t, memory.NewSpace(nil, nil), c, n)
+			st := k.new(memory.NewSpace(nil, nil), c, n)
 			if st.Len() != n || st.Block() != k.b {
 				t.Fatalf("Len=%d Block=%d", st.Len(), st.Block())
 			}
@@ -164,7 +132,7 @@ func checkGetSet(t *testing.T, k sealedKind) {
 func checkRange(t *testing.T, k sealedKind) {
 	c := newCipher(t)
 	for _, n := range k.sizes() {
-		st := k.new(t, memory.NewSpace(nil, nil), c, n)
+		st := k.new(memory.NewSpace(nil, nil), c, n)
 		for lo := 0; lo < n; lo++ {
 			for w := 0; lo+w <= n; w += max(1, n/7) {
 				src := make([]Entry, w)
@@ -191,7 +159,7 @@ func checkRange(t *testing.T, k sealedKind) {
 // the block's other entries.
 func checkPartialWrite(t *testing.T, k sealedKind) {
 	n := 2*k.b + 3
-	st := k.new(t, memory.NewSpace(nil, nil), newCipher(t), n)
+	st := k.new(memory.NewSpace(nil, nil), newCipher(t), n)
 	fill(st)
 	// An interior window straddling the first block boundary.
 	lo, w := max(k.b-3, 1), min(7, n-k.b)
@@ -218,7 +186,7 @@ func checkPartialWrite(t *testing.T, k sealedKind) {
 // checkTrace: the same access sequence against a plain array, by
 // element loops, and against the sealed store, by loops and by range
 // calls, must record bit-identical event logs — the invariant that
-// makes sealed and spilled runs trace-equal to plain runs.
+// makes sealed runs trace-equal to plain runs.
 func checkTrace(t *testing.T, k sealedKind) {
 	c := newCipher(t)
 	script := func(st Store, ranged bool) {
@@ -245,7 +213,7 @@ func checkTrace(t *testing.T, k sealedKind) {
 		script(plainStore(memory.NewSpace(plain, nil), n), false)
 		for _, ranged := range []bool{false, true} {
 			sealed := trace.NewLog()
-			script(k.new(t, memory.NewSpace(sealed, nil), c, n), ranged)
+			script(k.new(memory.NewSpace(sealed, nil), c, n), ranged)
 			if plain.Len() == 0 || !plain.Equal(sealed) {
 				t.Fatalf("n=%d ranged=%v: sealed trace diverges from plain at event %d", n, ranged, plain.FirstDivergence(sealed))
 			}
@@ -256,17 +224,17 @@ func checkTrace(t *testing.T, k sealedKind) {
 // checkRewrite: rewriting an entry with its own value changes the
 // block's ciphertext (fresh nonce) and keeps the plaintext.
 func checkRewrite(t *testing.T, k sealedKind) {
-	st := k.new(t, memory.NewSpace(nil, nil), newCipher(t), k.b+1)
+	st := k.new(memory.NewSpace(nil, nil), newCipher(t), k.b+1)
 	e := entryFixture()
 	st.Set(0, e)
-	before := blockBytes(t, st, 0)
+	before := blockBytes(st, 0)
 	st.Set(0, e)
-	after := blockBytes(t, st, 0)
+	after := blockBytes(st, 0)
 	if bytes.Equal(before, after) {
 		t.Fatal("rewriting identical entry produced identical ciphertext")
 	}
 	st.SetRange(0, []Entry{e})
-	if bytes.Equal(after, blockBytes(t, st, 0)) {
+	if bytes.Equal(after, blockBytes(st, 0)) {
 		t.Fatal("range-rewriting identical entry produced identical ciphertext")
 	}
 	if st.Get(0) != e {
@@ -278,9 +246,9 @@ func checkRewrite(t *testing.T, k sealedKind) {
 // its block with a typed ErrSealedAuth fault, and no others.
 func checkTamper(t *testing.T, k sealedKind) {
 	n := 3 * k.b
-	st := k.new(t, memory.NewSpace(nil, nil), newCipher(t), n)
+	st := k.new(memory.NewSpace(nil, nil), newCipher(t), n)
 	fill(st)
-	tamper(t, st, 1)
+	tamper(st, 1)
 	for name, fn := range map[string]func(){
 		"Get":      func() { st.Get(k.b) },
 		"Set":      func() { st.Set(k.b, Entry{}) },
@@ -300,9 +268,9 @@ func checkTamper(t *testing.T, k sealedKind) {
 // from another goroutine, returns.
 func checkPostFaultLiveness(t *testing.T, k sealedKind) {
 	n := 3 * k.b
-	st := k.new(t, memory.NewSpace(nil, nil), newCipher(t), n)
+	st := k.new(memory.NewSpace(nil, nil), newCipher(t), n)
 	fill(st)
-	tamper(t, st, 2)
+	tamper(st, 2)
 	if ferr := catchFault(t, func() { st.GetRange(0, make([]Entry, n)) }); !errors.Is(ferr, ErrSealedAuth) {
 		t.Fatalf("GetRange over tampered block = %v, want ErrSealedAuth", ferr)
 	}
@@ -339,7 +307,7 @@ func checkPostFaultLiveness(t *testing.T, k sealedKind) {
 func checkShard(t *testing.T, k sealedKind) {
 	parent := trace.NewLog()
 	n := 2*k.b + 2
-	st := k.new(t, memory.NewSpace(parent, nil), newCipher(t), n)
+	st := k.new(memory.NewSpace(parent, nil), newCipher(t), n)
 	before := parent.Len()
 	buf := trace.NewLog()
 	sh, ok := st.Shard(buf).(*BlockEncrypted)
@@ -356,26 +324,17 @@ func checkShard(t *testing.T, k sealedKind) {
 	}
 }
 
-// checkCiphertextOnly is the at-rest guarantee: the blocks, wherever
-// they live, are exactly ⌈n/B⌉ sealed units and a known plaintext
-// pattern written through the store never appears in them. A spill file
-// does not survive Close.
+// checkCiphertextOnly is the at-rest guarantee: the blocks are exactly
+// ⌈n/B⌉ sealed units and a known plaintext pattern written through the
+// store never appears in them.
 func checkCiphertextOnly(t *testing.T, k sealedKind) {
 	n := 3*k.b + 5
-	st := k.new(t, memory.NewSpace(nil, nil), newCipher(t), n)
+	st := k.new(memory.NewSpace(nil, nil), newCipher(t), n)
 	secret := MustData("TOPSECRETPAYLOAD")
 	for i := 0; i < n; i++ {
 		st.Set(i, Entry{J: 0x4141414141414141, D: secret})
 	}
-	var raw []byte
-	if k.file {
-		var err error
-		if raw, err = os.ReadFile(spillPath(st)); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		raw = st.st.bk.(*heapBlocks).ct
-	}
+	raw := st.st.ct
 	if int64(len(raw)) != BlockFootprint(n, k.b) {
 		t.Fatalf("sealed size %d, want %d", len(raw), BlockFootprint(n, k.b))
 	}
@@ -385,16 +344,7 @@ func checkCiphertextOnly(t *testing.T, k sealedKind) {
 	if bytes.Contains(raw, []byte("AAAAAAAA")) {
 		t.Fatal("sealed blocks contain plaintext key bytes")
 	}
-	st.Close()
-	st.Close() // idempotent
-	if k.file {
-		if _, err := os.Stat(spillPath(st)); !os.IsNotExist(err) {
-			t.Fatalf("spill file survives Close: %v", err)
-		}
-	}
 }
-
-func spillPath(st *BlockEncrypted) string { return st.st.bk.(*fileBlocks).f.Name() }
 
 func TestSealedConformance(t *testing.T) {
 	for _, k := range sealedKinds {

@@ -1,7 +1,7 @@
 // Package table defines the database entries the oblivious join operates
 // on, together with their constant-time comparators, fixed-width binary
 // encoding, and storage: plain traced memory and the one sealed store,
-// BlockEncrypted, over a heap or spill-file backing. What sealed memory
+// BlockEncrypted. What sealed memory
 // owes the security argument — block boundaries a public function of
 // the index, every write re-sealed under a fresh nonce, faults typed —
 // is stated and held once, at BlockEncrypted.
