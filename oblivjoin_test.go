@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"oblivjoin/internal/workload"
 )
@@ -234,5 +235,52 @@ func TestEmptyJoin(t *testing.T) {
 	}
 	if len(res.Pairs) != 0 {
 		t.Fatalf("pairs = %v", res.Pairs)
+	}
+}
+
+// TestJoinAccessPatternPinned pins the oblivious join's public
+// footprint at fixed sizes: the access-pattern hash, the comparator and
+// route-op counts, the output size and the simulated enclave time are
+// all functions of (n1, n2, m) alone, so any change to the pipeline's
+// schedule shows here. The (2100, 2100) case fills TC in more than one
+// table.Builder chunk. The hash comes from a run without SGXSim, whose
+// traced stores defer the fill's events through a trace shard; the
+// simulated time from a second run with it.
+func TestJoinAccessPatternPinned(t *testing.T) {
+	cases := []struct {
+		name      string
+		n1, n2    int
+		encrypted bool
+		hash      string
+		cmp, rops uint64
+		m         int
+		sim       time.Duration
+	}{
+		{"plain/1x1", 1, 1, false, "6b0167ca9ee9f15737b1f04b5c25ba3dc99abdea07be0f8b767bdc15e1089c13", 2, 0, 1, 3060},
+		{"plain/1023x1025", 1023, 1025, false, "cd32889564b10c2ff3b9aab56c3ccb28c57e771a3bea328500d34d2cc835abcf", 219681, 18456, 1025, 88126380},
+		{"plain/2100x2100", 2100, 2100, false, "43b5121eff0bfa3faed4edb9f8e8b0acef15639fab8ed80d8eabf29cc2d11d8e", 530742, 42210, 2100, 211176720},
+		{"encrypted/1023x1025", 1023, 1025, true, "cd32889564b10c2ff3b9aab56c3ccb28c57e771a3bea328500d34d2cc835abcf", 219681, 18456, 1025, 88126380},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r1, r2 := workload.PKFK(c.n1, c.n2, 7)
+			res, err := Join(FromRows(r1), FromRows(r2), &Options{
+				Encrypted: c.encrypted, TraceHash: true, CollectStats: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := Join(FromRows(r1), FromRows(r2), &Options{Encrypted: c.encrypted, SGXSim: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			if res.TraceHash != c.hash || st.SortComparisons != c.cmp || st.RouteOps != c.rops ||
+				st.M != c.m || sim.SimulatedTime != c.sim {
+				t.Fatalf("got hash %s cmp %d route %d m %d sim %d; want %s %d %d %d %d",
+					res.TraceHash, st.SortComparisons, st.RouteOps, st.M, int64(sim.SimulatedTime),
+					c.hash, c.cmp, c.rops, c.m, int64(c.sim))
+			}
+		})
 	}
 }
