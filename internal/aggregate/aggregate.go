@@ -25,7 +25,6 @@ package aggregate
 
 import (
 	"encoding/binary"
-	"math"
 
 	"oblivjoin/internal/compaction"
 	"oblivjoin/internal/core"
@@ -172,15 +171,6 @@ func JoinGroupStats(cfg *core.Config, rows1, rows2 []table.Row) []JoinStat {
 		out[i] = JoinStat{J: e.J, A1: e.A1, A2: e.A2, Pairs: e.A1 * e.A2}
 	}
 	return out
-}
-
-// SumPairs adds up the Pairs column — the join's output size m.
-func SumPairs(stats []JoinStat) uint64 {
-	var m uint64
-	for _, s := range stats {
-		m += s.Pairs
-	}
-	return m
 }
 
 // JoinSum extends JoinStat with per-side value sums, enabling SUM
@@ -332,7 +322,3 @@ func JoinGroupSums(cfg *core.Config, rows1, rows2 []table.Row, value ValueFunc) 
 	}
 	return left
 }
-
-// MaxValue is the largest representable aggregate value; exported for
-// callers that want an identity element for MIN.
-const MaxValue = math.MaxUint64

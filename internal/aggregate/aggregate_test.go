@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"oblivjoin/internal/memory"
 	"oblivjoin/internal/table"
 	"oblivjoin/internal/trace"
-	"oblivjoin/internal/workload"
 )
 
 func referenceGroupBy(items []Item) []Group {
@@ -114,8 +114,8 @@ func TestGroupByObliviousWithinClass(t *testing.T) {
 }
 
 func TestGroupByMinMaxExtremes(t *testing.T) {
-	got := GroupBy(plainCfg(), []Item{{K: 1, V: MaxValue}, {K: 1, V: 0}})
-	if got[0].Min != 0 || got[0].Max != MaxValue {
+	got := GroupBy(plainCfg(), []Item{{K: 1, V: math.MaxUint64}, {K: 1, V: 0}})
+	if got[0].Min != 0 || got[0].Max != math.MaxUint64 {
 		t.Fatalf("extremes wrong: %+v", got[0])
 	}
 }
@@ -149,19 +149,39 @@ func TestJoinGroupStatsFixed(t *testing.T) {
 			t.Fatalf("stat %d = %+v, want %+v", i, stats[i], want[i])
 		}
 	}
-	if SumPairs(stats) != 4 {
-		t.Fatalf("SumPairs = %d", SumPairs(stats))
+	if sumPairs(stats) != 4 {
+		t.Fatalf("Σ pairs = %d, want 4", sumPairs(stats))
 	}
+}
+
+// sumPairs adds up the Pairs column, which must equal the join's output
+// size m.
+func sumPairs(stats []JoinStat) uint64 {
+	var m uint64
+	for _, s := range stats {
+		m += s.Pairs
+	}
+	return m
+}
+
+// uniformKeys draws n keys uniformly from [0, keys).
+func uniformKeys(rng *rand.Rand, n, keys int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = uint64(rng.Intn(keys))
+	}
+	return out
 }
 
 func TestJoinGroupStatsMatchesJoinSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
-		t1, t2 := workload.Uniform(40+rng.Intn(40), 40+rng.Intn(40), 10, int64(trial))
+		t1 := rowsOf(uniformKeys(rng, 40+rng.Intn(40), 10), 1)
+		t2 := rowsOf(uniformKeys(rng, 40+rng.Intn(40), 10), 2)
 		stats := JoinGroupStats(plainCfg(), t1, t2)
 		m := core.OutputSize(plainCfg(), t1, t2)
-		if int(SumPairs(stats)) != m {
-			t.Fatalf("trial %d: Σ pairs = %d, join m = %d", trial, SumPairs(stats), m)
+		if int(sumPairs(stats)) != m {
+			t.Fatalf("trial %d: Σ pairs = %d, join m = %d", trial, sumPairs(stats), m)
 		}
 		for i := 1; i < len(stats); i++ {
 			if stats[i-1].J >= stats[i].J {

@@ -28,8 +28,6 @@
 // the constant-time swap.
 package bitonic
 
-import "oblivjoin/internal/memory"
-
 // Array is the storage a sorting network operates on: indexed element
 // access with public indices. *memory.Array[T] implements it directly;
 // encrypted stores (internal/table) implement it with transparent
@@ -97,14 +95,6 @@ func compareExchange[T any](less LessFunc[T], swap CondSwapFunc[T]) Kernel[T] {
 			swap(less(y[k], x[k]), &x[k], &y[k])
 		}
 	}
-}
-
-// SortSlice sorts a plain slice through a throwaway untraced space; a
-// convenience for callers that need oblivious ordering semantics without
-// trace plumbing.
-func SortSlice[T any](data []T, less LessFunc[T], swap CondSwapFunc[T], st *Stats) {
-	sp := memory.NewSpace(nil, nil)
-	Sort(memory.FromSlice(sp, data, 1), less, swap, st)
 }
 
 func greatestPowerOfTwoLessThan(n int) int {

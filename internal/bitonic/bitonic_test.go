@@ -15,6 +15,11 @@ func lessU64(x, y uint64) uint64 { return obliv.Less(x, y) }
 
 func swapU64(c uint64, x, y *uint64) { obliv.CondSwap(c, x, y) }
 
+// sortSlice sorts a plain slice through an untraced space.
+func sortSlice(data []uint64, less LessFunc[uint64], st *Stats) {
+	Sort(memory.FromSlice(memory.NewSpace(nil, nil), data, 1), less, swapU64, st)
+}
+
 func sortedCopy(in []uint64) []uint64 {
 	out := append([]uint64(nil), in...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -47,7 +52,7 @@ func TestSortSmallFixed(t *testing.T) {
 	}
 	for _, in := range tests {
 		data := append([]uint64(nil), in...)
-		SortSlice(data, lessU64, swapU64, nil)
+		sortSlice(data, lessU64, nil)
 		if !equal(data, sortedCopy(in)) {
 			t.Errorf("Sort(%v) = %v", in, data)
 		}
@@ -62,7 +67,7 @@ func TestSortAllLengthsUpTo64(t *testing.T) {
 			data[i] = uint64(rng.Intn(16)) // duplicates likely
 		}
 		want := sortedCopy(data)
-		SortSlice(data, lessU64, swapU64, nil)
+		sortSlice(data, lessU64, nil)
 		if !equal(data, want) {
 			t.Fatalf("n=%d: got %v want %v", n, data, want)
 		}
@@ -72,7 +77,7 @@ func TestSortAllLengthsUpTo64(t *testing.T) {
 func TestSortProperty(t *testing.T) {
 	f := func(in []uint64) bool {
 		data := append([]uint64(nil), in...)
-		SortSlice(data, lessU64, swapU64, nil)
+		sortSlice(data, lessU64, nil)
 		return equal(data, sortedCopy(in))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -154,7 +159,7 @@ func TestStatsMatchComparators(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8, 13, 16, 31, 64, 100} {
 		var st Stats
 		data := make([]uint64, n)
-		SortSlice(data, lessU64, swapU64, &st)
+		sortSlice(data, lessU64, &st)
 		if want := Comparators(n); st.CompareExchanges != want {
 			t.Fatalf("n=%d: counted %d compare-exchanges, Comparators says %d",
 				n, st.CompareExchanges, want)
@@ -194,7 +199,7 @@ func TestMergeExchangeFewerComparators(t *testing.T) {
 	n := 1024
 	var bit, me Stats
 	d1 := make([]uint64, n)
-	SortSlice(d1, lessU64, swapU64, &bit)
+	sortSlice(d1, lessU64, &bit)
 	sp := memory.NewSpace(nil, nil)
 	d2 := make([]uint64, n)
 	MergeExchangeSort(memory.FromSlice(sp, d2, 8), lessU64, swapU64, &me)
@@ -209,8 +214,8 @@ func TestSortStability_NotRequired_ButDeterministic(t *testing.T) {
 	in := []uint64{5, 3, 5, 1, 3}
 	a := append([]uint64(nil), in...)
 	b := append([]uint64(nil), in...)
-	SortSlice(a, lessU64, swapU64, nil)
-	SortSlice(b, lessU64, swapU64, nil)
+	sortSlice(a, lessU64, nil)
+	sortSlice(b, lessU64, nil)
 	if !equal(a, b) {
 		t.Fatal("network is not deterministic")
 	}
@@ -218,7 +223,7 @@ func TestSortStability_NotRequired_ButDeterministic(t *testing.T) {
 
 func TestDescendingViaInvertedLess(t *testing.T) {
 	data := []uint64{1, 9, 4, 4, 7}
-	SortSlice(data, func(x, y uint64) uint64 { return obliv.Greater(x, y) }, swapU64, nil)
+	sortSlice(data, func(x, y uint64) uint64 { return obliv.Greater(x, y) }, nil)
 	for i := 1; i < len(data); i++ {
 		if data[i-1] < data[i] {
 			t.Fatalf("not descending: %v", data)

@@ -573,13 +573,6 @@ func (c *Catalog) Version() uint64 {
 	return c.cur.version
 }
 
-// OldestVersion returns the oldest version still resolvable with At.
-func (c *Catalog) OldestVersion() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hist[0].version
-}
-
 // Schema returns the named table's schema.
 func (c *Catalog) Schema(name string) (Schema, error) { return c.Pin().Schema(name) }
 

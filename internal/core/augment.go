@@ -5,45 +5,13 @@ import (
 	"oblivjoin/internal/table"
 )
 
-// AugmentTables implements Algorithm 2: it concatenates the two input
-// tables (tagged with table IDs), sorts by ⟨j, tid⟩, computes the group
-// dimensions α1 and α2 with one forward and one backward linear pass
-// (Fill-Dimensions, Figure 2), re-sorts by ⟨tid, j, d⟩ and returns the
-// combined store together with views of the two augmented tables and the
-// output size m = Σ α1·α2 over groups.
-//
-// The returned m is public: the paper's algorithm deliberately reveals
-// the output length rather than padding to the quadratic worst case
-// (§3.2, "Revealing Output Length").
+// AugmentTables is AugmentTablesFeed2 over two in-memory row slices.
+// A slice feed cannot fail, so neither can it.
 func AugmentTables(cfg *Config, rows1, rows2 []table.Row) (tc table.Store, t1, t2 table.Store, m int) {
-	st := cfg.stats()
-	n1, n2 := len(rows1), len(rows2)
-	n := n1 + n2
-	tc = cfg.Alloc(n)
-	load := make([]table.Entry, n)
-	for i, r := range rows1 {
-		load[i] = table.Entry{J: r.J, D: r.D, TID: 1}
-	}
-	for i, r := range rows2 {
-		load[n1+i] = table.Entry{J: r.J, D: r.D, TID: 2}
-	}
-	storeRange(tc, 0, load)
-
-	cfg.SortStore(tc, table.LessJTID, &st.AugmentSort)
-	m = fillDimensions(cfg, tc)
-	cfg.SortStore(tc, table.LessTIDJD, &st.AugmentSort)
-
-	t1 = view{s: tc, off: 0, size: n1}
-	t2 = view{s: tc, off: n1, size: n2}
+	tc, t1, t2, m, _ = AugmentTablesFeed2(cfg, rowsFeed(rows1), rowsFeed(rows2))
 	return tc, t1, t2, m
 }
 
-// fillDimensions computes α1 and α2 for every entry of tc, which must be
-// sorted by ⟨j, tid⟩, and returns the total output size m. Each
-// direction is one carry scan — one read and one write per index,
-// executed by the blocked scan engine (scan.go) so the store traffic
-// batches; all data-dependent state lives in a constant number of local
-// variables and is manipulated branch-free.
 // RowFeed supplies one table's rows batch-wise: Len is the public total
 // row count, Next returns the next batch (the slice may be reused
 // between calls; nil at end of stream) and Close releases whatever the
@@ -56,11 +24,11 @@ type RowFeed interface {
 	Close()
 }
 
-// RowsFeed adapts an in-memory row slice to the RowFeed contract: one
+// rowsFeed adapts an in-memory row slice to the RowFeed contract: one
 // batch holding every row, then end of stream. It is how the
-// whole-slice call paths reuse the feed-shaped pipeline entry points
-// (and emits no events of its own, matching a staged slice exactly).
-func RowsFeed(rows []table.Row) RowFeed { return &sliceFeed{rows: rows} }
+// whole-slice entry points (AugmentTables, JoinKeyed, Join) run the one
+// feed-shaped pipeline; it emits no events of its own.
+func rowsFeed(rows []table.Row) RowFeed { return &sliceFeed{rows: rows} }
 
 type sliceFeed struct {
 	rows []table.Row
@@ -95,21 +63,23 @@ func drainInto(bld *table.Builder, feed RowFeed, tid uint64) error {
 	}
 }
 
-// AugmentTablesFeed is AugmentTables with the left table supplied
-// batch-wise; see AugmentTablesFeed2 for the trace-equivalence
-// argument (a slice is just a one-batch feed).
-func AugmentTablesFeed(cfg *Config, feed RowFeed, rows2 []table.Row) (tc table.Store, t1, t2 table.Store, m int, err error) {
-	return AugmentTablesFeed2(cfg, feed, RowsFeed(rows2))
-}
-
-// AugmentTablesFeed2 is AugmentTables with both tables supplied
-// batch-wise: batches append straight into TC through a table.Builder,
-// so neither side's staging slice of the materialized variant ever
-// exists — the join barrier consumes both pre-join scans incrementally
-// in sealed-block batches. Trace equivalence: the builder emits the
-// same ascending per-entry write events over [0, n1+n2), deferred
-// behind any upstream drain reads, so the canonical trace matches a
-// materialized run's bit for bit.
+// AugmentTablesFeed2 implements Algorithm 2: it concatenates the two
+// input tables (tagged with table IDs), sorts by ⟨j, tid⟩, computes the
+// group dimensions α1 and α2 with one forward and one backward linear
+// pass (Fill-Dimensions, Figure 2), re-sorts by ⟨tid, j, d⟩ and returns
+// the combined store together with views of the two augmented tables
+// and the output size m = Σ α1·α2 over groups.
+//
+// Both tables arrive batch-wise: batches append straight into TC
+// through a table.Builder, so no staging copy of either side exists and
+// the plaintext held at once is bounded by one builder chunk. The
+// builder emits the ascending per-entry write events over [0, n1+n2),
+// deferred behind any upstream drain reads, so the canonical trace is
+// the same whatever the batching.
+//
+// The returned m is public: the paper's algorithm deliberately reveals
+// the output length rather than padding to the quadratic worst case
+// (§3.2, "Revealing Output Length").
 func AugmentTablesFeed2(cfg *Config, feed1, feed2 RowFeed) (tc table.Store, t1, t2 table.Store, m int, err error) {
 	st := cfg.stats()
 	n1, n2 := feed1.Len(), feed2.Len()
@@ -140,6 +110,12 @@ func AugmentTablesFeed2(cfg *Config, feed1, feed2 RowFeed) (tc table.Store, t1, 
 	return tc, t1, t2, m, nil
 }
 
+// fillDimensions computes α1 and α2 for every entry of tc, which must be
+// sorted by ⟨j, tid⟩, and returns the total output size m. Each
+// direction is one carry scan — one read and one write per index,
+// executed by the blocked scan engine (scan.go) so the store traffic
+// batches; all data-dependent state lives in a constant number of local
+// variables and is manipulated branch-free.
 func fillDimensions(cfg *Config, tc table.Store) int {
 	// Forward pass: store incremental counts. Within a group (a run of
 	// equal j), entries from T1 precede entries from T2; c1 counts T1

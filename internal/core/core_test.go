@@ -428,6 +428,12 @@ func TestTraceDependsOnlyOnSizes(t *testing.T) {
 	}
 }
 
+// extents records each array's touched extent: its largest accessed
+// index plus one.
+type extents map[uint32]uint64
+
+func (x extents) Record(e trace.Event) { x[e.Array] = max(x[e.Array], e.Index+1) }
+
 // TestSpaceUsage pins the public-memory footprint of the join against
 // the §6.2 accounting: our implementation allocates the combined table
 // TC (n entries) plus one distribute array of max(nᵢ, m) per side. (The
@@ -438,18 +444,16 @@ func TestSpaceUsage(t *testing.T) {
 	cases := []struct{ n1, n2 int }{{8, 8}, {20, 4}, {3, 17}}
 	for _, tc := range cases {
 		t1, t2 := genWorkload("powerlaw", tc.n1+tc.n2, rand.New(rand.NewSource(31)))
-		s := trace.NewSummary()
+		s := extents{}
 		sp := memory.NewSpace(s, nil)
 		out := Join(&Config{Alloc: table.PlainAlloc(sp)}, t1, t2)
 		m := len(out)
-		max := func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		}
 		want := (len(t1) + len(t2)) + max(len(t1), m) + max(len(t2), m)
-		if got := int(s.TotalExtent()); got != want {
+		got := 0
+		for _, ext := range s {
+			got += int(ext)
+		}
+		if got != want {
 			t.Fatalf("n1=%d n2=%d m=%d: footprint %d entries, want %d",
 				len(t1), len(t2), m, got, want)
 		}

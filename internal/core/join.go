@@ -9,97 +9,33 @@ import (
 // Join computes the binary equi-join of two unsorted tables using the
 // full oblivious pipeline of Algorithm 1. The result contains one
 // (d1, d2) pair per matching pair of input rows, ordered by
-// (j, d1, alignment); its length m is public.
+// (j, d1, alignment); its length m is public. It is JoinKeyed without
+// the join column.
 func Join(cfg *Config, rows1, rows2 []table.Row) []table.Pair {
-	if cfg.Alloc == nil {
-		panic("core: Config.Alloc is required")
+	kp := JoinKeyed(cfg, rows1, rows2)
+	out := make([]table.Pair, len(kp))
+	for i, p := range kp {
+		out[i] = table.Pair{D1: p.D1, D2: p.D2}
 	}
-	st := cfg.stats()
-	st.N1, st.N2 = len(rows1), len(rows2)
-
-	t0 := time.Now()
-	_, t1, t2, m := AugmentTables(cfg, rows1, rows2)
-	st.TAugment += time.Since(t0)
-	st.M = m
-
-	s1 := ObliviousExpand(cfg, t1, GAlpha2, m)
-	s2 := ObliviousExpand(cfg, t2, GAlpha1, m)
-	AlignTable(cfg, s2)
-
-	t0 = time.Now()
-	out := make([]table.Pair, m)
-	zipStores(cfg, s1, s2, m, func(i int, e1, e2 *table.Entry) {
-		out[i] = table.Pair{D1: e1.D, D2: e2.D}
-	})
-	st.TZip += time.Since(t0)
 	return out
 }
 
-// zipStores reads s1 and s2 in lockstep blocks (batched when the
-// stores support ranges) and hands each aligned entry pair to fn,
-// probing for cancellation at block boundaries.
-func zipStores(cfg *Config, s1, s2 table.Store, m int, fn func(i int, e1, e2 *table.Entry)) {
-	const blk = 1024
-	check := cfg.checkFn()
-	var b1, b2 [blk]table.Entry
-	for lo := 0; lo < m; lo += blk {
-		if check != nil && lo > 0 {
-			check()
-		}
-		cnt := m - lo
-		if cnt > blk {
-			cnt = blk
-		}
-		loadRange(s1, lo, b1[:cnt])
-		loadRange(s2, lo, b2[:cnt])
-		for k := 0; k < cnt; k++ {
-			fn(lo+k, &b1[k], &b2[k])
-		}
-	}
-}
-
-// JoinKeyed is Join but retains the join value in each output row,
-// making the result directly re-joinable (the composition §7 of the
-// paper sketches for multi-way joins). The extra column changes nothing
-// about the access pattern: S1 is read at the same indices either way.
+// JoinKeyed is JoinKeyedFeed2 over two in-memory row slices. A slice
+// feed cannot fail, so neither can it.
 func JoinKeyed(cfg *Config, rows1, rows2 []table.Row) []table.KeyedPair {
-	if cfg.Alloc == nil {
-		panic("core: Config.Alloc is required")
-	}
-	st := cfg.stats()
-	st.N1, st.N2 = len(rows1), len(rows2)
-
-	t0 := time.Now()
-	_, t1, t2, m := AugmentTables(cfg, rows1, rows2)
-	st.TAugment += time.Since(t0)
-	st.M = m
-
-	s1 := ObliviousExpand(cfg, t1, GAlpha2, m)
-	s2 := ObliviousExpand(cfg, t2, GAlpha1, m)
-	AlignTable(cfg, s2)
-
-	t0 = time.Now()
-	out := make([]table.KeyedPair, m)
-	zipStores(cfg, s1, s2, m, func(i int, e1, e2 *table.Entry) {
-		out[i] = table.KeyedPair{J: e1.J, D1: e1.D, D2: e2.D}
-	})
-	st.TZip += time.Since(t0)
+	out, _ := JoinKeyedFeed2(cfg, rowsFeed(rows1), rowsFeed(rows2))
 	return out
 }
 
-// JoinKeyedFeed is JoinKeyed with the left table supplied batch-wise by
-// a RowFeed; see JoinKeyedFeed2 (a slice is just a one-batch feed).
-func JoinKeyedFeed(cfg *Config, feed RowFeed, rows2 []table.Row) ([]table.KeyedPair, error) {
-	return JoinKeyedFeed2(cfg, feed, RowsFeed(rows2))
-}
-
-// JoinKeyedFeed2 is JoinKeyed with both tables supplied batch-wise:
-// upstream batches append straight into TC (no staging slices), and
-// the join's internal stores are released into the run's gauge the
-// moment the pipeline is done with them — TC after the two expands, S1
-// and S2 after the zip — so the streaming executor's peak is the phase
-// maximum, not the sum. The access pattern, and hence the canonical
-// trace, is identical to JoinKeyed over the same sizes.
+// JoinKeyedFeed2 is Algorithm 1, the one body of the join pipeline:
+// Augment-Tables, two Oblivious-Expands, Align-Table, then a zip that
+// keeps the join value in each output row, making the result directly
+// re-joinable (the composition §7 of the paper sketches for multi-way
+// joins). Both tables arrive batch-wise: upstream batches append
+// straight into TC (no staging slices), and the join's internal stores
+// are released into the run's gauge the moment the pipeline is done
+// with them — TC after the two expands, S1 and S2 after the zip — so
+// the streaming executor's peak is the phase maximum, not the sum.
 func JoinKeyedFeed2(cfg *Config, feed1, feed2 RowFeed) ([]table.KeyedPair, error) {
 	if cfg.Alloc == nil {
 		panic("core: Config.Alloc is required")
@@ -129,6 +65,29 @@ func JoinKeyedFeed2(cfg *Config, feed1, feed2 RowFeed) ([]table.KeyedPair, error
 	cfg.ReleaseStore(s2)
 	st.TZip += time.Since(t0)
 	return out, nil
+}
+
+// zipStores reads s1 and s2 in lockstep blocks (batched when the
+// stores support ranges) and hands each aligned entry pair to fn,
+// probing for cancellation at block boundaries.
+func zipStores(cfg *Config, s1, s2 table.Store, m int, fn func(i int, e1, e2 *table.Entry)) {
+	const blk = 1024
+	check := cfg.checkFn()
+	var b1, b2 [blk]table.Entry
+	for lo := 0; lo < m; lo += blk {
+		if check != nil && lo > 0 {
+			check()
+		}
+		cnt := m - lo
+		if cnt > blk {
+			cnt = blk
+		}
+		loadRange(s1, lo, b1[:cnt])
+		loadRange(s2, lo, b2[:cnt])
+		for k := 0; k < cnt; k++ {
+			fn(lo+k, &b1[k], &b2[k])
+		}
+	}
 }
 
 // OutputSize runs only the Augment-Tables stage and reports the join's

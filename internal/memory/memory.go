@@ -43,9 +43,6 @@ func NewSpace(rec trace.Recorder, cost *CostModel) *Space {
 // Recorder returns the space's trace recorder.
 func (s *Space) Recorder() trace.Recorder { return s.rec }
 
-// Cost returns the space's cost model, or nil.
-func (s *Space) Cost() *CostModel { return s.cost }
-
 // Array is a traced slice of T living in public memory. ElemSize is the
 // public fixed width of one element in bytes, used by the cost model to
 // map element indices to memory pages.
@@ -116,8 +113,8 @@ func (a *Array[T]) SetRange(lo int, src []T) {
 
 func (a *Array[T]) touchRange(op trace.Op, lo, n int) {
 	// An explicit length check: slice expressions only bound against
-	// capacity, which after a truncating Resize would let an
-	// out-of-range batch silently read stale elements where the
+	// capacity, which for a slice wrapped below its capacity would let
+	// an out-of-range batch silently read stale elements where the
 	// equivalent Get/Set loop panics.
 	if lo < 0 || n < 0 || lo+n > len(a.data) {
 		panic(fmt.Sprintf("memory: range [%d,%d) out of bounds (len %d)", lo, lo+n, len(a.data)))
@@ -179,24 +176,6 @@ func (a *Array[T]) Shard(rec trace.Recorder) any {
 		data:     a.data,
 	}
 }
-
-// Resize grows or truncates the array to n elements. The reallocation is
-// not an observable per-element access (it models fresh allocation whose
-// size is public).
-func (a *Array[T]) Resize(n int) {
-	if n <= cap(a.data) {
-		a.data = a.data[:n]
-		return
-	}
-	nd := make([]T, n)
-	copy(nd, a.data)
-	a.data = nd
-}
-
-// Raw exposes the backing slice for test assertions and final output
-// extraction. Production algorithm code must never use Raw on secret
-// data; it bypasses the trace.
-func (a *Array[T]) Raw() []T { return a.data }
 
 func (a *Array[T]) touch(op trace.Op, i int) {
 	a.space.rec.Record(trace.Event{Op: op, Array: a.id, Index: uint64(i)})

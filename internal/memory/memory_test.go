@@ -46,20 +46,6 @@ func TestFromSliceSharesBacking(t *testing.T) {
 	}
 }
 
-func TestResize(t *testing.T) {
-	s := NewSpace(nil, nil)
-	a := Alloc[int](s, 2, 8)
-	a.Set(0, 7)
-	a.Resize(5)
-	if a.Len() != 5 || a.Get(0) != 7 {
-		t.Fatalf("Resize grow lost data: len=%d v=%d", a.Len(), a.Get(0))
-	}
-	a.Resize(1)
-	if a.Len() != 1 {
-		t.Fatalf("Resize shrink: len=%d", a.Len())
-	}
-}
-
 func TestNilRecorderDefaultsToNop(t *testing.T) {
 	s := NewSpace(nil, nil)
 	a := Alloc[int](s, 1, 8)
@@ -302,8 +288,7 @@ func TestTraced(t *testing.T) {
 
 func TestRangeAccessPanicsPastLenAfterResize(t *testing.T) {
 	s := NewSpace(nil, nil)
-	a := Alloc[int](s, 8, 8)
-	a.Resize(4) // capacity stays 8; length is now 4
+	a := FromSlice(s, make([]int, 8)[:4], 8) // capacity 8, length 4
 	defer func() {
 		if recover() == nil {
 			t.Fatal("GetRange past Len must panic like the Get loop would")

@@ -55,21 +55,6 @@ func Select(c, a, b uint64) uint64 {
 	return (a & m) | (b &^ m)
 }
 
-// SelectInt is Select for signed integers.
-func SelectInt(c uint64, a, b int) int {
-	return int(Select(c, uint64(a), uint64(b)))
-}
-
-// SelectInt64 is Select for int64 values.
-func SelectInt64(c uint64, a, b int64) int64 {
-	return int64(Select(c, uint64(a), uint64(b)))
-}
-
-// SelectUint32 is Select for uint32 values.
-func SelectUint32(c uint64, a, b uint32) uint32 {
-	return uint32(Select(c, uint64(a), uint64(b)))
-}
-
 // CondSwap swaps *a and *b when c == 1, in constant time. Both words are
 // always read and written, so the memory trace is identical whether or not
 // the swap takes place.
@@ -80,23 +65,10 @@ func CondSwap(c uint64, a, b *uint64) {
 	*b ^= t
 }
 
-// CondSwapInt64 swaps two int64 values when c == 1.
-func CondSwapInt64(c uint64, a, b *int64) {
-	m := mask(c)
-	t := (uint64(*a) ^ uint64(*b)) & m
-	*a = int64(uint64(*a) ^ t)
-	*b = int64(uint64(*b) ^ t)
-}
-
 // CondCopy copies src into dst when c == 1 and rewrites dst with its own
 // value when c == 0. dst is always written.
 func CondCopy(c uint64, dst *uint64, src uint64) {
 	*dst = Select(c, src, *dst)
-}
-
-// CondCopyInt64 is CondCopy for int64 values.
-func CondCopyInt64(c uint64, dst *int64, src int64) {
-	*dst = SelectInt64(c, src, *dst)
 }
 
 // Eq returns 1 if a == b, else 0, without branching.
@@ -130,28 +102,6 @@ func Greater(a, b uint64) uint64 {
 // GreaterEq returns 1 if a >= b (unsigned).
 func GreaterEq(a, b uint64) uint64 {
 	return Less(a, b) ^ 1
-}
-
-// LessInt64 returns 1 if a < b for signed values, else 0.
-func LessInt64(a, b int64) uint64 {
-	// Shift both into unsigned order by flipping the sign bit.
-	const top = uint64(1) << 63
-	return Less(uint64(a)^top, uint64(b)^top)
-}
-
-// EqInt64 returns 1 if a == b for signed values.
-func EqInt64(a, b int64) uint64 {
-	return Eq(uint64(a), uint64(b))
-}
-
-// Min returns the smaller of a and b in constant time.
-func Min(a, b uint64) uint64 {
-	return Select(Less(a, b), a, b)
-}
-
-// Max returns the larger of a and b in constant time.
-func Max(a, b uint64) uint64 {
-	return Select(Less(a, b), b, a)
 }
 
 // And returns the logical AND of two 0/1 conditions.

@@ -45,18 +45,6 @@ func TestSelectProperty(t *testing.T) {
 	}
 }
 
-func TestSelectIntNegative(t *testing.T) {
-	if got := SelectInt(1, -7, 3); got != -7 {
-		t.Fatalf("SelectInt(1,-7,3) = %d, want -7", got)
-	}
-	if got := SelectInt(0, -7, -3); got != -3 {
-		t.Fatalf("SelectInt(0,-7,-3) = %d, want -3", got)
-	}
-	if got := SelectInt64(1, math.MinInt64, 0); got != math.MinInt64 {
-		t.Fatalf("SelectInt64 = %d, want MinInt64", got)
-	}
-}
-
 func TestCondSwap(t *testing.T) {
 	a, b := uint64(3), uint64(8)
 	CondSwap(0, &a, &b)
@@ -80,18 +68,6 @@ func TestCondSwapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCondSwapInt64(t *testing.T) {
-	a, b := int64(-5), int64(12)
-	CondSwapInt64(1, &a, &b)
-	if a != 12 || b != -5 {
-		t.Fatalf("CondSwapInt64(1): got (%d,%d)", a, b)
-	}
-	CondSwapInt64(0, &a, &b)
-	if a != 12 || b != -5 {
-		t.Fatalf("CondSwapInt64(0) must not swap: got (%d,%d)", a, b)
 	}
 }
 
@@ -143,38 +119,6 @@ func TestComparisons(t *testing.T) {
 		if Less(a, b) != Bool(a < b) {
 			t.Errorf("Less(%d, %d) wrong", a, b)
 		}
-	}
-}
-
-func TestSignedComparisons(t *testing.T) {
-	f := func(a, b int64) bool {
-		return LessInt64(a, b) == Bool(a < b) && EqInt64(a, b) == Bool(a == b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	cases := [][2]int64{
-		{math.MinInt64, math.MaxInt64},
-		{math.MaxInt64, math.MinInt64},
-		{-1, 0}, {0, -1}, {-1, 1}, {math.MinInt64, math.MinInt64},
-	}
-	for _, c := range cases {
-		if LessInt64(c[0], c[1]) != Bool(c[0] < c[1]) {
-			t.Errorf("LessInt64(%d, %d) wrong", c[0], c[1])
-		}
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	f := func(a, b uint64) bool {
-		mn, mx := a, b
-		if b < a {
-			mn, mx = b, a
-		}
-		return Min(a, b) == mn && Max(a, b) == mx
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package ops provides the data-oblivious relational operators beyond
-// the join: selection (filter), duplicate elimination, set union and
-// semijoin. The paper observes (§1) that these "do not pose much of an
-// algorithmic challenge in most cases since often one can directly apply
-// sorting networks"; this package is that observation made concrete, so
-// the repository forms a usable oblivious query-processing toolkit.
+// the join that the SQL executor runs: selection (filter), duplicate
+// elimination, semijoin and ordering. The paper observes (§1) that
+// these "do not pose much of an algorithmic challenge in most cases
+// since often one can directly apply sorting networks"; this package is
+// that observation made concrete.
 //
-// Every operator takes the same *core.Config as the join pipeline:
-// storage comes from cfg.Alloc (plain or encrypted), sorts run through
-// the configured network, and the carry scans execute on the blocked
-// scan engine — so an operator's recorded trace is identical between
-// plain and sealed storage.
+// Every operator works in place on a store the executor has loaded and
+// returns the public length of the live prefix. Each takes the same
+// *core.Config as the join pipeline: storage comes from cfg.Alloc
+// (plain or encrypted), sorts run through the configured network, and
+// the carry scans execute on the blocked scan engine — so an operator's
+// recorded trace is identical between plain and sealed storage.
 //
 // Every operator's access pattern depends only on its input length and
 // its output length; the output length itself is public, exactly as for
@@ -29,36 +30,13 @@ import (
 // exactly once per row, in input order, regardless of its results.
 type Predicate func(table.Row) uint64
 
-func load(cfg *core.Config, rows []table.Row) table.Store {
-	a := cfg.Alloc(len(rows))
-	for i, r := range rows {
-		a.Set(i, table.Entry{J: r.J, D: r.D})
-	}
-	return a
-}
-
-func collect(a table.Store, k uint64) []table.Row {
-	out := make([]table.Row, k)
-	for i := range out {
-		e := a.Get(i)
-		out[i] = table.Row{J: e.J, D: e.D}
-	}
-	return out
-}
-
-// Filter returns the rows satisfying pred, in input order. The server
-// observes the input size, a fixed scan-and-compact pattern, and the
-// output size k — not which rows passed.
-func Filter(cfg *core.Config, rows []table.Row, pred Predicate) []table.Row {
-	a := load(cfg, rows)
-	return collect(a, FilterStore(cfg, a, pred))
-}
-
-// FilterStore is Filter over an already-loaded store: it nulls the
-// failing entries, compacts, and returns the (public) number of
-// survivors occupying the store's prefix. The streaming executor loads
-// the store batch-wise and drains the prefix batch-wise, so the
-// whole-relation slices of the materialized path never exist.
+// FilterStore keeps the entries satisfying pred, in input order: it
+// nulls the failing entries, compacts, and returns the (public) number
+// of survivors occupying the store's prefix. The server observes the
+// input size, a fixed scan-and-compact pattern, and the output size k —
+// not which rows passed. The streaming executor loads the store
+// batch-wise and drains the prefix batch-wise, so no whole-relation
+// slice exists.
 func FilterStore(cfg *core.Config, a table.Store, pred Predicate) uint64 {
 	var k uint64
 	cfg.ScanStore(a, false, func(_ int, e *table.Entry) {
@@ -70,16 +48,10 @@ func FilterStore(cfg *core.Config, a table.Store, pred Predicate) uint64 {
 	return k
 }
 
-// Distinct returns the unique rows of the input, sorted by (key, data).
-// Duplicates are detected by one branch-free scan over the sorted rows
-// and removed by oblivious compaction.
-func Distinct(cfg *core.Config, rows []table.Row) []table.Row {
-	a := load(cfg, rows)
-	return collect(a, DistinctStore(cfg, a))
-}
-
-// DistinctStore is Distinct over an already-loaded store; see
-// FilterStore for the prefix contract.
+// DistinctStore keeps the unique entries, sorted by (key, data).
+// Duplicates are detected by one branch-free scan over the sorted
+// entries and removed by oblivious compaction; see FilterStore for the
+// prefix contract.
 func DistinctStore(cfg *core.Config, a table.Store) uint64 {
 	cfg.SortStore(a, table.LessJD, cfg.RelationalSortStats())
 	var prev table.Entry
@@ -97,37 +69,14 @@ func DistinctStore(cfg *core.Config, a table.Store) uint64 {
 	return k
 }
 
-// Union returns the set union of two tables (duplicates across and
-// within inputs removed), sorted by (key, data).
-func Union(cfg *core.Config, a, b []table.Row) []table.Row {
-	both := make([]table.Row, 0, len(a)+len(b))
-	both = append(both, a...)
-	both = append(both, b...)
-	return Distinct(cfg, both)
-}
-
-// Semijoin returns the rows of left whose key appears in right (left ⋉
-// right), sorted by (key, data). It is the one-sided membership variant
-// of the join: one sort of the tagged concatenation, one scan, one
-// compaction — O(n log² n) with no expansion.
-func Semijoin(cfg *core.Config, left, right []table.Row) []table.Row {
-	n := len(left) + len(right)
-	a := cfg.Alloc(n)
-	// Right rows get TID 1 so they sort before left rows (TID 2) within
-	// a key group; a forward scan then knows, at every left row, whether
-	// the group contains a right row.
-	for i, r := range right {
-		a.Set(i, table.Entry{J: r.J, D: r.D, TID: 1})
-	}
-	for i, r := range left {
-		a.Set(len(right)+i, table.Entry{J: r.J, D: r.D, TID: 2})
-	}
-	return collect(a, SemijoinStore(cfg, a))
-}
-
-// SemijoinStore is the sort-scan-compact body of Semijoin over a store
-// already loaded with the tagged concatenation (right rows TID 1 first,
-// then left rows TID 2); see FilterStore for the prefix contract.
+// SemijoinStore keeps the left rows whose key appears among the right
+// rows (left ⋉ right), sorted by (key, data). The store holds the
+// tagged concatenation: right rows with TID 1 first, then left rows
+// with TID 2, so that right rows sort first within a key group and one
+// forward scan knows, at every left row, whether the group has a right
+// row. It is the one-sided membership variant of the join — one sort,
+// one scan, one compaction, O(n log² n) with no expansion; see
+// FilterStore for the prefix contract.
 func SemijoinStore(cfg *core.Config, a table.Store) uint64 {
 	// Sort by ⟨j, tid, d⟩: right rows first within each group (so one
 	// forward scan knows membership), left rows in data order (so the

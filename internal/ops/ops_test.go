@@ -34,9 +34,51 @@ func keysOf(rs []table.Row) []uint64 {
 	return out
 }
 
+// load and collect stand in for the executor's batch load and prefix
+// drain: rows go into a fresh store, and the first k entries come back.
+func load(cfg *core.Config, rows []table.Row) table.Store {
+	a := cfg.Alloc(len(rows))
+	for i, r := range rows {
+		a.Set(i, table.Entry{J: r.J, D: r.D})
+	}
+	return a
+}
+
+func collect(a table.Store, k uint64) []table.Row {
+	out := make([]table.Row, k)
+	for i := range out {
+		e := a.Get(i)
+		out[i] = table.Row{J: e.J, D: e.D}
+	}
+	return out
+}
+
+func filter(cfg *core.Config, rows []table.Row, pred Predicate) []table.Row {
+	a := load(cfg, rows)
+	return collect(a, FilterStore(cfg, a, pred))
+}
+
+func distinct(cfg *core.Config, rows []table.Row) []table.Row {
+	a := load(cfg, rows)
+	return collect(a, DistinctStore(cfg, a))
+}
+
+// semijoin loads the tagged concatenation SemijoinStore expects: right
+// rows with TID 1, then left rows with TID 2.
+func semijoin(cfg *core.Config, left, right []table.Row) []table.Row {
+	a := cfg.Alloc(len(left) + len(right))
+	for i, r := range right {
+		a.Set(i, table.Entry{J: r.J, D: r.D, TID: 1})
+	}
+	for i, r := range left {
+		a.Set(len(right)+i, table.Entry{J: r.J, D: r.D, TID: 2})
+	}
+	return collect(a, SemijoinStore(cfg, a))
+}
+
 func TestFilterKeepsMatching(t *testing.T) {
 	in := rows(1, 5, 2, 8, 3, 9)
-	got := Filter(sp(), in, func(r table.Row) uint64 { return obliv.Less(r.J, 5) })
+	got := filter(sp(), in, func(r table.Row) uint64 { return obliv.Less(r.J, 5) })
 	want := []uint64{1, 2, 3}
 	if fmt.Sprint(keysOf(got)) != fmt.Sprint(want) {
 		t.Fatalf("keys = %v, want %v", keysOf(got), want)
@@ -49,16 +91,16 @@ func TestFilterKeepsMatching(t *testing.T) {
 
 func TestFilterAllAndNone(t *testing.T) {
 	in := rows(1, 2, 3)
-	if got := Filter(sp(), in, func(table.Row) uint64 { return 1 }); len(got) != 3 {
+	if got := filter(sp(), in, func(table.Row) uint64 { return 1 }); len(got) != 3 {
 		t.Fatalf("keep-all returned %d", len(got))
 	}
-	if got := Filter(sp(), in, func(table.Row) uint64 { return 0 }); len(got) != 0 {
+	if got := filter(sp(), in, func(table.Row) uint64 { return 0 }); len(got) != 0 {
 		t.Fatalf("keep-none returned %d", len(got))
 	}
 }
 
 func TestFilterEmpty(t *testing.T) {
-	if got := Filter(sp(), nil, func(table.Row) uint64 { return 1 }); len(got) != 0 {
+	if got := filter(sp(), nil, func(table.Row) uint64 { return 1 }); len(got) != 0 {
 		t.Fatal("empty filter nonempty")
 	}
 }
@@ -72,7 +114,7 @@ func TestFilterProperty(t *testing.T) {
 		for i, k := range keys {
 			in[i] = table.Row{J: uint64(k), D: table.MustData(fmt.Sprintf("%d", i))}
 		}
-		got := Filter(sp(), in, func(r table.Row) uint64 {
+		got := filter(sp(), in, func(r table.Row) uint64 {
 			return obliv.Less(r.J, uint64(threshold))
 		})
 		var want []table.Row
@@ -100,7 +142,7 @@ func TestFilterOblivious(t *testing.T) {
 	run := func(keys []uint64, threshold uint64) string {
 		h := trace.NewHasher()
 		s := &core.Config{Alloc: table.PlainAlloc(memory.NewSpace(h, nil))}
-		Filter(s, rows(keys...), func(r table.Row) uint64 {
+		filter(s, rows(keys...), func(r table.Row) uint64 {
 			return obliv.Less(r.J, threshold)
 		})
 		return h.Hex()
@@ -121,7 +163,7 @@ func TestDistinct(t *testing.T) {
 		{J: 2, D: table.MustData("z")},
 		{J: 1, D: table.MustData("y")},
 	}
-	got := Distinct(sp(), in)
+	got := distinct(sp(), in)
 	if len(got) != 3 {
 		t.Fatalf("distinct = %v", got)
 	}
@@ -146,7 +188,7 @@ func TestDistinctProperty(t *testing.T) {
 		for i, k := range keys {
 			in[i] = table.Row{J: uint64(k % 8)} // zero payloads, many dups
 		}
-		got := Distinct(sp(), in)
+		got := distinct(sp(), in)
 		uniq := map[uint64]bool{}
 		for _, r := range in {
 			uniq[r.J] = true
@@ -166,22 +208,10 @@ func TestDistinctProperty(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := rows(1, 2, 3)
-	b := rows(3, 4)
-	// rows() stamps distinct payloads, so "same key" rows from different
-	// positions are distinct rows; build exact duplicates instead.
-	b[0] = a[2]
-	got := Union(sp(), a, b)
-	if len(got) != 4 {
-		t.Fatalf("union size = %d, want 4 (%v)", len(got), keysOf(got))
-	}
-}
-
 func TestSemijoin(t *testing.T) {
 	left := rows(1, 2, 2, 3, 4)
 	right := rows(2, 4, 9)
-	got := Semijoin(sp(), left, right)
+	got := semijoin(sp(), left, right)
 	want := []uint64{2, 2, 4}
 	if fmt.Sprint(keysOf(got)) != fmt.Sprint(want) {
 		t.Fatalf("semijoin keys = %v, want %v", keysOf(got), want)
@@ -194,10 +224,10 @@ func TestSemijoin(t *testing.T) {
 }
 
 func TestSemijoinEmptySides(t *testing.T) {
-	if got := Semijoin(sp(), nil, rows(1)); len(got) != 0 {
+	if got := semijoin(sp(), nil, rows(1)); len(got) != 0 {
 		t.Fatal("nil left")
 	}
-	if got := Semijoin(sp(), rows(1), nil); len(got) != 0 {
+	if got := semijoin(sp(), rows(1), nil); len(got) != 0 {
 		t.Fatal("nil right must eliminate everything")
 	}
 }
@@ -218,7 +248,7 @@ func TestSemijoinProperty(t *testing.T) {
 		for i, k := range r {
 			right[i] = table.Row{J: uint64(k % 10), D: table.MustData(fmt.Sprintf("R%d", i))}
 		}
-		got := Semijoin(sp(), left, right)
+		got := semijoin(sp(), left, right)
 		inRight := map[uint64]bool{}
 		for _, x := range right {
 			inRight[x.J] = true
@@ -254,7 +284,7 @@ func TestSemijoinOblivious(t *testing.T) {
 	run := func(l, r []uint64) string {
 		h := trace.NewHasher()
 		s := &core.Config{Alloc: table.PlainAlloc(memory.NewSpace(h, nil))}
-		Semijoin(s, rows(l...), rows(r...))
+		semijoin(s, rows(l...), rows(r...))
 		return h.Hex()
 	}
 	// n_left=4, n_right=2, k=2 in both runs.

@@ -89,9 +89,6 @@ func New(sp *memory.Space, n, blockSize int, seed int64) *ORAM {
 // Len returns the number of logical blocks.
 func (o *ORAM) Len() int { return o.n }
 
-// BlockSize returns the fixed block payload size.
-func (o *ORAM) BlockSize() int { return o.blockSize }
-
 // StashSize returns the current number of blocks parked in the stash;
 // exposed for the stash-growth experiments.
 func (o *ORAM) StashSize() int { return len(o.stash) }

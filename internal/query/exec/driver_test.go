@@ -105,9 +105,15 @@ func TestDriverHandOffs(t *testing.T) {
 		for _, fail := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/fail=%t", c.name, fail), func(t *testing.T) {
 				g := &table.Gauge{}
-				sp := memory.NewSpace(nil, nil)
+				plain := table.PlainAlloc(memory.NewSpace(nil, nil))
+				var stores []table.Store // every store the run allocates
+				alloc := func(n int) table.Store {
+					st := plain(n)
+					stores = append(stores, st)
+					return st
+				}
 				ctx := &Context{
-					Cfg:    &core.Config{Alloc: table.TrackedAlloc(table.PlainAlloc(sp), g), Mem: g},
+					Cfg:    &core.Config{Alloc: table.TrackedAlloc(alloc, g), Mem: g},
 					Tables: tables,
 				}
 				var taps []*tapped
@@ -149,11 +155,15 @@ func TestDriverHandOffs(t *testing.T) {
 						}
 					}
 				}
-				// The end of a run, as query.Run does it. ReleaseAll is the
-				// backstop for the stores no stage releases: a failed
-				// fill's half-built one, aggregate.GroupBy's work store.
+				// The end of a run. The stores no stage releases — a
+				// failed fill's half-built one, aggregate.GroupBy's work
+				// store — die with the run's gauge; releasing every store
+				// here leaves only the driver's hand-off charges, which
+				// must balance.
 				d.Close()
-				g.ReleaseAll()
+				for _, st := range stores {
+					g.Release(st)
+				}
 				if !drained(g) {
 					t.Error("bytes still charged (or discharged twice) after the run")
 				}

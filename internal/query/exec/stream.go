@@ -309,8 +309,8 @@ func (s Sort) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 }
 
 // RunStream implements Streamer. The subquery table is appended before
-// the upstream rows (right TID 1, then left TID 2), the load order of
-// ops.Semijoin.
+// the upstream rows (right TID 1, then left TID 2), the load order
+// ops.SemijoinStore expects.
 func (s Semijoin) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 	sub, err := lookup(ctx, s.Table, " in IN subquery")
 	if err != nil {

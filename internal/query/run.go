@@ -151,11 +151,9 @@ func run(ctx context.Context, opts Options, cipher *crypto.Cipher, tables map[st
 	if opts.Encrypted && cipher == nil {
 		return nil, nil, fmt.Errorf("query: encrypted execution without a cipher: %w", ErrInternal)
 	}
-	// Every store the run allocates is tracked in the gauge; ReleaseAll
-	// discharges whatever is still live on the way out — including
-	// stores abandoned by an error or a cancellation panic.
+	// Every store the run allocates is tracked in the run's own gauge,
+	// which PlanStats reads below and which dies with the run.
 	alloc, gauge := allocStack(opts, cipher, rec)
-	defer gauge.ReleaseAll()
 
 	collect := opts.CollectStats || opts.TraceHash
 	var coreStats *core.Stats

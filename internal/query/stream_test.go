@@ -217,25 +217,24 @@ func checkGolden(t *testing.T, cases []goldenCase) {
 	}
 }
 
-// TestStreamedMatchesMaterializedCorpus: every corpus query, in every
-// store mode, still produces the rows,
-// comparator count, trace-event count, peak bytes and canonical trace
-// hash the materialized executor produced for it.
-func TestStreamedMatchesMaterializedCorpus(t *testing.T) {
+// TestGoldenTraceCorpus: every corpus query, in every store mode, still
+// produces the rows, comparator count, trace-event count, peak bytes and
+// canonical trace hash recorded for it in the golden table.
+func TestGoldenTraceCorpus(t *testing.T) {
 	checkGolden(t, corpusCases())
 }
 
-// TestStreamedMatchesMaterializedSizes sweeps input sizes around the
-// batch width — 1, B−1, B, B+1 and a many-batch 4096 — over a
+// TestGoldenTraceSizes checks the golden table at input sizes around
+// the batch width — 1, B−1, B, B+1 and a many-batch 4096 — over a
 // scan→filter→distinct→sort→limit chain (every row-stream operator).
-func TestStreamedMatchesMaterializedSizes(t *testing.T) {
+func TestGoldenTraceSizes(t *testing.T) {
 	checkGolden(t, streamChainCases())
 }
 
-// TestStreamedJoinMatchesMaterialized covers the join hand-offs (a
-// filter feeding a join, its pairs feeding a rekey source, that source
-// feeding a second join) at the same sizes.
-func TestStreamedJoinMatchesMaterialized(t *testing.T) {
+// TestGoldenTraceJoinChain checks the golden table over the join
+// hand-offs (a filter feeding a join, its pairs feeding a rekey source,
+// that source feeding a second join) at the same sizes.
+func TestGoldenTraceJoinChain(t *testing.T) {
 	cases := joinChainCases()
 	if testing.Short() {
 		cases = cases[:len(cases)-1]

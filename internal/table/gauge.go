@@ -15,9 +15,9 @@ import (
 // function of the plan and the (public) table sizes, which is what
 // makes it safe to gate in CI and meaningful for admission control.
 //
-// A Gauge is safe for concurrent use; ReleaseAll at the end of a run
-// discharges whatever the run abandoned, including after a
-// cancellation panic.
+// A Gauge is safe for concurrent use. It lives for one run: a store the
+// run abandons (after an error or a cancellation panic) stays charged
+// and is dropped with the gauge.
 type Gauge struct {
 	mu      sync.Mutex
 	live    int64
@@ -84,20 +84,6 @@ func (g *Gauge) Release(st Store) {
 		delete(g.tracked, st)
 		g.live -= bytes
 	}
-	g.mu.Unlock()
-}
-
-// ReleaseAll discharges every still-tracked store: the run-end
-// backstop, however the run ended.
-func (g *Gauge) ReleaseAll() {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	for _, bytes := range g.tracked {
-		g.live -= bytes
-	}
-	clear(g.tracked)
 	g.mu.Unlock()
 }
 

@@ -217,12 +217,6 @@ func LessJD(x, y Entry) uint64 {
 	return lexLess2(obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J), LessData(x.D, y.D))
 }
 
-// LessF orders by ⟨f↑⟩ — the sort inside Oblivious-Distribute
-// (Algorithm 3, line 3).
-func LessF(x, y Entry) uint64 {
-	return obliv.Less(x.F, y.F)
-}
-
 // LessNullF orders by ⟨≠∅↑, f↑⟩ — the sort inside the extended
 // distribute (Algorithm 4, line 26): non-null entries first, ordered by
 // their destination index; ∅ entries last.
@@ -241,9 +235,6 @@ type Pair struct {
 	D1 Data
 	D2 Data
 }
-
-// PairSize is the public width of an output pair.
-const PairSize = 2 * DataLen
 
 // KeyedPair is one output row of a keyed join: the shared join value
 // and both data attributes. Keeping the key in the output is what makes

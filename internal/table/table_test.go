@@ -158,10 +158,7 @@ func TestLessNullF(t *testing.T) {
 	}
 }
 
-func TestLessFAndJII(t *testing.T) {
-	if LessF(Entry{F: 1}, Entry{F: 2}) != 1 || LessF(Entry{F: 2}, Entry{F: 2}) != 0 {
-		t.Fatal("LessF wrong")
-	}
+func TestLessJII(t *testing.T) {
 	f := func(jx, ix, jy, iy uint8) bool {
 		x := Entry{J: uint64(jx), II: uint64(ix)}
 		y := Entry{J: uint64(jy), II: uint64(iy)}
@@ -178,7 +175,7 @@ func TestComparatorsAreStrict(t *testing.T) {
 	e := entryFixture()
 	for name, less := range map[string]func(x, y Entry) uint64{
 		"LessJTID": LessJTID, "LessTIDJD": LessTIDJD,
-		"LessF": LessF, "LessNullF": LessNullF, "LessJII": LessJII,
+		"LessNullF": LessNullF, "LessJII": LessJII,
 	} {
 		if less(e, e) != 0 {
 			t.Errorf("%s(e, e) != 0", name)

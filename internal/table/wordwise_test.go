@@ -152,7 +152,6 @@ func TestEntryOrdersMatchBytewise(t *testing.T) {
 		{"LessJD", LessJD, func(x, y Entry) uint64 {
 			return refLess(refCmp(x.J, y.J), refCmpData(x.D, y.D))
 		}},
-		{"LessF", LessF, func(x, y Entry) uint64 { return refLess(refCmp(x.F, y.F)) }},
 		{"LessNullF", LessNullF, func(x, y Entry) uint64 {
 			return refLess(refCmp(x.Null, y.Null), refCmp(x.F, y.F))
 		}},
@@ -243,7 +242,7 @@ func BenchmarkCompareExchange(b *testing.B) {
 		less func(x, y Entry) uint64
 	}{
 		{"LessJTID", LessJTID}, {"LessTIDJD", LessTIDJD}, {"LessJD", LessJD},
-		{"LessF", LessF}, {"LessNullF", LessNullF}, {"LessJII", LessJII},
+		{"LessNullF", LessNullF}, {"LessJII", LessJII},
 	}
 	const span = 1024
 	rng := rand.New(rand.NewSource(5))

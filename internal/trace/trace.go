@@ -276,68 +276,6 @@ func (c *Counter) RecordRun(op Op, _ uint32, _ uint64, n int) {
 // Total returns reads + writes.
 func (c *Counter) Total() uint64 { return c.Reads + c.Writes }
 
-// Summary aggregates an event stream per array: how many reads and
-// writes each array received and its touched extent. It feeds the
-// space-usage analysis of §6.2 (total public memory is the sum of array
-// extents).
-type Summary struct {
-	PerArray map[uint32]*ArrayStats
-}
-
-// ArrayStats is the per-array aggregate.
-type ArrayStats struct {
-	Reads  uint64
-	Writes uint64
-	Extent uint64 // max touched index + 1
-}
-
-// NewSummary returns an empty summary.
-func NewSummary() *Summary {
-	return &Summary{PerArray: map[uint32]*ArrayStats{}}
-}
-
-// Record implements Recorder.
-func (s *Summary) Record(e Event) {
-	st, ok := s.PerArray[e.Array]
-	if !ok {
-		st = &ArrayStats{}
-		s.PerArray[e.Array] = st
-	}
-	if e.Op == Read {
-		st.Reads++
-	} else {
-		st.Writes++
-	}
-	if e.Index+1 > st.Extent {
-		st.Extent = e.Index + 1
-	}
-}
-
-// TotalExtent sums the touched extents of all arrays — the total public
-// memory footprint in entries.
-func (s *Summary) TotalExtent() uint64 {
-	var t uint64
-	for _, st := range s.PerArray {
-		t += st.Extent
-	}
-	return t
-}
-
-// Tee duplicates the event stream to several recorders.
-type Tee struct {
-	Recorders []Recorder
-}
-
-// NewTee returns a Recorder forwarding to all rs.
-func NewTee(rs ...Recorder) *Tee { return &Tee{Recorders: rs} }
-
-// Record forwards e to every underlying recorder.
-func (t *Tee) Record(e Event) {
-	for _, r := range t.Recorders {
-		r.Record(e)
-	}
-}
-
 // Render draws the log as a time×address ASCII bitmap in the style of the
 // paper's Figure 7: the horizontal axis is (discretized) time, the
 // vertical axis is the global memory index, '.' denotes no access in the
@@ -402,78 +340,6 @@ func (l *Log) Render(width, height int) string {
 		len(l.Events), total)
 	for _, row := range grid {
 		b.Write(row)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// RenderPGM emits the log as a binary-less plain PGM (P2) grayscale image,
-// suitable for saving to disk and viewing: background white, reads gray,
-// writes black — matching the light/dark shading of Figure 7.
-func (l *Log) RenderPGM(width, height int) string {
-	if width <= 0 {
-		width = 512
-	}
-	if height <= 0 {
-		height = 256
-	}
-	const (
-		bg    = 255
-		read  = 170
-		write = 0
-	)
-	img := make([][]int, height)
-	for y := range img {
-		img[y] = make([]int, width)
-		for x := range img[y] {
-			img[y][x] = bg
-		}
-	}
-	if len(l.Events) > 0 {
-		var total uint64
-		bases := map[uint32]uint64{}
-		extent := map[uint32]uint64{}
-		for _, e := range l.Events {
-			if e.Index+1 > extent[e.Array] {
-				extent[e.Array] = e.Index + 1
-			}
-		}
-		seen := map[uint32]bool{}
-		for _, e := range l.Events {
-			if !seen[e.Array] {
-				seen[e.Array] = true
-				bases[e.Array] = total
-				total += extent[e.Array]
-			}
-		}
-		if total == 0 {
-			total = 1
-		}
-		for t, e := range l.Events {
-			x := t * width / len(l.Events)
-			addr := bases[e.Array] + e.Index
-			y := int(addr * uint64(height) / total)
-			if y >= height {
-				y = height - 1
-			}
-			v := read
-			if e.Op == Write {
-				v = write
-			}
-			if v < img[y][x] {
-				img[y][x] = v
-			}
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "P2\n%d %d\n255\n", width, height)
-	for y := 0; y < height; y++ {
-		for x := 0; x < width; x++ {
-			if x > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%d", img[y][x])
-		}
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -19,15 +19,10 @@ import (
 // is therefore always complete — recovery never has to reason about a
 // half-written snapshot, only about which WAL tail applies over it.
 
-// WriteSnapshot atomically writes every table at version to path.
+// WriteSnapshotFS atomically writes every table at version to path
+// through fsys (nil selects the real OS; a fault.FS injects faults).
 // Tables are written in sorted name order so snapshots of equal states
 // are written deterministically.
-func WriteSnapshot(path string, cipher *crypto.Cipher, version uint64, tables map[string][]table.Row) error {
-	return WriteSnapshotFS(nil, path, cipher, version, tables)
-}
-
-// WriteSnapshotFS is WriteSnapshot over an explicit filesystem seam
-// (nil selects the real OS) — the fault-injection entry point.
 func WriteSnapshotFS(fsys fault.FS, path string, cipher *crypto.Cipher, version uint64, tables map[string][]table.Row) error {
 	fsys = fault.Or(fsys)
 	names := make([]string, 0, len(tables))
@@ -73,17 +68,11 @@ func WriteSnapshotFS(fsys fault.FS, path string, cipher *crypto.Cipher, version 
 	return syncDir(filepath.Dir(path))
 }
 
-// ReadSnapshot loads the snapshot at path, returning its version and
+// ReadSnapshotFS loads the snapshot at path through fsys (nil selects
+// the real OS; a fault.FS injects faults), returning its version and
 // tables. Snapshots are atomically renamed into place, so any damage —
 // including truncation — is real corruption and surfaces as a typed
 // *TailError, never as silent partial data.
-func ReadSnapshot(path string, cipher *crypto.Cipher) (uint64, map[string][]table.Row, error) {
-	return ReadSnapshotFS(nil, path, cipher)
-}
-
-// ReadSnapshotFS is ReadSnapshot over an explicit filesystem seam (nil
-// selects the real OS) — the recovery-read fault-injection entry
-// point.
 func ReadSnapshotFS(fsys fault.FS, path string, cipher *crypto.Cipher) (uint64, map[string][]table.Row, error) {
 	data, err := fault.Or(fsys).ReadFile(path)
 	if err != nil {

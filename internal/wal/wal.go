@@ -259,14 +259,9 @@ type Log struct {
 	ciph *crypto.Cipher
 }
 
-// Create creates (or truncates) a WAL at path with the given base
+// CreateFS creates (or truncates) a WAL at path through fsys (nil
+// selects the real OS; a fault.FS injects faults) with the given base
 // version and fsyncs the header, so an empty log is itself durable.
-func Create(path string, cipher *crypto.Cipher, base uint64) (*Log, error) {
-	return CreateFS(nil, path, cipher, base)
-}
-
-// CreateFS is Create over an explicit filesystem seam (nil selects the
-// real OS) — the fault-injection entry point.
 func CreateFS(fsys fault.FS, path string, cipher *crypto.Cipher, base uint64) (*Log, error) {
 	fsys = fault.Or(fsys)
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
@@ -340,20 +335,14 @@ func (l *Log) Records() int { return l.n }
 // Base returns the catalog version the log applies over.
 func (l *Log) Base() uint64 { return l.base }
 
-// ReplayFile reads the WAL at path, invoking fn for each intact record
+// ReplayFileFS reads the WAL at path through fsys (nil selects the real
+// OS; a fault.FS injects faults), invoking fn for each intact record
 // in order. It returns the header's base version, the count of intact
 // records, and goodSize — the byte offset one past the last intact
 // record. tail is non-nil when the file ends in damage: its Cause is
 // ErrTruncated for a torn tail (safe to truncate to goodSize and keep
 // going) and ErrChecksum/ErrFormat/crypto.ErrAuth for damage to bytes
 // that were once acknowledged. An error from fn aborts the replay.
-func ReplayFile(path string, cipher *crypto.Cipher, fn func(Record) error) (base uint64, n int, goodSize int64, tail *TailError, err error) {
-	return ReplayFileFS(nil, path, cipher, fn)
-}
-
-// ReplayFileFS is ReplayFile over an explicit filesystem seam (nil
-// selects the real OS) — the recovery-read fault-injection entry
-// point.
 func ReplayFileFS(fsys fault.FS, path string, cipher *crypto.Cipher, fn func(Record) error) (base uint64, n int, goodSize int64, tail *TailError, err error) {
 	data, err := fault.Or(fsys).ReadFile(path)
 	if err != nil {

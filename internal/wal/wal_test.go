@@ -90,7 +90,7 @@ func TestFrameRejectsBadOp(t *testing.T) {
 func writeLog(t *testing.T, ciph *crypto.Cipher, base uint64, recs []Record) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal-test.log")
-	l, err := Create(path, ciph, base)
+	l, err := CreateFS(nil, path, ciph, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	path := writeLog(t, ciph, 7, recs)
 
 	var got []Record
-	base, n, goodSize, tail, err := ReplayFile(path, ciph, func(r Record) error {
+	base, n, goodSize, tail, err := ReplayFileFS(nil, path, ciph, func(r Record) error {
 		got = append(got, r)
 		return nil
 	})
@@ -162,7 +162,7 @@ func TestReplayTornTail(t *testing.T) {
 	}
 
 	n := 0
-	base, cnt, goodSize, tail, err := ReplayFile(path, ciph, func(Record) error { n++; return nil })
+	base, cnt, goodSize, tail, err := ReplayFileFS(nil, path, ciph, func(Record) error { n++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestReplayShortHeader(t *testing.T) {
 		if err := os.WriteFile(path, make([]byte, n), 0o600); err != nil {
 			t.Fatal(err)
 		}
-		base, cnt, good, tail, err := ReplayFile(path, ciph, func(Record) error { return nil })
+		base, cnt, good, tail, err := ReplayFileFS(nil, path, ciph, func(Record) error { return nil })
 		if err != nil {
 			t.Fatalf("len %d: err = %v", n, err)
 		}
@@ -212,7 +212,7 @@ func TestReplayBadMagic(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, tail, err := ReplayFile(path, ciph, func(Record) error { return nil })
+	_, _, _, tail, err := ReplayFileFS(nil, path, ciph, func(Record) error { return nil })
 	if tail != nil {
 		t.Fatalf("tail = %v, want nil (fatal, not discardable)", tail)
 	}
@@ -235,7 +235,7 @@ func TestReplayBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, cnt, goodSize, tail, err := ReplayFile(path, ciph, func(Record) error { return nil })
+	_, cnt, goodSize, tail, err := ReplayFileFS(nil, path, ciph, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestReplayAuthFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, cnt, _, tail, err := ReplayFile(path, ciph, func(Record) error { return nil })
+	_, cnt, _, tail, err := ReplayFileFS(nil, path, ciph, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestReplayAuthFailure(t *testing.T) {
 // without the directory's master key.
 func TestReplayWrongKey(t *testing.T) {
 	path := writeLog(t, testCipher(t), 7, threeRecords(t))
-	_, cnt, _, tail, err := ReplayFile(path, testCipher(t), func(Record) error { return nil })
+	_, cnt, _, tail, err := ReplayFileFS(nil, path, testCipher(t), func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +301,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		"b":     mkRows(t, 1, 'b'),
 		"empty": {},
 	}
-	if err := WriteSnapshot(path, ciph, 42, tables); err != nil {
+	if err := WriteSnapshotFS(nil, path, ciph, 42, tables); err != nil {
 		t.Fatal(err)
 	}
-	ver, got, err := ReadSnapshot(path, ciph)
+	ver, got, err := ReadSnapshotFS(nil, path, ciph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,14 +325,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotTruncationIsCorruption(t *testing.T) {
 	ciph := testCipher(t)
 	path := filepath.Join(t.TempDir(), "snap-test.snap")
-	if err := WriteSnapshot(path, ciph, 3, map[string][]table.Row{"t": mkRows(t, 40, 'x')}); err != nil {
+	if err := WriteSnapshotFS(nil, path, ciph, 3, map[string][]table.Row{"t": mkRows(t, 40, 'x')}); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
 	if err := os.WriteFile(path, data[:len(data)-7], 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ReadSnapshot(path, ciph)
+	_, _, err := ReadSnapshotFS(nil, path, ciph)
 	var te *TailError
 	if !errors.As(err, &te) || !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want *TailError wrapping ErrTruncated", err)

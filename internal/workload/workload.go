@@ -88,21 +88,6 @@ func PKFK(nPK, nFK int, seed int64) (pk, fk []table.Row) {
 	return pk, fk
 }
 
-// Uniform draws both tables' keys uniformly from a key space of the
-// given size; expected output is n1·n2/keys.
-func Uniform(n1, n2, keys int, seed int64) (t1, t2 []table.Row) {
-	rng := rand.New(rand.NewSource(seed))
-	t1 = make([]table.Row, n1)
-	for i := range t1 {
-		t1[i] = mkRow(1, uint64(rng.Intn(keys)), i)
-	}
-	t2 = make([]table.Row, n2)
-	for i := range t2 {
-		t2[i] = mkRow(2, uint64(rng.Intn(keys)), i)
-	}
-	return t1, t2
-}
-
 // MatchingPairs is the Figure 8 workload: m ≈ n1 = n2 = n/2, realized
 // as n/2 one-to-one groups.
 func MatchingPairs(n int) (t1, t2 []table.Row) { return OneToOne(n) }
@@ -180,21 +165,4 @@ func EqualOutputClasses() []Class {
 			},
 		},
 	}
-}
-
-// CheckClass verifies that every variant of a class actually has the
-// declared public parameters; returns an error naming the first
-// mismatch. Experiments call this before trusting a class.
-func CheckClass(c Class, outputSize func(t1, t2 []table.Row) int) error {
-	for i, gen := range c.Variants {
-		t1, t2 := gen()
-		if len(t1) != c.N1 || len(t2) != c.N2 {
-			return fmt.Errorf("class %q variant %d: sizes (%d,%d), declared (%d,%d)",
-				c.Name, i, len(t1), len(t2), c.N1, c.N2)
-		}
-		if m := outputSize(t1, t2); m != c.M {
-			return fmt.Errorf("class %q variant %d: m=%d, declared %d", c.Name, i, m, c.M)
-		}
-	}
-	return nil
 }

@@ -101,15 +101,6 @@ func TestPKFK(t *testing.T) {
 	}
 }
 
-func TestUniformExpectedOutput(t *testing.T) {
-	t1, t2 := Uniform(300, 300, 30, 5)
-	m := outputSize(t1, t2)
-	// E[m] = 300·300/30 = 3000; allow wide slack.
-	if m < 1500 || m > 6000 {
-		t.Fatalf("m = %d, far from expectation 3000", m)
-	}
-}
-
 func TestMatchingPairsRegime(t *testing.T) {
 	t1, t2 := MatchingPairs(1000)
 	m := outputSize(t1, t2)
@@ -123,8 +114,16 @@ func TestEqualOutputClassesAreConsistent(t *testing.T) {
 		if len(c.Variants) < 2 {
 			t.Fatalf("class %q has %d variants; need ≥2 to test anything", c.Name, len(c.Variants))
 		}
-		if err := CheckClass(c, outputSize); err != nil {
-			t.Fatal(err)
+		// Every variant must have the declared public parameters.
+		for i, gen := range c.Variants {
+			t1, t2 := gen()
+			if len(t1) != c.N1 || len(t2) != c.N2 {
+				t.Fatalf("class %q variant %d: sizes (%d,%d), declared (%d,%d)",
+					c.Name, i, len(t1), len(t2), c.N1, c.N2)
+			}
+			if m := outputSize(t1, t2); m != c.M {
+				t.Fatalf("class %q variant %d: m=%d, declared %d", c.Name, i, m, c.M)
+			}
 		}
 	}
 }

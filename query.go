@@ -1,18 +1,15 @@
 package oblivjoin
 
 import (
-	"oblivjoin/internal/aggregate"
 	"oblivjoin/internal/core"
 	"oblivjoin/internal/memory"
-	"oblivjoin/internal/obliv"
-	"oblivjoin/internal/ops"
 	"oblivjoin/internal/table"
 )
 
-// This file exposes the oblivious query operators beyond the binary
-// join: keyed join (for multi-way composition), grouping aggregation,
-// selection, duplicate elimination, union and semijoin. Each operator's
-// access pattern depends only on its input and output sizes.
+// This file exposes the keyed join, whose output feeds another join —
+// the multi-way composition of the paper's §7. The other relational
+// operators (selection, grouping, duplicate elimination, semijoin) run
+// through the SQL engine (see Engine).
 
 // KeyedPair is one output row of JoinKeyed: the shared join key and the
 // two data payloads.
@@ -69,125 +66,3 @@ var ErrKeyedUnsupported = errInvalid("oblivjoin: JoinKeyed supports only Algorit
 type errInvalid string
 
 func (e errInvalid) Error() string { return string(e) }
-
-// GroupItem is one input record of GroupBy.
-type GroupItem struct {
-	Key   uint64
-	Value uint64
-}
-
-// GroupResult is one aggregated group.
-type GroupResult struct {
-	Key   uint64
-	Count uint64
-	Sum   uint64
-	Min   uint64
-	Max   uint64
-}
-
-// GroupBy computes per-key COUNT, SUM, MIN and MAX obliviously. The
-// result is sorted by key; its length (the number of groups) is public,
-// everything else about the grouping structure is hidden.
-func GroupBy(items []GroupItem) []GroupResult {
-	in := make([]aggregate.Item, len(items))
-	for i, it := range items {
-		in[i] = aggregate.Item{K: it.Key, V: it.Value}
-	}
-	gs := aggregate.GroupBy(plainCfg(), in)
-	out := make([]GroupResult, len(gs))
-	for i, g := range gs {
-		out[i] = GroupResult{Key: g.K, Count: g.Count, Sum: g.Sum, Min: g.Min, Max: g.Max}
-	}
-	return out
-}
-
-// JoinGroupStat describes one joinable group: how many rows each side
-// contributes and the resulting pair count.
-type JoinGroupStat struct {
-	Key       uint64
-	LeftRows  uint64
-	RightRows uint64
-	Pairs     uint64
-}
-
-// JoinGroupStats returns per-group statistics of left ⋈ right — COUNT-
-// style aggregation over the join — in O(n log² n), without paying for
-// the (possibly much larger) join output. This implements the paper's
-// §7 observation that aggregations over joins need fewer sorting steps
-// than the full join.
-func JoinGroupStats(left, right *Table) []JoinGroupStat {
-	sp := memory.NewSpace(nil, nil)
-	cfg := &core.Config{Alloc: table.PlainAlloc(sp)}
-	stats := aggregate.JoinGroupStats(cfg, left.rows, right.rows)
-	out := make([]JoinGroupStat, len(stats))
-	for i, s := range stats {
-		out[i] = JoinGroupStat{Key: s.J, LeftRows: s.A1, RightRows: s.A2, Pairs: s.Pairs}
-	}
-	return out
-}
-
-// Predicate decides, in constant time, whether a row is kept (1) or
-// dropped (0). Implementations must be branch-free on the row contents:
-// build them from the CT helpers below rather than Go if statements, or
-// the filter's timing will leak which rows passed.
-type Predicate func(key uint64, data [MaxDataLen]byte) uint64
-
-// CTLess returns 1 if a < b, constant time.
-func CTLess(a, b uint64) uint64 { return obliv.Less(a, b) }
-
-// CTEq returns 1 if a == b, constant time.
-func CTEq(a, b uint64) uint64 { return obliv.Eq(a, b) }
-
-// CTAnd combines two 0/1 conditions.
-func CTAnd(a, b uint64) uint64 { return obliv.And(a, b) }
-
-// CTOr combines two 0/1 conditions.
-func CTOr(a, b uint64) uint64 { return obliv.Or(a, b) }
-
-// CTNot negates a 0/1 condition.
-func CTNot(a uint64) uint64 { return obliv.Not(a) }
-
-// CTBetween returns 1 if lo ≤ x ≤ hi, constant time.
-func CTBetween(x, lo, hi uint64) uint64 {
-	return obliv.And(obliv.GreaterEq(x, lo), obliv.LessEq(x, hi))
-}
-
-// Filter returns a new table holding the rows satisfying pred, in input
-// order. The server observes only the input size and the number of rows
-// kept.
-func Filter(t *Table, pred Predicate) *Table {
-	kept := ops.Filter(plainCfg(), t.rows, func(r table.Row) uint64 { return pred(r.J, r.D) })
-	return &Table{rows: kept}
-}
-
-// plainCfg builds the default throwaway configuration the stand-alone
-// relational helpers run under: plain untraced storage, sequential
-// execution. The SQL engine threads a real shared Config instead.
-func plainCfg() *core.Config {
-	return &core.Config{Alloc: table.PlainAlloc(memory.NewSpace(nil, nil))}
-}
-
-// Distinct returns the unique rows of t, sorted by (key, data).
-func Distinct(t *Table) *Table {
-	return &Table{rows: ops.Distinct(plainCfg(), t.rows)}
-}
-
-// Union returns the set union of two tables.
-func Union(a, b *Table) *Table {
-	return &Table{rows: ops.Union(plainCfg(), a.rows, b.rows)}
-}
-
-// Semijoin returns the rows of left whose key appears in right, without
-// expanding matches (left ⋉ right).
-func Semijoin(left, right *Table) *Table {
-	return &Table{rows: ops.Semijoin(plainCfg(), left.rows, right.rows)}
-}
-
-// Pairs lists a table's rows as (key, data) for inspection.
-func (t *Table) Pairs() []KeyedPair {
-	out := make([]KeyedPair, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = KeyedPair{Key: r.J, Left: table.DataString(r.D)}
-	}
-	return out
-}

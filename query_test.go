@@ -1,8 +1,9 @@
 package oblivjoin
 
 import (
-	"fmt"
 	"testing"
+
+	"oblivjoin/internal/table"
 )
 
 func TestJoinKeyed(t *testing.T) {
@@ -34,108 +35,12 @@ func TestToTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := tab.Pairs()
-	if len(got) != 1 || got[0].Key != 1 || got[0].Left != "a+b" {
+	got := tab.Rows()
+	if len(got) != 1 || got[0].J != 1 || table.DataString(got[0].D) != "a+b" {
 		t.Fatalf("got %+v", got)
 	}
 	long := []KeyedPair{{Key: 1, Left: "aaaaaaaaaa", Right: "bbbbbbbbbb"}}
 	if _, err := ToTable(long, "+"); err == nil {
 		t.Fatal("expected overflow error")
-	}
-}
-
-func TestGroupByPublicAPI(t *testing.T) {
-	items := []GroupItem{
-		{Key: 1, Value: 10}, {Key: 2, Value: 5}, {Key: 1, Value: 20},
-	}
-	got := GroupBy(items)
-	want := []GroupResult{
-		{Key: 1, Count: 2, Sum: 30, Min: 10, Max: 20},
-		{Key: 2, Count: 1, Sum: 5, Min: 5, Max: 5},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %+v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("group %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if out := GroupBy(nil); len(out) != 0 {
-		t.Fatal("GroupBy(nil) nonempty")
-	}
-}
-
-func TestJoinGroupStatsPublicAPI(t *testing.T) {
-	left, right := buildTables(t) // key 2: 2 left rows × 2 right rows
-	stats := JoinGroupStats(left, right)
-	if len(stats) != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	s := stats[0]
-	if s.Key != 2 || s.LeftRows != 2 || s.RightRows != 2 || s.Pairs != 4 {
-		t.Fatalf("stat = %+v", s)
-	}
-	// Total pair count must equal the join's m without running the join.
-	if int(s.Pairs) != OutputSize(left, right) {
-		t.Fatal("Pairs disagrees with OutputSize")
-	}
-}
-
-func TestFilterPublicAPI(t *testing.T) {
-	tab := NewTable()
-	for i := uint64(0); i < 10; i++ {
-		tab.MustAppend(i, fmt.Sprintf("row%d", i))
-	}
-	kept := Filter(tab, func(key uint64, _ [MaxDataLen]byte) uint64 {
-		return CTBetween(key, 3, 6)
-	})
-	if kept.Len() != 4 {
-		t.Fatalf("kept %d rows", kept.Len())
-	}
-	for _, p := range kept.Pairs() {
-		if p.Key < 3 || p.Key > 6 {
-			t.Fatalf("row %+v escaped the filter", p)
-		}
-	}
-}
-
-func TestCTHelpers(t *testing.T) {
-	if CTLess(1, 2) != 1 || CTLess(2, 1) != 0 {
-		t.Fatal("CTLess")
-	}
-	if CTEq(5, 5) != 1 || CTEq(5, 6) != 0 {
-		t.Fatal("CTEq")
-	}
-	if CTAnd(1, 0) != 0 || CTOr(1, 0) != 1 || CTNot(0) != 1 {
-		t.Fatal("CT logic")
-	}
-	if CTBetween(5, 5, 5) != 1 || CTBetween(4, 5, 6) != 0 || CTBetween(7, 5, 6) != 0 {
-		t.Fatal("CTBetween")
-	}
-}
-
-func TestDistinctUnionSemijoinPublicAPI(t *testing.T) {
-	a := NewTable()
-	a.MustAppend(1, "x")
-	a.MustAppend(1, "x") // duplicate
-	a.MustAppend(2, "y")
-
-	d := Distinct(a)
-	if d.Len() != 2 {
-		t.Fatalf("Distinct len = %d", d.Len())
-	}
-
-	b := NewTable()
-	b.MustAppend(2, "y") // duplicate across tables
-	b.MustAppend(3, "z")
-	u := Union(a, b)
-	if u.Len() != 3 {
-		t.Fatalf("Union len = %d: %+v", u.Len(), u.Pairs())
-	}
-
-	s := Semijoin(a, b)
-	if s.Len() != 1 || s.Pairs()[0].Key != 2 {
-		t.Fatalf("Semijoin = %+v", s.Pairs())
 	}
 }
