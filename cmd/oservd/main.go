@@ -88,12 +88,11 @@ type options struct {
 	csvs                     csvFlags
 	addr, dataDir            string
 	encrypted, sealed, stats bool
-	header, costPlan         bool
+	header                   bool
 	cache, maxInFlight       int
 	queueDepth, demo         int
 	snapshotEvery, history   int
 	queryTimeout             time.Duration
-	replanFactor             float64
 }
 
 // flags registers every oservd flag on fs. README's flag table names
@@ -113,8 +112,6 @@ func flags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.dataDir, "data-dir", "", "durable catalog directory: sealed WAL + snapshots, recovered on boot (empty = memory-only)")
 	fs.IntVar(&o.snapshotEvery, "snapshot-every", 0, "commits between automatic snapshots (0 = default 256, <0 disables)")
 	fs.IntVar(&o.history, "history", 0, "retained catalog versions for AS OF reads (0 = default 64, <0 unlimited)")
-	fs.BoolVar(&o.costPlan, "cost-plan", false, "enable the cost-aware planner: greedy join ordering and predicate pushdown from public cardinalities")
-	fs.Float64Var(&o.replanFactor, "replan-factor", 0, "replan when observed comparator cost diverges from the model by this factor (> 1 arms; implies stats)")
 	fs.Var(&o.csvs, "csv", "register a CSV file as a table: name=path (repeatable)")
 	return o
 }
@@ -153,12 +150,6 @@ func main() {
 	}
 	if o.history != 0 {
 		opts = append(opts, oblivjoin.WithHistory(o.history))
-	}
-	if o.costPlan {
-		opts = append(opts, oblivjoin.WithCostPlan())
-	}
-	if o.replanFactor > 1 {
-		opts = append(opts, oblivjoin.WithReplanFactor(o.replanFactor))
 	}
 	eng, err := oblivjoin.OpenEngine(opts...)
 	if err != nil {

@@ -48,9 +48,7 @@ type options struct {
 	tables                      tableFlags
 	header, explain, replace    bool
 	encrypted, stats, traceHash bool
-	costPlan                    bool
 	dataDir                     string
-	replanFactor                float64
 }
 
 // flags registers every osql flag on fs. README's flag table names
@@ -65,8 +63,6 @@ func flags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.traceHash, "tracehash", false, "also compute the SHA-256 access-pattern digest (implies -stats)")
 	fs.StringVar(&o.dataDir, "data-dir", "", "durable catalog directory (sealed WAL + snapshots): query persisted tables, including AS OF versions")
 	fs.BoolVar(&o.replace, "replace", false, "-t overwrites an existing durable table instead of failing")
-	fs.BoolVar(&o.costPlan, "cost-plan", false, "enable the cost-aware planner: greedy join ordering and predicate pushdown from public cardinalities")
-	fs.Float64Var(&o.replanFactor, "replan-factor", 0, "replan when observed comparator cost diverges from the model by this factor (> 1 arms; implies -stats)")
 	return o
 }
 
@@ -98,12 +94,6 @@ func main() {
 	}
 	if o.dataDir != "" {
 		opts = append(opts, oblivjoin.WithDataDir(o.dataDir))
-	}
-	if o.costPlan {
-		opts = append(opts, oblivjoin.WithCostPlan())
-	}
-	if o.replanFactor > 1 {
-		opts = append(opts, oblivjoin.WithReplanFactor(o.replanFactor))
 	}
 	eng, err := oblivjoin.OpenEngine(opts...)
 	if err != nil {
@@ -162,7 +152,7 @@ func main() {
 	for _, row := range res.Rows {
 		fmt.Println(strings.Join(row, ","))
 	}
-	if ps != nil && (o.stats || o.traceHash || o.replanFactor > 1) {
+	if ps != nil && (o.stats || o.traceHash) {
 		fmt.Fprintln(os.Stderr, ps)
 		if m := stmt.Model(); m != nil {
 			fmt.Fprintf(os.Stderr, "comparators: modeled %d, observed %d\n",

@@ -74,31 +74,6 @@ func WithTraceHash() EngineOption {
 	return func(c *service.Config) { c.Defaults.TraceHash = true; c.Defaults.CollectStats = true }
 }
 
-// WithCostPlan enables the cost-aware planner: JOIN ... USING chains
-// are greedily ordered by modeled comparator count, the WHERE filter
-// is pushed below semijoins, and every multi-join plan ends in a
-// canonicalizing stage that makes any join order produce identical
-// output bytes. The ordering decision reads only public cardinalities
-// (table row counts and, with WithReplanFactor, observed join output
-// sizes — public by the paper's design), never table contents: two
-// databases with equal public sizes always run the identical plan with
-// the identical access-pattern trace. Off by default; default plans
-// and result bytes are exactly those of previous releases.
-func WithCostPlan() EngineOption {
-	return func(c *service.Config) { c.Defaults.CostPlan = true }
-}
-
-// WithReplanFactor arms adaptive replanning: every execution compares
-// its observed comparator count against the plan's modeled cost, and
-// when they diverge by more than factor (in either direction) the
-// engine records the observed join output sizes, evicts the cached
-// plan, and re-plans the next Prepare with the observed sizes fed into
-// the cost model. Each cached plan replans at most once per catalog
-// version. Values ≤ 1 disarm the hook. Implies WithStats.
-func WithReplanFactor(factor float64) EngineOption {
-	return func(c *service.Config) { c.ReplanFactor = factor }
-}
-
 // WithPlanCache bounds the engine's prepared-plan LRU cache to n
 // entries (default service.DefaultPlanCache).
 func WithPlanCache(n int) EngineOption {

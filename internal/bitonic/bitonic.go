@@ -28,6 +28,8 @@
 // the constant-time swap.
 package bitonic
 
+import "math/bits"
+
 // Array is the storage a sorting network operates on: indexed element
 // access with public indices. *memory.Array[T] implements it directly;
 // encrypted stores (internal/table) implement it with transparent
@@ -138,29 +140,38 @@ func MergeExchangeComparators(n int) uint64 {
 
 // Comparators returns the exact number of compare–exchanges the bitonic
 // network performs on an input of length n; useful for cross-checking
-// Table 3's analytic counts without running a sort.
+// Table 3's analytic counts without running a sort. The network sorts
+// halves of lengths ⌊n/2⌋ and ⌈n/2⌉, so each level of the recursion has
+// at most two distinct lengths; memoizing them makes the count
+// O(log² n) rather than a walk of all O(n log n) comparators — the
+// planner prices every candidate join order with it.
 func Comparators(n int) uint64 {
+	memo := map[int]uint64{}
+	var sort func(n int) uint64
+	sort = func(n int) uint64 {
+		if n <= 1 {
+			return 0
+		}
+		if c, ok := memo[n]; ok {
+			return c
+		}
+		c := sort(n/2) + sort(n-n/2) + mergeComparators(n)
+		memo[n] = c
+		return c
+	}
+	return sort(n)
+}
+
+// mergeComparators counts the bitonic merge of n elements: merging n
+// splits at the greatest power of two m < n, costs n−m compare–
+// exchanges, and recurses on m — (m/2)·log₂ m in closed form — and on
+// n−m.
+func mergeComparators(n int) uint64 {
 	var c uint64
-	var sort func(n int)
-	var merge func(n int)
-	merge = func(n int) {
-		if n <= 1 {
-			return
-		}
+	for n > 1 {
 		m := greatestPowerOfTwoLessThan(n)
-		c += uint64(n - m)
-		merge(m)
-		merge(n - m)
+		c += uint64(n-m) + uint64(m/2)*uint64(bits.Len(uint(m))-1)
+		n -= m
 	}
-	sort = func(n int) {
-		if n <= 1 {
-			return
-		}
-		m := n / 2
-		sort(m)
-		sort(n - m)
-		merge(n)
-	}
-	sort(n)
 	return c
 }

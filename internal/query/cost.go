@@ -9,8 +9,10 @@ package query
 // counts the instrumented executor reports in PlanStats — so modeled
 // and observed comparators are equal whenever the model's output-size
 // inputs are exact, and the difference between them is exactly the
-// estimation error of the intermediate sizes (which the service layer
-// feeds back via Card.JoinRows, see internal/service).
+// estimation error of the intermediate sizes (Card.JoinRows feeds exact
+// ones in). The planner prices join orders with the same model: it
+// reorders a chain only when the greedy order plus restore(m) is
+// strictly cheaper than the written order (plan.go, orderJoins).
 //
 // Formula provenance (all mirrored from the executing code, and pinned
 // by cost_test.go against instrumented runs):
@@ -43,9 +45,10 @@ import (
 // model consume. Rows reports a base table's (public) row count.
 // JoinRows optionally reports the output size of joining the
 // accumulated left side (identified by its table list, in execution
-// order) with one more table — the adaptive-feedback channel: observed
-// join output sizes are public by design (§3.2 of the paper reveals
-// m), so feeding them back never consults data contents.
+// order) with one more table — the seam through which an observed m
+// replaces the estimate: join output sizes are public by design (§3.2
+// of the paper reveals m), so feeding them in never consults data
+// contents.
 type Card interface {
 	Rows(table string) (n int, ok bool)
 	JoinRows(left []string, right string) (m int, ok bool)
@@ -172,8 +175,8 @@ func (cm *costModel) join(n1, n2, m int) (comp, route uint64, bytes int64) {
 // estJoinRows is the default intermediate-size estimator when no
 // feedback is available: min(n1, n2), the exact answer when the
 // smaller side's keys each match at most one row of the larger (the
-// foreign-key shape). Fan-out joins exceed it — which is precisely the
-// divergence the adaptive replan hook detects and feeds back.
+// foreign-key shape). Fan-out joins exceed it, and the model's
+// comparators then differ from the observed ones.
 func estJoinRows(n1, n2 int) int { return min(n1, n2) }
 
 // ComputePlanCost walks a linear plan and models every stage's

@@ -66,7 +66,7 @@ func TestJoinCostModelExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := BuildPlan(q, func(string) bool { return true })
+			plan, err := BuildPlanCfg(q, func(string) bool { return true }, PlanConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestDistributeRouteOpsSmall(t *testing.T) {
 
 // TestRenderPlanCost smoke-tests the EXPLAIN cost table.
 func TestRenderPlanCost(t *testing.T) {
-	e := NewEngineWith(Options{CostPlan: true})
+	e := NewEngine()
 	if err := e.Register("t1", seqTable(0, 8, "a")); err != nil {
 		t.Fatal(err)
 	}
@@ -162,28 +162,5 @@ func TestRenderPlanCost(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("ExplainCost output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestScanColumnAnnotation: key-only pipelines annotate the scan; any
-// payload consumer suppresses the annotation.
-func TestScanColumnAnnotation(t *testing.T) {
-	e := NewEngineWith(Options{CostPlan: true})
-	if err := e.Register("t", seqTable(0, 8, "a")); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := e.Explain("SELECT key, COUNT(*) FROM t GROUP BY key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "scan(t cols=key)") {
-		t.Errorf("key-only plan not annotated: %s", plan)
-	}
-	plan, err = e.Explain("SELECT key, data FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan, "cols=") {
-		t.Errorf("payload-consuming plan annotated: %s", plan)
 	}
 }

@@ -37,15 +37,6 @@ type Options struct {
 	// only because benchmarks/ names it (ROADMAP 'A benchmark-archetype
 	// PR').
 	Shards int
-	// CostPlan enables the cost-aware planner (internal/query/cost.go):
-	// JOIN ... USING chains are greedily ordered by modeled comparator
-	// count, the WHERE filter is pushed below semijoins, and every
-	// multi-join plan ends in a canonicalizing Restore stage so any
-	// ordering choice produces identical output bytes. The ordering
-	// decision reads only public cardinalities — never table contents.
-	// Off by default: default plans and result bytes are exactly those
-	// of previous releases.
-	CostPlan bool
 }
 
 // PlanStats is the per-query execution report: one entry per physical
@@ -189,9 +180,8 @@ func (e *Engine) PlanCost(src string) (*PlanCostReport, error) {
 	return ComputePlanCost(plan, tablesCard(e.tables), e.opts), nil
 }
 
-// ExplainCost renders the plan together with its modeled cost table —
-// the EXPLAIN form of the cost-aware planner. Like Explain, it
-// executes nothing and reads no table contents.
+// ExplainCost renders the plan together with its modeled cost table.
+// Like Explain, it executes nothing and reads no table contents.
 func (e *Engine) ExplainCost(src string) (string, error) {
 	q, err := Parse(src)
 	if err != nil {

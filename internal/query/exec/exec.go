@@ -284,12 +284,14 @@ func (j Join) Name() string { return fmt.Sprintf("oblivious-join(%s)", j.Table) 
 // m-row join output.
 type JoinAggregate struct {
 	Table string
-	Sum   bool // also compute per-side value sums
+	// SumLeft and SumRight mark the sides whose value sums the query
+	// projects; either one selects the sums form of the fast path.
+	SumLeft, SumRight bool
 }
 
 // Name implements Operator.
 func (j JoinAggregate) Name() string {
-	if j.Sum {
+	if j.SumLeft || j.SumRight {
 		return fmt.Sprintf("join-group-sums(%s) [§7 fast path]", j.Table)
 	}
 	return fmt.Sprintf("join-group-stats(%s) [§7 fast path]", j.Table)
@@ -301,14 +303,23 @@ func (j JoinAggregate) Run(ctx *Context, in Relation) (Relation, error) {
 	if err != nil {
 		return Relation{}, err
 	}
-	if !j.Sum {
+	if !j.SumLeft && !j.SumRight {
 		stats := aggregate.JoinGroupStats(ctx.Cfg, in.Rows, right)
 		return Relation{Kind: KindJoinStats, JoinStats: stats}, nil
 	}
-	// Validate payloads up front — BEFORE the oblivious pass runs — and
-	// report every offending value, not just the first one a side
-	// channel happened to catch.
-	if err := checkNumericPayloads(in.Rows, right); err != nil {
+	// Validate the summed sides' payloads up front — BEFORE the
+	// oblivious pass runs — and report every offending value, not just
+	// the first one a side channel happened to catch. A side the query
+	// does not sum may hold any payload: its value parses to 0 and its
+	// sum is never projected.
+	var summed [][]table.Row
+	if j.SumLeft {
+		summed = append(summed, in.Rows)
+	}
+	if j.SumRight {
+		summed = append(summed, right)
+	}
+	if err := checkNumericPayloads(summed...); err != nil {
 		return Relation{}, err
 	}
 	value := func(r table.Row) uint64 {

@@ -7,15 +7,15 @@ import (
 	"oblivjoin/internal/table"
 )
 
-// This file is the byte-identity machinery of the cost-aware planner:
-// the escape codec that makes accumulated rekey payloads unambiguously
+// This file is the byte-identity machinery of join reordering: the
+// escape codec that makes accumulated rekey payloads unambiguously
 // splittable, and the Restore operator that maps a reordered join
 // chain's output back onto the written-order payload layout and
 // canonically sorts it. A plan that reorders joins ends with a Restore
-// stage; the written-order variant of the same plan ends with the
-// identity Restore (canonical sort only), so the two produce identical
-// bytes for every input — including inputs with duplicate rows, where
-// the raw chain output orders differ structurally between join orders.
+// stage; the written-order chain followed by the identity Restore
+// (canonical sort only) produces identical bytes for every input —
+// including inputs with duplicate rows, where the raw chain output
+// orders differ structurally between join orders.
 
 // rekeyEscape is the escape character of the accumulated-payload
 // encoding: a raw payload's '\' becomes `\\` and its '+' becomes `\+`,
@@ -99,10 +99,10 @@ func isIdentityPerm(perm []int) bool {
 	return true
 }
 
-// Restore finalizes a multi-way join chain planned by the cost-aware
-// planner: it rewrites each output pair's payload segments into the
-// written-order layout and sorts the relation into the canonical
-// ⟨j, d1, d2⟩ order through the run's configured sorting network.
+// Restore finalizes a multi-way join chain the planner reordered: it
+// rewrites each output pair's payload segments into the written-order
+// layout and sorts the relation into the canonical ⟨j, d1, d2⟩ order
+// through the run's configured sorting network.
 //
 // Perm maps written table slots onto execution slots: the chain joins
 // k+1 tables, execution-order slot vector = the k−1 accumulated

@@ -26,15 +26,8 @@ type PlanNode interface {
 	Describe() string
 }
 
-// ScanNode reads a registered table. Cols, set by the cost-aware
-// planner, annotates which columns downstream stages actually consume
-// ("key" when every payload byte is dead). Rows are fixed-width, so
-// the annotation changes no access pattern — it documents, in EXPLAIN
-// and in the cost report, that the payload contributes nothing.
-type ScanNode struct {
-	Table string
-	Cols  string
-}
+// ScanNode reads a registered table.
+type ScanNode struct{ Table string }
 
 // SemijoinNode keeps rows whose key appears in Table (IN-subquery).
 type SemijoinNode struct {
@@ -65,12 +58,13 @@ type RekeyNode struct {
 	First bool
 }
 
-// RestoreNode finalizes a cost-planned multi-way join chain: it maps
-// the executed join order's payload layout back onto the written order
-// and canonically sorts the output, making reordered and written-order
-// plans byte-identical (see exec.Restore). Perm maps written table
-// slots onto execution slots; the identity permutation canonicalizes
-// without rewriting.
+// RestoreNode ends a join chain the planner reordered: it maps the
+// executed join order's payload layout back onto the written order and
+// canonically sorts the output, so the reordered chain returns exactly
+// the bytes of the written order canonicalized (see exec.Restore). Perm
+// maps written table slots onto execution slots; the identity
+// permutation canonicalizes without rewriting. The planner adds one
+// only where the cost model says the reordering pays for its sort.
 type RestoreNode struct {
 	In   PlanNode
 	Perm []int
@@ -78,10 +72,11 @@ type RestoreNode struct {
 
 // JoinAggNode is the §7 fast path: COUNT/SUM aggregation over a join
 // computed from group dimensions without materializing the join.
+// SumLeft and SumRight mark the sides the select list sums.
 type JoinAggNode struct {
-	In    PlanNode
-	Table string
-	Sum   bool
+	In                PlanNode
+	Table             string
+	SumLeft, SumRight bool
 }
 
 // GroupByNode aggregates a single-payload relation per key.
@@ -130,19 +125,14 @@ func (n ProjectNode) Input() PlanNode  { return n.In }
 // Describe implements PlanNode. The labels intentionally match the
 // Name() of the physical operator each node lowers to, so EXPLAIN and
 // PlanStats speak the same language.
-func (n ScanNode) Describe() string {
-	if n.Cols != "" {
-		return fmt.Sprintf("scan(%s cols=%s)", n.Table, n.Cols)
-	}
-	return exec.Scan{Table: n.Table}.Name()
-}
+func (n ScanNode) Describe() string     { return exec.Scan{Table: n.Table}.Name() }
 func (n SemijoinNode) Describe() string { return exec.Semijoin{Table: n.Table}.Name() }
 func (FilterNode) Describe() string     { return exec.Filter{}.Name() }
 func (n JoinNode) Describe() string     { return exec.Join{Table: n.Table}.Name() }
 func (RekeyNode) Describe() string      { return exec.Rekey{}.Name() }
 func (n RestoreNode) Describe() string  { return exec.Restore{Perm: n.Perm}.Name() }
 func (n JoinAggNode) Describe() string {
-	return exec.JoinAggregate{Table: n.Table, Sum: n.Sum}.Name()
+	return exec.JoinAggregate{Table: n.Table, SumLeft: n.SumLeft, SumRight: n.SumRight}.Name()
 }
 func (GroupByNode) Describe() string  { return exec.GroupBy{}.Name() }
 func (DistinctNode) Describe() string { return exec.Distinct{}.Name() }
@@ -182,27 +172,6 @@ func PlanTables(n PlanNode) []string {
 	return names
 }
 
-// JoinChain returns the plan's base scan table and the joined tables
-// in execution order — the chain identity the service layer's
-// adaptive-feedback channel keys observed join output sizes by.
-func JoinChain(n PlanNode) (from string, joins []string) {
-	var walk func(PlanNode)
-	walk = func(n PlanNode) {
-		if n == nil {
-			return
-		}
-		walk(n.Input())
-		switch v := n.(type) {
-		case ScanNode:
-			from = v.Table
-		case JoinNode:
-			joins = append(joins, v.Table)
-		}
-	}
-	walk(n)
-	return from, joins
-}
-
 // RenderPlan walks the tree leaf-to-root and joins the stage labels —
 // the EXPLAIN form.
 func RenderPlan(n PlanNode) string {
@@ -227,32 +196,16 @@ func (e *Engine) plan(q *Query) (PlanNode, error) {
 		return nil, fmt.Errorf("query: AS OF requires the versioned catalog of the service engine")
 	}
 	has := func(name string) bool { _, ok := e.tables[name]; return ok }
-	if e.opts.CostPlan {
-		return BuildPlanCfg(q, has, PlanConfig{
-			CostPlan: true,
-			Card:     tablesCard(e.tables),
-			Opts:     e.opts,
-		})
-	}
-	return BuildPlan(q, has)
+	return BuildPlanCfg(q, has, PlanConfig{Card: tablesCard(e.tables), Opts: e.opts})
 }
 
-// PlanConfig configures the cost-aware planner. The zero value is the
-// default planner: written join order, no pushdown, no Restore stage —
-// plans and result bytes exactly as previous releases produced them.
+// PlanConfig is what the planner reads besides the query and the
+// catalog's table names: public cardinalities and the store mode the
+// cost model prices with. The zero value plans as if every table were
+// empty — deterministic, and it keeps every chain in written order.
 type PlanConfig struct {
-	// CostPlan enables cost-based join ordering and predicate pushdown.
-	// Every ≥3-table plain join chain then ends in a Restore stage, so
-	// any ordering choice yields the same canonical output bytes.
-	CostPlan bool
-	// NoReorder keeps the written join order while still planning in
-	// cost mode (pushdown + Restore canonicalization). This is the
-	// byte-identity baseline the planner tests and the benchmark
-	// compare the greedy order against.
-	NoReorder bool
-	// Card supplies the public cardinalities the ordering decision
-	// consumes. Nil plans as if every table were empty (deterministic,
-	// but orders nothing usefully).
+	// Card supplies the public cardinalities the join-ordering decision
+	// consumes; nil means StaticCard{}.
 	Card Card
 	// Opts selects the store mode the cost model prices with.
 	Opts Options
@@ -265,35 +218,25 @@ func (pc PlanConfig) card() Card {
 	return pc.Card
 }
 
-// BuildPlan builds the logical plan for q against a catalog known only
-// through its table-existence predicate, with the default planner.
-func BuildPlan(q *Query, has func(string) bool) (PlanNode, error) {
-	return BuildPlanCfg(q, has, PlanConfig{})
-}
-
 // BuildPlanCfg builds the logical plan for q against a catalog known
 // only through its table-existence predicate. Every referenced table
 // is resolved here, so planning (and therefore Explain) reports
 // unknown tables — as *catalog.UnknownTableError — without touching
 // any data.
 //
-// With pc.CostPlan set the planner additionally consults pc.Card —
-// public row counts and (optionally) observed join output sizes, never
-// table contents — to greedily order JOIN ... USING chains, push the
-// filter below the semijoins, order semijoins by sub-table size, and
-// annotate scans with the columns downstream stages consume. The plan
-// remains a pure function of (query, catalog, cardinalities, options):
-// two databases with equal public sizes always yield the identical
-// plan.
+// The planner consults pc.Card — public row counts and (optionally)
+// observed join output sizes, never table contents — to order
+// semijoins by sub-table size and to reorder a JOIN ... USING chain of
+// three or more tables where the exact cost model says the reordering,
+// plus the Restore sort it needs, is strictly cheaper than the written
+// order (see orderJoins). The plan remains a pure function of (query,
+// catalog, cardinalities, options): two databases with equal public
+// sizes always yield the identical plan.
 func BuildPlanCfg(q *Query, has func(string) bool, pc PlanConfig) (PlanNode, error) {
 	if !has(q.From) {
 		return nil, &catalog.UnknownTableError{Name: q.From}
 	}
-	scan := ScanNode{Table: q.From}
-	if pc.CostPlan && !scanNeedsData(q) {
-		scan.Cols = "key"
-	}
-	var n PlanNode = scan
+	var n PlanNode = ScanNode{Table: q.From}
 
 	// Split WHERE into top-level conjuncts; IN-subqueries become
 	// semijoins, the rest compiles to one branch-free predicate.
@@ -312,24 +255,14 @@ func BuildPlanCfg(q *Query, has func(string) bool, pc PlanConfig) (PlanNode, err
 		}
 		predConjuncts = append(predConjuncts, c)
 	}
-	pred := len(predConjuncts) > 0
-	if pc.CostPlan {
-		// Pushdown: the filter (a comparator-free scan over key bits)
-		// runs first, shrinking every semijoin's sort; semijoins then
-		// run smallest sub-table first. Both rewrites are byte-safe:
-		// filter and semijoin predicates read only public key structure,
-		// and each semijoin re-sorts its survivors into (key, data)
-		// order, so the surviving row sequence is order-independent.
-		if pred {
-			n = FilterNode{In: n, Pred: andAll(predConjuncts)}
-			pred = false
-		}
-		semis = orderSemis(semis, pc.card())
-	}
-	for _, t := range semis {
+	// Semijoins run smallest sub-table first. The rewrite is byte-safe:
+	// semijoin predicates read only public key structure, and each
+	// semijoin re-sorts its survivors into (key, data) order, so the
+	// surviving row sequence is order-independent.
+	for _, t := range orderSemis(semis, pc.card()) {
 		n = SemijoinNode{In: n, Table: t}
 	}
-	if pred {
+	if len(predConjuncts) > 0 {
 		n = FilterNode{In: n, Pred: andAll(predConjuncts)}
 	}
 
@@ -339,10 +272,14 @@ func BuildPlanCfg(q *Query, has func(string) bool, pc PlanConfig) (PlanNode, err
 		}
 	}
 
-	needValue := false
+	needValue, sumLeft, sumRight := false, false, false
 	for _, it := range q.Select {
 		if it.Agg == AggSum || it.Agg == AggMin || it.Agg == AggMax {
 			needValue = true
+		}
+		if it.Agg == AggSum {
+			sumRight = sumRight || it.Col == ColRightData
+			sumLeft = sumLeft || it.Col != ColRightData
 		}
 	}
 
@@ -351,45 +288,28 @@ func BuildPlanCfg(q *Query, has func(string) bool, pc PlanConfig) (PlanNode, err
 		// All but the last join materialize and re-key; the last one
 		// runs as the §7 aggregation fast path — COUNT and SUM need the
 		// group dimensions, never the m-row expansion. The fast path
-		// pins the written order even in cost mode: its SUM payloads
-		// parse positionally, so reordering would change aggregate
-		// inputs, not just layout.
+		// pins the written order: its SUM payloads parse positionally,
+		// so reordering would change aggregate inputs, not just layout.
 		for i, t := range q.Joins[:len(q.Joins)-1] {
 			n = JoinNode{In: n, Table: t}
 			n = RekeyNode{In: n, First: i == 0}
 		}
-		n = JoinAggNode{In: n, Table: q.Joins[len(q.Joins)-1], Sum: needValue}
+		n = JoinAggNode{In: n, Table: q.Joins[len(q.Joins)-1], SumLeft: sumLeft, SumRight: sumRight}
 	case q.Joined():
-		joins := q.Joins
-		var perm []int
-		if pc.CostPlan && len(q.Joins) >= 2 {
-			var chosen []int
-			if pc.NoReorder {
-				chosen = make([]int, len(q.Joins))
-				for i := range chosen {
-					chosen[i] = i
-				}
-			} else {
-				chosen = greedyJoins(q.From, q.Joins, pc.card(), newCostModel(pc.Opts))
+		order, reordered := orderJoins(q.From, q.Joins, pc.card(), newCostModel(pc.Opts))
+		for pos, idx := range order {
+			if pos > 0 {
+				n = RekeyNode{In: n, First: pos == 1}
 			}
-			joins = make([]string, len(chosen))
-			for pos, idx := range chosen {
-				joins[pos] = q.Joins[idx]
-			}
+			n = JoinNode{In: n, Table: q.Joins[idx]}
+		}
+		if reordered {
 			// Restore.Perm maps written table slots (From = slot 0,
 			// q.Joins[i] = slot i+1) onto execution slots.
-			perm = make([]int, len(q.Joins)+1)
-			for pos, idx := range chosen {
+			perm := make([]int, len(q.Joins)+1)
+			for pos, idx := range order {
 				perm[idx+1] = pos + 1
 			}
-		}
-		for i, t := range joins {
-			if i > 0 {
-				n = RekeyNode{In: n, First: i == 1}
-			}
-			n = JoinNode{In: n, Table: t}
-		}
-		if perm != nil {
 			n = RestoreNode{In: n, Perm: perm}
 		}
 		if q.OrderBy {
@@ -410,26 +330,6 @@ func BuildPlanCfg(q *Query, has func(string) bool, pc PlanConfig) (PlanNode, err
 		n = LimitNode{In: n, N: q.Limit}
 	}
 	return ProjectNode{In: n, Items: expandStar(q)}, nil
-}
-
-// scanNeedsData reports whether any downstream stage reads the scanned
-// payload bytes. Joins materialize payloads, DISTINCT dedups whole
-// rows, and value aggregates/plain payload columns read them directly;
-// COUNT and key-only selections touch keys alone (filter predicates
-// are always key-only).
-func scanNeedsData(q *Query) bool {
-	if q.Joined() || q.Distinct {
-		return true
-	}
-	for _, it := range q.Select {
-		switch {
-		case it.Agg == AggSum || it.Agg == AggMin || it.Agg == AggMax:
-			return true
-		case it.Agg == AggNone && it.Col != ColKey:
-			return true
-		}
-	}
-	return false
 }
 
 // orderSemis orders semijoin sub-tables by ascending public row count
@@ -460,6 +360,50 @@ func orderSemis(semis []string, card Card) []string {
 		out[i] = s.t
 	}
 	return out
+}
+
+// orderJoins picks the execution order of a JOIN ... USING chain,
+// returned as q.Joins indices. A chain of three or more tables takes
+// the greedy order when its modeled comparators plus Restore's
+// canonical sort of the final output are strictly below the written
+// order's; otherwise — on a tie, too — the chain runs as written and
+// needs no Restore stage. reordered reports the first case. Both sides
+// are priced by one cost model from public cardinalities alone.
+func orderJoins(from string, joins []string, card Card, cm *costModel) (order []int, reordered bool) {
+	written := make([]int, len(joins))
+	for i := range written {
+		written[i] = i
+	}
+	if len(joins) < 2 {
+		return written, false
+	}
+	greedy := greedyJoins(from, joins, card, cm)
+	wComp, _ := chainCost(from, joins, written, card, cm)
+	gComp, m := chainCost(from, joins, greedy, card, cm)
+	if gComp+cm.sortC(m) < wComp {
+		return greedy, true
+	}
+	return written, false
+}
+
+// chainCost models the comparators of joining from with the tables
+// joins[order[0]], joins[order[1]], … in that order, and the chain's
+// output size — the sizes ComputePlanCost charges the same JoinNodes.
+func chainCost(from string, joins []string, order []int, card Card, cm *costModel) (comp uint64, m int) {
+	m, _ = card.Rows(from)
+	left := []string{from}
+	for _, idx := range order {
+		nr, _ := card.Rows(joins[idx])
+		out, fed := card.JoinRows(left, joins[idx])
+		if !fed {
+			out = estJoinRows(m, nr)
+		}
+		c, _, _ := cm.join(m, nr, out)
+		comp += c
+		m = out
+		left = append(left, joins[idx])
+	}
+	return comp, m
 }
 
 // greedyJoins picks the execution order of a JOIN ... USING chain: at
@@ -538,7 +482,7 @@ func lower(n PlanNode) ([]exec.Operator, error) {
 	case RestoreNode:
 		op = exec.Restore{Perm: v.Perm}
 	case JoinAggNode:
-		op = exec.JoinAggregate{Table: v.Table, Sum: v.Sum}
+		op = exec.JoinAggregate{Table: v.Table, SumLeft: v.SumLeft, SumRight: v.SumRight}
 	case GroupByNode:
 		op = exec.GroupBy{NeedValue: v.NeedValue}
 	case DistinctNode:

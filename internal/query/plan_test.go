@@ -205,8 +205,11 @@ func TestRekeyOverflowError(t *testing.T) {
 }
 
 // TestSumOverJoinValidatesUpFront pins the bugfix: non-numeric payloads
-// fail before the oblivious pass, and the error lists the offending
-// values rather than only the first one.
+// on a summed side fail before the oblivious pass, and the error lists
+// the offending values rather than only the first one. A side the query
+// does not sum is not checked: SUM(left.data) over a right table with
+// non-numeric payloads succeeds and equals the reference executor's
+// result.
 func TestSumOverJoinValidatesUpFront(t *testing.T) {
 	e := NewEngineWith(Options{CollectStats: true})
 	reg := func(name string, rows ...table.Row) {
@@ -221,14 +224,37 @@ func TestSumOverJoinValidatesUpFront(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected validation error")
 	}
-	for _, want := range []string{`"oops"`, `"bad"`, `"worse"`} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not list offending value %s", err, want)
+	if !strings.Contains(err.Error(), `"oops"`) {
+		t.Fatalf("error %q does not list offending value \"oops\"", err)
+	}
+	for _, unsummed := range []string{`"bad"`, `"worse"`} {
+		if strings.Contains(err.Error(), unsummed) {
+			t.Fatalf("error %q lists %s from the right side, which the query does not sum", err, unsummed)
 		}
 	}
 	// The failure must precede execution: no stats report survives.
 	if e.LastStats() != nil {
 		t.Fatal("stats recorded for a failed query")
+	}
+
+	// Only the right side is non-numeric, and only the left is summed.
+	reg("n", r(1, "10"), r(1, "20"), r(2, "30"), r(3, "40"))
+	tables := map[string][]table.Row{"n": e.tables["n"], "r": e.tables["r"]}
+	const sql = "SELECT key, SUM(left.data), COUNT(*) FROM n JOIN r USING (key) GROUP BY key"
+	res, err := e.Query(sql)
+	if err != nil {
+		t.Fatalf("SUM(left.data) over a non-numeric right side: %v", err)
+	}
+	q, err := Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refQuery(tables, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(multiset(res.Rows), multiset(want)) {
+		t.Fatalf("rows = %v, reference %v", res.Rows, want)
 	}
 }
 

@@ -3,8 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -40,70 +40,69 @@ func registerAll(t *testing.T, e *Engine, tables map[string][]table.Row) {
 	}
 }
 
-// TestGreedyReordersJoinChain: with t3 far smaller than t2, the greedy
-// planner joins t3 first and the plan carries the restore permutation.
+// TestGreedyReordersJoinChain: with t3 far smaller than t2, the planner
+// joins t3 first and the plan carries the restore permutation; with the
+// sizes swapped the written order is already the cheapest, and the plan
+// is the written order with no restore stage.
 func TestGreedyReordersJoinChain(t *testing.T) {
-	e := NewEngineWith(Options{CostPlan: true})
-	if err := e.Register("t1", seqTable(0, 64, "a")); err != nil {
-		t.Fatal(err)
+	explain := func(n2, n3 int) string {
+		e := NewEngine()
+		registerAll(t, e, map[string][]table.Row{
+			"t1": seqTable(0, 64, "a"),
+			"t2": seqTable(0, n2, "b"),
+			"t3": seqTable(0, n3, "c"),
+		})
+		return mustExplain(t, e, plannerChain)
 	}
-	if err := e.Register("t2", seqTable(0, 512, "b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Register("t3", seqTable(0, 8, "c")); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := e.Explain(plannerChain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOrder := "oblivious-join(t3) → rekey → oblivious-join(t2)"
-	if !strings.Contains(plan, wantOrder) {
+	plan := explain(512, 8)
+	if !strings.Contains(plan, "oblivious-join(t3) → rekey → oblivious-join(t2)") {
 		t.Errorf("greedy plan did not pull t3 first: %s", plan)
 	}
 	if !strings.Contains(plan, "restore[0 2 1]") {
 		t.Errorf("plan missing restore permutation: %s", plan)
 	}
 
-	// The default planner keeps the written order and adds no restore.
-	e2 := NewEngine()
-	if err := e2.Register("t1", seqTable(0, 64, "a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Register("t2", seqTable(0, 512, "b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Register("t3", seqTable(0, 8, "c")); err != nil {
-		t.Fatal(err)
-	}
-	plan2, err := e2.Explain(plannerChain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan2, "oblivious-join(t2) → rekey → oblivious-join(t3)") ||
-		strings.Contains(plan2, "restore") || strings.Contains(plan2, "canonicalize") {
-		t.Errorf("default plan changed: %s", plan2)
+	plan = explain(8, 512)
+	if !strings.Contains(plan, "oblivious-join(t2) → rekey → oblivious-join(t3)") ||
+		strings.Contains(plan, "restore") || strings.Contains(plan, "canonicalize") {
+		t.Errorf("written-order-cheapest plan changed: %s", plan)
 	}
 }
 
-// runNoReorder executes the chain with the written-order cost plan
-// (canonicalized baseline) — the byte-identity reference for greedy.
-func runNoReorder(t *testing.T, o Options, tables map[string][]table.Row, sql string) *Result {
+// writtenPlan builds by hand the plan of a WHERE-free JOIN ... USING
+// chain in its written order — the baseline the planner is measured
+// against. With restore set the chain ends in the identity Restore
+// (canonical sort only), whose output the reordered plan must equal
+// byte for byte.
+func writtenPlan(t *testing.T, sql string, restore bool) PlanNode {
 	t.Helper()
-	e := NewEngineWith(o)
-	registerAll(t, e, tables)
 	q, err := Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := BuildPlanCfg(q, func(name string) bool { _, ok := e.tables[name]; return ok },
-		PlanConfig{CostPlan: true, NoReorder: true, Card: tablesCard(e.tables), Opts: o})
-	if err != nil {
-		t.Fatal(err)
+	if q.Where != nil || q.GroupBy || q.OrderBy || q.Limit >= 0 {
+		t.Fatalf("writtenPlan covers plain join chains only: %s", sql)
 	}
-	if !strings.Contains(RenderPlan(plan), "oblivious-join(t2) → rekey → oblivious-join(t3) → canonicalize") {
-		t.Fatalf("NoReorder plan not written-order+canonicalize: %s", RenderPlan(plan))
+	var n PlanNode = ScanNode{Table: q.From}
+	for i, tbl := range q.Joins {
+		if i > 0 {
+			n = RekeyNode{In: n, First: i == 1}
+		}
+		n = JoinNode{In: n, Table: tbl}
 	}
+	if restore {
+		perm := make([]int, len(q.Joins)+1)
+		for i := range perm {
+			perm[i] = i
+		}
+		n = RestoreNode{In: n, Perm: perm}
+	}
+	return ProjectNode{In: n, Items: expandStar(q)}
+}
+
+// runPlan executes a hand-built plan over tables under o.
+func runPlan(t *testing.T, o Options, tables map[string][]table.Row, plan PlanNode) (*Result, *PlanStats) {
+	t.Helper()
 	pipeline, err := lower(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -114,17 +113,17 @@ func runNoReorder(t *testing.T, o Options, tables map[string][]table.Row, sql st
 			t.Fatal(err)
 		}
 	}
-	res, _, err := Run(context.Background(), o, cipher, e.tables, pipeline)
+	res, ps, err := Run(context.Background(), o, cipher, tables, pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, ps
 }
 
 // TestGreedyByteIdentity: the greedy-ordered plan and the written-order
 // canonicalized plan produce byte-identical results — with duplicate
 // rows and separator bytes in payloads, on the plain and the sealed
-// store — and both hold exactly the default plan's row
+// store — and both hold exactly the written-order chain's row
 // multiset.
 func TestGreedyByteIdentity(t *testing.T) {
 	tables := plannerCatalog()
@@ -133,9 +132,7 @@ func TestGreedyByteIdentity(t *testing.T) {
 		"sealed": {Encrypted: true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			greedyOpts := o
-			greedyOpts.CostPlan = true
-			eg := NewEngineWith(greedyOpts)
+			eg := NewEngineWith(o)
 			registerAll(t, eg, tables)
 			greedy, err := eg.Query(plannerChain)
 			if err != nil {
@@ -145,20 +142,15 @@ func TestGreedyByteIdentity(t *testing.T) {
 				t.Fatalf("catalog did not trigger reorder: %s", mustExplain(t, eg, plannerChain))
 			}
 
-			written := runNoReorder(t, greedyOpts, tables, plannerChain)
+			written, _ := runPlan(t, o, tables, writtenPlan(t, plannerChain, true))
 			if !reflect.DeepEqual(greedy.Rows, written.Rows) {
 				t.Errorf("greedy and written-order results differ:\ngreedy:  %v\nwritten: %v",
 					greedy.Rows, written.Rows)
 			}
 
-			ed := NewEngineWith(o)
-			registerAll(t, ed, tables)
-			def, err := ed.Query(plannerChain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := rowMultiset(greedy), rowMultiset(def); !reflect.DeepEqual(got, want) {
-				t.Errorf("greedy result is not the default plan's multiset:\ngreedy:  %v\ndefault: %v", got, want)
+			raw, _ := runPlan(t, o, tables, writtenPlan(t, plannerChain, false))
+			if got, want := multiset(greedy.Rows), multiset(raw.Rows); !reflect.DeepEqual(got, want) {
+				t.Errorf("greedy result is not the written chain's multiset:\ngreedy:  %v\nwritten: %v", got, want)
 			}
 		})
 	}
@@ -166,10 +158,10 @@ func TestGreedyByteIdentity(t *testing.T) {
 
 // TestGreedySkewedStarComparators: on a skewed star (t1 256 keys, t2
 // and t3 fanning each key out 8×, t4 only 16 keys) the written order
-// materializes the fan-out before t4 shrinks it. The greedy planner
-// pulls t4 forward, returns the same rows, and saves 2.5× on the 3-way
-// chain and 11× on the 4-way one. Comparator counts are functions of
-// the public sizes alone, so they are pinned exactly.
+// materializes the fan-out before t4 shrinks it. The planner pulls t4
+// forward, returns the same rows, and saves 2.5× on the 3-way chain
+// and 11× on the 4-way one. Comparator counts are functions of the
+// public sizes alone, so they are pinned exactly.
 func TestGreedySkewedStarComparators(t *testing.T) {
 	mk := func(n, mod int, tag byte) []table.Row {
 		rows := make([]table.Row, n)
@@ -195,26 +187,71 @@ func TestGreedySkewedStarComparators(t *testing.T) {
 		{"SELECT key, left.data, right.data FROM t1 JOIN t2 USING (key) JOIN t3 USING (key) JOIN t4 USING (key)",
 			"oblivious-join(t4) → rekey → oblivious-join(t2) → rekey → oblivious-join(t3)", 1024, 5890688, 515200},
 	} {
-		run := func(costPlan bool) (*Result, *Engine) {
-			e := NewEngineWith(Options{CostPlan: costPlan, CollectStats: true})
-			registerAll(t, e, tables)
-			res, err := e.Query(tc.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, e
+		wr, ws := runPlan(t, Options{CollectStats: true}, tables, writtenPlan(t, tc.sql, false))
+		ge := NewEngineWith(Options{CollectStats: true})
+		registerAll(t, ge, tables)
+		gr, err := ge.Query(tc.sql)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wr, we := run(false)
-		gr, ge := run(true)
 		if !strings.Contains(mustExplain(t, ge, tc.sql), tc.greedyOrder) {
 			t.Errorf("greedy plan lacks %q: %s", tc.greedyOrder, mustExplain(t, ge, tc.sql))
 		}
-		if len(wr.Rows) != tc.rows || !reflect.DeepEqual(rowMultiset(wr), rowMultiset(gr)) {
+		if len(wr.Rows) != tc.rows || !reflect.DeepEqual(multiset(wr.Rows), multiset(gr.Rows)) {
 			t.Errorf("%d written rows, %d greedy rows, want %d equal ones", len(wr.Rows), len(gr.Rows), tc.rows)
 		}
-		if w, g := we.LastStats().Comparators, ge.LastStats().Comparators; w != tc.written || g != tc.greedy {
+		if w, g := ws.Comparators, ge.LastStats().Comparators; w != tc.written || g != tc.greedy {
 			t.Errorf("comparators written %d greedy %d, want %d and %d", w, g, tc.written, tc.greedy)
 		}
+	}
+}
+
+// TestRestoreGuardNeverCostsMore: over random public sizes of 3- and
+// 4-table chains, the planner's plan never models more comparators
+// than the written order run without a restore stage. The planner
+// reorders only when greedy order plus restore(m) is strictly cheaper,
+// so the written order is the ceiling; both outcomes must occur, or
+// the draw tests nothing.
+func TestRestoreGuardNeverCostsMore(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := []string{"t1", "t2", "t3", "t4"}
+	reordered, kept := 0, 0
+	for i := 0; i < 60; i++ {
+		k := 3 + i%2
+		card := StaticCard{}
+		sql := "SELECT key, left.data, right.data FROM t1"
+		for j, name := range names[:k] {
+			card[name] = 1 + rng.Intn(4096)
+			if j > 0 {
+				sql += " JOIN " + name + " USING (key)"
+			}
+		}
+		q, err := Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		has := func(name string) bool { _, ok := card[name]; return ok }
+		plan, err := BuildPlanCfg(q, has, PlanConfig{Card: card})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ComputePlanCost(plan, card, Options{}).Comparators
+		written := ComputePlanCost(writtenPlan(t, sql, false), card, Options{}).Comparators
+		if got > written {
+			t.Fatalf("sizes %v: plan %s models %d comparators, written order %d",
+				card, RenderPlan(plan), got, written)
+		}
+		if strings.Contains(RenderPlan(plan), "restore") {
+			reordered++
+		} else {
+			kept++
+			if RenderPlan(plan) != RenderPlan(writtenPlan(t, sql, false)) {
+				t.Fatalf("sizes %v: unreordered plan %s is not the written order", card, RenderPlan(plan))
+			}
+		}
+	}
+	if reordered == 0 || kept == 0 {
+		t.Fatalf("%d draws reordered, %d kept the written order: want both", reordered, kept)
 	}
 }
 
@@ -225,15 +262,6 @@ func mustExplain(t *testing.T, e *Engine, sql string) string {
 		t.Fatal(err)
 	}
 	return s
-}
-
-func rowMultiset(res *Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		out[i] = strings.Join(r, "|")
-	}
-	sort.Strings(out)
-	return out
 }
 
 // TestPlanContentIndependence: two databases with identical public
@@ -255,7 +283,7 @@ func TestPlanContentIndependence(t *testing.T) {
 			"t3": mk([]uint64{1, 2, 3}),
 		}
 	}
-	o := Options{CostPlan: true, TraceHash: true}
+	o := Options{TraceHash: true}
 	run := func(tag string) (string, *Result, *PlanStats) {
 		e := NewEngineWith(o)
 		registerAll(t, e, build(tag))
@@ -279,9 +307,11 @@ func TestPlanContentIndependence(t *testing.T) {
 	}
 }
 
-// TestCostPlanOtherShapes: cost mode must not disturb non-chain query
-// shapes — results match the default planner's for filters, semijoin
-// pushdown, group-by fast path and single joins.
+// TestCostPlanOtherShapes: besides JOIN chains, public sizes only
+// order semijoins — every other query shape plans identically whatever
+// the sizes (the real catalog's or all zero) and returns the reference
+// executor's rows. Two semijoins run smallest sub-table first, and the
+// reordered plan returns the written order's bytes.
 func TestCostPlanOtherShapes(t *testing.T) {
 	tables := plannerCatalog()
 	tables["u"] = []table.Row{{J: 1, D: table.MustData("v")}, {J: 3, D: table.MustData("v")}}
@@ -292,22 +322,56 @@ func TestCostPlanOtherShapes(t *testing.T) {
 		"SELECT key, left.data, right.data FROM t1 JOIN t3 USING (key)",
 		"SELECT DISTINCT key FROM t2 ORDER BY key",
 	}
+	e := NewEngine()
+	registerAll(t, e, tables)
+	has := func(name string) bool { _, ok := tables[name]; return ok }
 	for _, sql := range queries {
-		ec := NewEngineWith(Options{CostPlan: true})
-		registerAll(t, ec, tables)
-		cost, err := ec.Query(sql)
+		q, err := Parse(sql)
 		if err != nil {
-			t.Fatalf("%q (cost): %v", sql, err)
+			t.Fatal(err)
 		}
-		ed := NewEngine()
-		registerAll(t, ed, tables)
-		def, err := ed.Query(sql)
+		sized, err := BuildPlanCfg(q, has, PlanConfig{Card: tablesCard(tables)})
 		if err != nil {
-			t.Fatalf("%q (default): %v", sql, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rowMultiset(cost), rowMultiset(def)) {
-			t.Errorf("%q: cost-plan result differs from default:\ncost:    %v\ndefault: %v",
-				sql, cost.Rows, def.Rows)
+		unsized, err := BuildPlanCfg(q, has, PlanConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if RenderPlan(sized) != RenderPlan(unsized) {
+			t.Errorf("%q: plan depends on sizes:\n%s\n%s", sql, RenderPlan(sized), RenderPlan(unsized))
+		}
+		res, err := e.Query(sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		want, err := refQuery(tables, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(multiset(res.Rows), multiset(want)) {
+			t.Errorf("%q: rows %v, reference %v", sql, res.Rows, want)
+		}
+	}
+
+	q, err := Parse("SELECT key, data FROM t2 WHERE key IN (SELECT key FROM t1) AND key IN (SELECT key FROM u)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized, err := BuildPlanCfg(q, has, PlanConfig{Card: tablesCard(tables)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, err := BuildPlanCfg(q, has, PlanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := RenderPlan(sized), "scan(t2) → semijoin(u) → semijoin(t1) → project"; got != want {
+		t.Fatalf("semijoin order: got %s, want %s", got, want)
+	}
+	sres, _ := runPlan(t, Options{}, tables, sized)
+	wres, _ := runPlan(t, Options{}, tables, written)
+	if !reflect.DeepEqual(sres.Rows, wres.Rows) || len(sres.Rows) == 0 {
+		t.Fatalf("reordered semijoins return %v, written order %v", sres.Rows, wres.Rows)
 	}
 }

@@ -48,10 +48,10 @@
 //     store allocator (plain or block-sealed) and instrumentation
 //     through every operator.
 //
-// Execution is sequential and unsharded. The four live Options select
-// the sealed entry store (Encrypted), per-query PlanStats reports with
-// an optional SHA-256 access-pattern hash (CollectStats, TraceHash) and
-// the cost-aware planner (CostPlan); Workers and Shards are ignored.
+// Execution is sequential and unsharded. The three live Options select
+// the sealed entry store (Encrypted) and per-query PlanStats reports
+// with an optional SHA-256 access-pattern hash (CollectStats,
+// TraceHash); Workers and Shards are ignored.
 // Results, plans and trace hashes are identical between plain and
 // encrypted stores.
 //
@@ -67,16 +67,16 @@
 // exact closed form, not an estimate: ComputePlanCost prices each
 // stage in compare–exchanges, routing hops and padded store bytes
 // from the catalog cardinalities alone (cost.go), and RenderPlanCost
-// prints the table EXPLAIN shows. Options.CostPlan turns on the
-// cost-aware planner: BuildPlanCfg greedily orders JOIN chains by
-// modeled comparator count, pushes predicates and semijoins toward
-// the scans, and appends a restore stage so a reordered chain's rows
-// are byte-identical to the written order's. Plans remain a pure
-// function of the query text and public cardinalities — the Card
-// interface is planning's only window onto the catalog — so
-// reordering reveals nothing the sizes do not already reveal. The
-// service layer feeds observed join sizes back through Card when
-// PlanStats diverge from the model (adaptive replanning); see
+// prints the table EXPLAIN shows. The planner uses it: BuildPlanCfg
+// greedily orders a JOIN chain of three or more tables by modeled
+// comparator count, and keeps that order — ending the chain in a
+// restore stage, so its rows are byte-identical to the written order
+// canonicalized — only when the model prices the greedy chain plus the
+// restore sort strictly below the written chain. Otherwise the plan is
+// the written order, unchanged. Plans remain a pure function of the
+// query text and public cardinalities — the Card interface is
+// planning's only window onto the catalog — so reordering reveals
+// nothing the sizes do not already reveal; see
 // docs/PLANNING.md at the repository root for the full model.
 package query
 

@@ -10,7 +10,7 @@ import (
 // planEntry is one cached prepared plan: the logical tree (for
 // EXPLAIN), the lowered, immutable operator pipeline, the catalog
 // tables the plan references (what an execution snapshots), and the
-// modeled cost report the replan hook compares executions against.
+// plan's modeled cost report.
 type planEntry struct {
 	plan     query.PlanNode
 	pipeline []exec.Operator
@@ -49,18 +49,6 @@ func (c *lru) get(key string) (*planEntry, bool) {
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*lruItem).ent, true
-}
-
-// remove drops key from the cache, reporting whether it was present —
-// the replan hook's invalidation primitive.
-func (c *lru) remove(key string) bool {
-	el, ok := c.m[key]
-	if !ok {
-		return false
-	}
-	c.ll.Remove(el)
-	delete(c.m, key)
-	return true
 }
 
 // put inserts (or refreshes) key and returns how many entries were

@@ -12,10 +12,11 @@
 // inherits the engine's determinism story wholesale.
 //
 // Plans are cached keyed by (SQL text, configuration fingerprint,
-// catalog version): changing the worker count, store backend or
-// sorting network fingerprints differently, and any catalog mutation
-// bumps the version, so stale plans are never served — they simply age
-// out of the LRU.
+// catalog version): changing the store backend fingerprints
+// differently, and any catalog mutation — including one that changes
+// the public row counts the join order is chosen from — bumps the
+// version, so stale plans are never served; they simply age out of the
+// LRU.
 //
 // The service is traffic-hardened: every execution runs under a
 // context.Context threaded end to end through the operator stack (a
@@ -31,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -98,15 +98,6 @@ type Config struct {
 	// retry loop (see wal.Options); zero values select the defaults.
 	RetryAppend  int
 	RetryBackoff time.Duration
-	// ReplanFactor, when > 1, arms the adaptive replan hook: every
-	// execution compares its observed comparator count against the
-	// plan's modeled cost, and when the two diverge by more than this
-	// factor (in either direction) the service records the observed
-	// join output sizes — public quantities by construction — evicts
-	// the cached plan, and lets the next Prepare re-plan with the
-	// observed sizes fed into the cost model. Each cached plan replans
-	// at most once per catalog version. Implies stats collection.
-	ReplanFactor float64
 }
 
 // Service is a concurrent oblivious query service: a shared catalog,
@@ -123,13 +114,9 @@ type Service struct {
 	db       *wal.DB           // non-nil: durable catalog (Config.DataDir)
 	recovery *wal.RecoveryInfo // what New recovered, when durable
 
-	replanFactor float64
-
-	mu        sync.Mutex // guards cache, stats, feedback and replanned
-	cache     *lru
-	stats     CacheStats
-	feedback  map[string]int  // observed join output sizes, by chain key
-	replanned map[string]bool // plan keys that already replanned once
+	mu    sync.Mutex // guards cache and stats
+	cache *lru
+	stats CacheStats
 }
 
 // New builds a Service from cfg. The returned service owns a fresh
@@ -168,18 +155,15 @@ func New(cfg Config) (*Service, error) {
 		size = DefaultPlanCache
 	}
 	return &Service{
-		cat:          cat,
-		defaults:     cfg.Defaults,
-		cipher:       cipher,
-		adm:          newAdmitter(int64(cfg.MaxInFlight), cfg.MaxQueue),
-		met:          &metrics{},
-		timeout:      cfg.QueryTimeout,
-		db:           db,
-		recovery:     rec,
-		cache:        newLRU(size),
-		replanFactor: cfg.ReplanFactor,
-		feedback:     map[string]int{},
-		replanned:    map[string]bool{},
+		cat:      cat,
+		defaults: cfg.Defaults,
+		cipher:   cipher,
+		adm:      newAdmitter(int64(cfg.MaxInFlight), cfg.MaxQueue),
+		met:      &metrics{},
+		timeout:  cfg.QueryTimeout,
+		db:       db,
+		recovery: rec,
+		cache:    newLRU(size),
 	}, nil
 }
 
@@ -323,11 +307,6 @@ func (s *Service) effective(opts []SessionOption) query.Options {
 	if o.TraceHash {
 		o.CollectStats = true
 	}
-	// The replan hook compares observed comparator counts against the
-	// model, so an armed hook needs every execution instrumented.
-	if s.replanFactor > 1 {
-		o.CollectStats = true
-	}
 	return o
 }
 
@@ -338,7 +317,7 @@ func (s *Service) effective(opts []SessionOption) query.Options {
 // execution semantics, so it is excluded: flipping stats on reuses the
 // cached plan. So are the ignored Workers and Shards fields.
 func fingerprint(o query.Options) string {
-	return fmt.Sprintf("e%t|cp%t", o.Encrypted, o.CostPlan)
+	return fmt.Sprintf("e%t", o.Encrypted)
 }
 
 func planKey(sql string, o query.Options, version uint64) string {
@@ -360,7 +339,6 @@ type Stmt struct {
 	tables   []string // catalog tables the plan references
 	asOf     int64    // AS OF catalog version; -1 = current
 	cached   bool
-	key      string                // plan-cache key (replan invalidation target)
 	model    *query.PlanCostReport // modeled cost at Prepare time
 }
 
@@ -468,64 +446,12 @@ func (st *Stmt) Exec(ctx context.Context) (*query.Result, *query.PlanStats, erro
 	default:
 		s.met.end(d, outcomeFailed)
 	}
-	if err == nil && ps != nil {
-		s.maybeReplan(st, view, ps)
-	}
 	return res, ps, err
 }
 
-// maybeReplan is the adaptive replan hook: when an execution's
-// observed comparator count diverges from the plan's modeled cost by
-// more than the configured factor, the service records the observed
-// join output sizes — public quantities, revealed by design — evicts
-// the cached plan, and marks the key so a given plan replans at most
-// once. The next Prepare re-plans with the observed sizes fed into the
-// cost model, letting the greedy ordering correct itself.
-func (s *Service) maybeReplan(st *Stmt, view *catalog.View, ps *query.PlanStats) {
-	f := s.replanFactor
-	if f <= 1 || st.model == nil || st.model.Comparators == 0 || ps.Comparators == 0 {
-		return
-	}
-	obs, mod := float64(ps.Comparators), float64(st.model.Comparators)
-	if obs <= mod*f && mod <= obs*f {
-		return
-	}
-	from, joins := query.JoinChain(st.plan)
-	var sizes []int
-	for _, op := range ps.Operators {
-		if strings.HasPrefix(op.Op, "oblivious-join(") {
-			sizes = append(sizes, op.Rows)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.replanned[st.key] {
-		return
-	}
-	s.replanned[st.key] = true
-	left := []string{from}
-	for i, t := range joins {
-		if i < len(sizes) {
-			s.feedback[feedKey(view.Version(), left, t)] = sizes[i]
-		}
-		left = append(left, t)
-	}
-	s.cache.remove(st.key)
-	s.stats.Replans++
-}
-
-// feedKey scopes an observed join output size to a catalog version and
-// an execution-order chain prefix.
-func feedKey(version uint64, left []string, right string) string {
-	return fmt.Sprintf("v%d\x1f%s\x1f→%s", version, strings.Join(left, "\x1f"), right)
-}
-
-// svcCard adapts a pinned catalog view (public schema row counts) plus
-// a feedback snapshot to the planner's Card interface.
-type svcCard struct {
-	view *catalog.View
-	feed map[string]int
-}
+// svcCard adapts a pinned catalog view's public schema row counts to
+// the planner's Card interface.
+type svcCard struct{ view *catalog.View }
 
 func (c svcCard) Rows(t string) (int, bool) {
 	sch, err := c.view.Schema(t)
@@ -535,23 +461,7 @@ func (c svcCard) Rows(t string) (int, bool) {
 	return sch.Rows, true
 }
 
-func (c svcCard) JoinRows(left []string, right string) (int, bool) {
-	m, ok := c.feed[feedKey(c.view.Version(), left, right)]
-	return m, ok
-}
-
-// cardFor builds the planner's cardinality source for a view,
-// snapshotting the service's feedback map under the lock so planning
-// can read it without racing the replan hook.
-func (s *Service) cardFor(view *catalog.View) svcCard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	feed := make(map[string]int, len(s.feedback))
-	for k, v := range s.feedback {
-		feed[k] = v
-	}
-	return svcCard{view: view, feed: feed}
-}
+func (svcCard) JoinRows([]string, string) (int, bool) { return 0, false }
 
 // isCancellation reports whether err is a context-driven abort (either
 // typed sentinel).
@@ -596,7 +506,7 @@ func (s *Service) Prepare(ctx context.Context, sql string, opts ...SessionOption
 	if ent, ok := s.cache.get(key); ok {
 		s.stats.Hits++
 		s.mu.Unlock()
-		return &Stmt{svc: s, sql: sql, opts: eff, key: key,
+		return &Stmt{svc: s, sql: sql, opts: eff,
 			plan: ent.plan, pipeline: ent.pipeline, tables: ent.tables, asOf: ent.asOf,
 			model: ent.model, cached: true}, nil
 	}
@@ -620,15 +530,8 @@ func (s *Service) Prepare(ctx context.Context, sql string, opts ...SessionOption
 	if view.Len() == 0 {
 		return nil, catalog.ErrNoTables
 	}
-	card := s.cardFor(view)
-	var plan query.PlanNode
-	if eff.CostPlan {
-		plan, err = query.BuildPlanCfg(q, view.Has, query.PlanConfig{
-			CostPlan: true, Card: card, Opts: eff,
-		})
-	} else {
-		plan, err = query.BuildPlan(q, view.Has)
-	}
+	card := svcCard{view}
+	plan, err := query.BuildPlanCfg(q, view.Has, query.PlanConfig{Card: card, Opts: eff})
 	if err != nil {
 		return nil, err
 	}
@@ -637,10 +540,8 @@ func (s *Service) Prepare(ctx context.Context, sql string, opts ...SessionOption
 		return nil, err
 	}
 	tables := query.PlanTables(plan)
-	// The modeled cost is computed for every plan (not just cost-planned
-	// ones): it reads only public cardinalities, and it is what EXPLAIN
-	// surfaces as modeled-vs-observed and what the replan hook compares
-	// executions against.
+	// The modeled cost reads only public cardinalities; it is what
+	// EXPLAIN surfaces as modeled-vs-observed.
 	model := query.ComputePlanCost(plan, card, eff)
 
 	// Counted here, after planning succeeded: failed prepares cache
@@ -650,7 +551,7 @@ func (s *Service) Prepare(ctx context.Context, sql string, opts ...SessionOption
 	s.stats.Evictions += uint64(s.cache.put(key, &planEntry{
 		plan: plan, pipeline: pipeline, tables: tables, asOf: q.AsOf, model: model}))
 	s.mu.Unlock()
-	return &Stmt{svc: s, sql: sql, opts: eff, key: key,
+	return &Stmt{svc: s, sql: sql, opts: eff,
 		plan: plan, pipeline: pipeline, tables: tables, asOf: q.AsOf, model: model}, nil
 }
 
@@ -693,10 +594,6 @@ type CacheStats struct {
 	Misses uint64 `json:"misses"`
 	// Evictions counts plans dropped at the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// Replans counts plans the adaptive hook invalidated after
-	// observed cost diverged from the model beyond the configured
-	// factor (Config.ReplanFactor).
-	Replans uint64 `json:"replans"`
 	// Size is the number of currently cached plans.
 	Size int `json:"size"`
 	// Cap is the cache capacity.
