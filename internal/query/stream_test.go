@@ -105,6 +105,34 @@ func joinChainCases() []goldenCase {
 	return cs
 }
 
+// aggregateCases run the three aggregate shapes — GROUP BY with
+// SUM/MIN/MAX, COUNT over a join, SUM over a join — at the boundary
+// sizes, where the aggregates' input crosses the batch width. Payloads
+// are numeric and the two tables' key ranges differ, so some groups
+// join and some do not.
+func aggregateCases() []goldenCase {
+	queries := []struct{ name, sql string }{
+		{"group-by", "SELECT key, COUNT(*), SUM(data), MIN(data), MAX(data) FROM t GROUP BY key"},
+		{"join-count", "SELECT key, COUNT(*) FROM t JOIN u USING (key) GROUP BY key"},
+		{"join-sum", "SELECT key, SUM(left.data), SUM(right.data) FROM t JOIN u USING (key) GROUP BY key"},
+	}
+	mk := func(n, keys, mul int) []table.Row {
+		rows := make([]table.Row, n)
+		for i := range rows {
+			rows[i] = table.Row{J: uint64(i % keys), D: table.MustData(fmt.Sprint(i * mul % 1000))}
+		}
+		return rows
+	}
+	var cs []goldenCase
+	for _, q := range queries {
+		for _, n := range boundarySizes {
+			tables := map[string][]table.Row{"t": mk(n, 97, 7919), "u": mk(n, 89, 104729)}
+			cs = append(cs, goldenCase{fmt.Sprintf("aggregate/%s/n=%d", q.name, n), q.sql, tables})
+		}
+	}
+	return cs
+}
+
 // runGoldenCase executes c under o and reports the result with its
 // golden row for mode.
 func runGoldenCase(t *testing.T, c goldenCase, mode string, o Options) (*Result, goldenEntry, *PlanStats) {
@@ -238,6 +266,22 @@ func TestGoldenTraceJoinChain(t *testing.T) {
 	cases := joinChainCases()
 	if testing.Short() {
 		cases = cases[:len(cases)-1]
+	}
+	checkGolden(t, cases)
+}
+
+// TestGoldenTraceAggregates checks the golden table over GROUP BY and
+// the §7 join aggregates at the boundary sizes.
+func TestGoldenTraceAggregates(t *testing.T) {
+	cases := aggregateCases()
+	if testing.Short() {
+		var small []goldenCase
+		for _, c := range cases {
+			if len(c.tables["t"]) < 4096 {
+				small = append(small, c)
+			}
+		}
+		cases = small
 	}
 	checkGolden(t, cases)
 }
