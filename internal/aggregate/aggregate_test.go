@@ -2,9 +2,10 @@ package aggregate
 
 import (
 	"fmt"
-	"math"
+	"math/big"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -14,21 +15,62 @@ import (
 	"oblivjoin/internal/trace"
 )
 
-func referenceGroupBy(items []Item) []Group {
+// item is one (key, value) input record of GroupBy.
+type item struct{ k, v uint64 }
+
+// load and feed stand in for the executor's fill and its row feeds:
+// GroupBy's items go into a fresh store with their values as decimal
+// payloads, and a join aggregate's table arrives as one batch.
+func load(cfg *core.Config, items []item) table.Store {
+	a := cfg.Alloc(len(items))
+	for i, it := range items {
+		a.Set(i, table.Entry{J: it.k, D: table.MustData(strconv.FormatUint(it.v, 10))})
+	}
+	return a
+}
+
+type feed struct {
+	rows []table.Row
+	done bool
+}
+
+func (f *feed) Len() int { return len(f.rows) }
+
+func (f *feed) Next() ([]table.Row, error) {
+	if f.done || len(f.rows) == 0 {
+		return nil, nil
+	}
+	f.done = true
+	return f.rows, nil
+}
+
+func (f *feed) Close() {}
+
+// decimal is the ValueFunc of the tests: payloads are decimal values.
+func decimal(d table.Data) uint64 {
+	v, _ := strconv.ParseUint(table.DataString(d), 10, 64)
+	return v
+}
+
+func groupBy(cfg *core.Config, items []item) []Group {
+	return GroupBy(cfg, load(cfg, items), decimal)
+}
+
+func referenceGroupBy(items []item) []Group {
 	agg := map[uint64]*Group{}
 	for _, it := range items {
-		g, ok := agg[it.K]
+		g, ok := agg[it.k]
 		if !ok {
-			g = &Group{K: it.K, Min: it.V, Max: it.V}
-			agg[it.K] = g
+			g = &Group{K: it.k, Min: it.v, Max: it.v}
+			agg[it.k] = g
 		}
 		g.Count++
-		g.Sum += it.V
-		if it.V < g.Min {
-			g.Min = it.V
+		g.Sum = g.Sum.add(it.v)
+		if it.v < g.Min {
+			g.Min = it.v
 		}
-		if it.V > g.Max {
-			g.Max = it.V
+		if it.v > g.Max {
+			g.Max = it.v
 		}
 	}
 	out := make([]Group, 0, len(agg))
@@ -39,15 +81,17 @@ func referenceGroupBy(items []Item) []Group {
 	return out
 }
 
+func sum(lo uint64) Uint128 { return Uint128{Lo: lo} }
+
 func TestGroupByFixed(t *testing.T) {
-	items := []Item{
-		{K: 2, V: 10}, {K: 1, V: 5}, {K: 2, V: 3}, {K: 1, V: 5}, {K: 3, V: 0},
+	items := []item{
+		{k: 2, v: 10}, {k: 1, v: 5}, {k: 2, v: 3}, {k: 1, v: 5}, {k: 3, v: 0},
 	}
-	got := GroupBy(plainCfg(), items)
+	got := groupBy(plainCfg(), items)
 	want := []Group{
-		{K: 1, Count: 2, Sum: 10, Min: 5, Max: 5},
-		{K: 2, Count: 2, Sum: 13, Min: 3, Max: 10},
-		{K: 3, Count: 1, Sum: 0, Min: 0, Max: 0},
+		{K: 1, Count: 2, Sum: sum(10), Min: 5, Max: 5},
+		{K: 2, Count: 2, Sum: sum(13), Min: 3, Max: 10},
+		{K: 3, Count: 1, Sum: sum(0), Min: 0, Max: 0},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("groups = %v", got)
@@ -60,15 +104,38 @@ func TestGroupByFixed(t *testing.T) {
 }
 
 func TestGroupByEmpty(t *testing.T) {
-	if got := GroupBy(plainCfg(), nil); got != nil {
+	if got := groupBy(plainCfg(), nil); len(got) != 0 {
 		t.Fatalf("GroupBy(nil) = %v", got)
 	}
 }
 
 func TestGroupBySingleKey(t *testing.T) {
-	got := GroupBy(plainCfg(), []Item{{K: 9, V: 1}, {K: 9, V: 2}, {K: 9, V: 3}})
-	if len(got) != 1 || got[0] != (Group{K: 9, Count: 3, Sum: 6, Min: 1, Max: 3}) {
+	got := groupBy(plainCfg(), []item{{k: 9, v: 1}, {k: 9, v: 2}, {k: 9, v: 3}})
+	if len(got) != 1 || got[0] != (Group{K: 9, Count: 3, Sum: sum(6), Min: 1, Max: 3}) {
 		t.Fatalf("got %+v", got)
+	}
+}
+
+// maxPayload is the largest value a 16-byte decimal payload holds.
+const maxPayload = 9999999999999999
+
+// toBig converts an exact sum for comparison with math/big.
+func toBig(u Uint128) *big.Int {
+	v := new(big.Int).SetUint64(u.Hi)
+	return v.Lsh(v, 64).Add(v, new(big.Int).SetUint64(u.Lo))
+}
+
+// TestGroupBySumIsExact: 2 000 copies of the largest payload sum past
+// 2⁶⁴, into the high word.
+func TestGroupBySumIsExact(t *testing.T) {
+	items := make([]item, 2000)
+	for i := range items {
+		items[i] = item{k: 1, v: maxPayload}
+	}
+	got := groupBy(plainCfg(), items)
+	want := new(big.Int).Mul(big.NewInt(maxPayload), big.NewInt(2000))
+	if len(got) != 1 || toBig(got[0].Sum).Cmp(want) != 0 || got[0].Sum.Hi == 0 {
+		t.Fatalf("got %+v, want sum %s", got, want)
 	}
 }
 
@@ -77,11 +144,11 @@ func TestGroupByProperty(t *testing.T) {
 		if len(raw) > 120 {
 			raw = raw[:120]
 		}
-		items := make([]Item, len(raw))
+		items := make([]item, len(raw))
 		for i, r := range raw {
-			items[i] = Item{K: uint64(r % 16), V: uint64(r >> 4)}
+			items[i] = item{k: uint64(r % 16), v: uint64(r >> 4)}
 		}
-		got := GroupBy(plainCfg(), items)
+		got := groupBy(plainCfg(), items)
 		want := referenceGroupBy(items)
 		if len(got) != len(want) {
 			return false
@@ -100,22 +167,22 @@ func TestGroupByProperty(t *testing.T) {
 
 func TestGroupByObliviousWithinClass(t *testing.T) {
 	// Same n, same number of groups → identical traces.
-	run := func(items []Item) string {
+	run := func(items []item) string {
 		h := trace.NewHasher()
 		sp := memory.NewSpace(h, nil)
-		GroupBy(&core.Config{Alloc: table.PlainAlloc(sp)}, items)
+		groupBy(&core.Config{Alloc: table.PlainAlloc(sp)}, items)
 		return h.Hex()
 	}
-	a := run([]Item{{1, 1}, {1, 2}, {2, 3}, {2, 4}}) // 2 groups of 2
-	b := run([]Item{{7, 9}, {8, 8}, {8, 7}, {8, 6}}) // groups of 1 and 3
+	a := run([]item{{1, 1}, {1, 2}, {2, 3}, {2, 4}}) // 2 groups of 2
+	b := run([]item{{7, 9}, {8, 8}, {8, 7}, {8, 6}}) // groups of 1 and 3
 	if a != b {
 		t.Fatal("GroupBy trace depends on grouping structure")
 	}
 }
 
 func TestGroupByMinMaxExtremes(t *testing.T) {
-	got := GroupBy(plainCfg(), []Item{{K: 1, V: math.MaxUint64}, {K: 1, V: 0}})
-	if got[0].Min != 0 || got[0].Max != math.MaxUint64 {
+	got := groupBy(plainCfg(), []item{{k: 1, v: maxPayload}, {k: 1, v: 0}})
+	if got[0].Min != 0 || got[0].Max != maxPayload {
 		t.Fatalf("extremes wrong: %+v", got[0])
 	}
 }
@@ -133,10 +200,19 @@ func rowsOf(keys []uint64, tid int) []table.Row {
 	return rows
 }
 
+func joinStats(t *testing.T, cfg *core.Config, rows1, rows2 []table.Row) []JoinStat {
+	t.Helper()
+	stats, err := JoinGroupStats(cfg, &feed{rows: rows1}, &feed{rows: rows2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
 func TestJoinGroupStatsFixed(t *testing.T) {
 	t1 := rowsOf([]uint64{1, 1, 2, 3}, 1) // groups: 1→2 rows, 2→1, 3→1
 	t2 := rowsOf([]uint64{1, 2, 2, 9}, 2) // groups: 1→1, 2→2, 9→1
-	stats := JoinGroupStats(plainCfg(), t1, t2)
+	stats := joinStats(t, plainCfg(), t1, t2)
 	want := []JoinStat{
 		{J: 1, A1: 2, A2: 1, Pairs: 2},
 		{J: 2, A1: 1, A2: 2, Pairs: 2},
@@ -178,7 +254,7 @@ func TestJoinGroupStatsMatchesJoinSize(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		t1 := rowsOf(uniformKeys(rng, 40+rng.Intn(40), 10), 1)
 		t2 := rowsOf(uniformKeys(rng, 40+rng.Intn(40), 10), 2)
-		stats := JoinGroupStats(plainCfg(), t1, t2)
+		stats := joinStats(t, plainCfg(), t1, t2)
 		m := core.OutputSize(plainCfg(), t1, t2)
 		if int(sumPairs(stats)) != m {
 			t.Fatalf("trial %d: Σ pairs = %d, join m = %d", trial, sumPairs(stats), m)
@@ -192,10 +268,10 @@ func TestJoinGroupStatsMatchesJoinSize(t *testing.T) {
 }
 
 func TestJoinGroupStatsEmptySides(t *testing.T) {
-	if got := JoinGroupStats(plainCfg(), nil, rowsOf([]uint64{1}, 2)); len(got) != 0 {
+	if got := joinStats(t, plainCfg(), nil, rowsOf([]uint64{1}, 2)); len(got) != 0 {
 		t.Fatalf("got %+v", got)
 	}
-	if got := JoinGroupStats(plainCfg(), rowsOf([]uint64{1}, 1), nil); len(got) != 0 {
+	if got := joinStats(t, plainCfg(), rowsOf([]uint64{1}, 1), nil); len(got) != 0 {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -207,7 +283,7 @@ func TestJoinGroupStatsCheaperThanJoin(t *testing.T) {
 	var cStats, cJoin trace.Counter
 
 	sp1 := memory.NewSpace(&cStats, nil)
-	JoinGroupStats(&core.Config{Alloc: table.PlainAlloc(sp1)}, t1, t2)
+	joinStats(t, &core.Config{Alloc: table.PlainAlloc(sp1)}, t1, t2)
 
 	sp2 := memory.NewSpace(&cJoin, nil)
 	core.Join(&core.Config{Alloc: table.PlainAlloc(sp2)}, t1, t2)
@@ -222,7 +298,7 @@ func TestJoinGroupStatsOblivious(t *testing.T) {
 	run := func(t1, t2 []table.Row) string {
 		h := trace.NewHasher()
 		sp := memory.NewSpace(h, nil)
-		JoinGroupStats(&core.Config{Alloc: table.PlainAlloc(sp)}, t1, t2)
+		joinStats(t, &core.Config{Alloc: table.PlainAlloc(sp)}, t1, t2)
 		return h.Hex()
 	}
 	// n1=4, n2=4, 2 joinable groups in both.
@@ -233,14 +309,41 @@ func TestJoinGroupStatsOblivious(t *testing.T) {
 	}
 }
 
+// TestAggregatesReleaseTheirStores: once an aggregate has read its
+// output, nothing it allocated stays charged to the run's gauge.
+func TestAggregatesReleaseTheirStores(t *testing.T) {
+	for name, run := range map[string]func(cfg *core.Config){
+		"group-by": func(cfg *core.Config) { groupBy(cfg, []item{{1, 1}, {2, 2}, {1, 3}}) },
+		"join-group-stats": func(cfg *core.Config) {
+			joinStats(t, cfg, rowsOf([]uint64{1, 2}, 1), rowsOf([]uint64{2, 3}, 2))
+		},
+		"join-group-sums": func(cfg *core.Config) {
+			if _, err := JoinGroupSums(cfg, &feed{rows: rowsOf([]uint64{1, 2}, 1)}, &feed{rows: rowsOf([]uint64{2, 3}, 2)}, decimal); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		g := &table.Gauge{}
+		cfg := &core.Config{Alloc: table.TrackedAlloc(table.PlainAlloc(memory.NewSpace(nil, nil)), g), Mem: g}
+		run(cfg)
+		// Nothing outstanding: a fresh charge of q lifts the peak to
+		// exactly q when the peak so far is below it.
+		q := g.Peak() + 1
+		g.Charge(q)
+		if g.Peak() != q {
+			t.Errorf("%s: %d bytes still charged after the output was read", name, g.Peak()-q)
+		}
+	}
+}
+
 func BenchmarkGroupBy4k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	items := make([]Item, 4096)
+	items := make([]item, 4096)
 	for i := range items {
-		items[i] = Item{K: uint64(rng.Intn(100)), V: uint64(rng.Intn(1000))}
+		items[i] = item{k: uint64(rng.Intn(100)), v: uint64(rng.Intn(1000))}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GroupBy(plainCfg(), items)
+		groupBy(plainCfg(), items)
 	}
 }

@@ -1,8 +1,9 @@
 package aggregate
 
 import (
-	"fmt"
+	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"oblivjoin/internal/core"
@@ -11,50 +12,70 @@ import (
 	"oblivjoin/internal/trace"
 )
 
-// rowWithValue builds a row whose payload front carries a tag and whose
-// value the ValueFunc below extracts from a side table.
-func valueRows(vals []uint64, key []uint64, tid int) ([]table.Row, map[string]uint64) {
+// valueRows builds rows whose payloads are the decimal values.
+func valueRows(vals []uint64, key []uint64) []table.Row {
 	rows := make([]table.Row, len(vals))
-	lookup := map[string]uint64{}
 	for i := range vals {
-		tag := fmt.Sprintf("%d.%d", tid, i)
-		var d table.Data
-		copy(d[:], tag)
-		rows[i] = table.Row{J: key[i], D: d}
-		lookup[tag] = vals[i]
+		rows[i] = table.Row{J: key[i], D: table.MustData(strconv.FormatUint(vals[i], 10))}
 	}
-	return rows, lookup
+	return rows
+}
+
+func joinSums(t *testing.T, cfg *core.Config, rows1, rows2 []table.Row) []JoinSum {
+	t.Helper()
+	sums, err := JoinGroupSums(cfg, &feed{rows: rows1}, &feed{rows: rows2}, decimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums
 }
 
 func TestJoinGroupSumsFixed(t *testing.T) {
 	// Group 1: T1 values {10, 20} (α1=2), T2 values {3} (α2=1).
 	// Group 2: T1 {5} (α1=1), T2 {7, 8} (α2=2).
-	r1, look1 := valueRows([]uint64{10, 20, 5}, []uint64{1, 1, 2}, 1)
-	r2, look2 := valueRows([]uint64{3, 7, 8}, []uint64{1, 2, 2}, 2)
-	value := func(r table.Row) uint64 {
-		if v, ok := look1[table.DataString(r.D)[:3]]; ok {
-			return v
-		}
-		return look2[table.DataString(r.D)[:3]]
-	}
-	sums := JoinGroupSums(plainCfg(), r1, r2, value)
+	// Group 3 is in T1 only, group 4 in T2 only: neither is output.
+	r1 := valueRows([]uint64{10, 20, 5, 99}, []uint64{1, 1, 2, 3})
+	r2 := valueRows([]uint64{3, 7, 8, 99}, []uint64{1, 2, 2, 4})
+	sums := joinSums(t, plainCfg(), r1, r2)
 	if len(sums) != 2 {
 		t.Fatalf("sums = %+v", sums)
 	}
 	g1, g2 := sums[0], sums[1]
-	if g1.J != 1 || g1.SumLeft != 30 || g1.SumRight != 3 || g1.Pairs != 2 {
+	if g1.J != 1 || g1.SumLeft != sum(30) || g1.SumRight != sum(3) || g1.Pairs != 2 {
 		t.Fatalf("group 1 = %+v", g1)
 	}
-	if g2.J != 2 || g2.SumLeft != 5 || g2.SumRight != 15 || g2.Pairs != 2 {
+	if g2.J != 2 || g2.SumLeft != sum(5) || g2.SumRight != sum(15) || g2.Pairs != 2 {
 		t.Fatalf("group 2 = %+v", g2)
 	}
 	// SUM(left value over join) = α2·SumLeft per group: 1·30 + 2·5 = 40.
-	if g1.LeftTotal()+g2.LeftTotal() != 40 {
-		t.Fatalf("left total = %d", g1.LeftTotal()+g2.LeftTotal())
+	if l := g1.LeftTotal().Lo + g2.LeftTotal().Lo; l != 40 {
+		t.Fatalf("left total = %d", l)
 	}
 	// SUM(right value over join) = α1·SumRight: 2·3 + 1·15 = 21.
-	if g1.RightTotal()+g2.RightTotal() != 21 {
-		t.Fatalf("right total = %d", g1.RightTotal()+g2.RightTotal())
+	if r := g1.RightTotal().Lo + g2.RightTotal().Lo; r != 21 {
+		t.Fatalf("right total = %d", r)
+	}
+}
+
+// TestJoinGroupSumsExact: a 45 × 45 one-key join of the largest
+// payload, where every row appears 45 times in the join, totals past
+// 2⁶⁴ on both sides.
+func TestJoinGroupSumsExact(t *testing.T) {
+	const n = 45
+	vals, keys := make([]uint64, n), make([]uint64, n)
+	for i := range vals {
+		vals[i] = maxPayload
+	}
+	rows := valueRows(vals, keys)
+	sums := joinSums(t, plainCfg(), rows, rows)
+	if len(sums) != 1 {
+		t.Fatalf("sums = %+v", sums)
+	}
+	want := new(big.Int).Mul(big.NewInt(maxPayload), big.NewInt(n*n))
+	for _, got := range []Uint128{sums[0].LeftTotal(), sums[0].RightTotal()} {
+		if toBig(got).Cmp(want) != 0 {
+			t.Fatalf("total = %s, want %s", toBig(got), want)
+		}
 	}
 }
 
@@ -76,26 +97,17 @@ func TestJoinGroupSumsAgainstMaterializedJoin(t *testing.T) {
 			keys2[i] = uint64(rng.Intn(6))
 			vals2[i] = uint64(rng.Intn(50))
 		}
-		r1, look1 := valueRows(vals1, keys1, 1)
-		r2, look2 := valueRows(vals2, keys2, 2)
-		value := func(r table.Row) uint64 {
-			s := table.DataString(r.D)
-			if v, ok := look1[s]; ok {
-				return v
-			}
-			return look2[s]
-		}
 
-		sums := JoinGroupSums(plainCfg(), r1, r2, value)
+		sums := joinSums(t, plainCfg(), valueRows(vals1, keys1), valueRows(vals2, keys2))
 		var gotLeft, gotRight uint64
 		for _, s := range sums {
-			gotLeft += s.LeftTotal()
-			gotRight += s.RightTotal()
+			gotLeft += s.LeftTotal().Lo
+			gotRight += s.RightTotal().Lo
 		}
 
 		var wantLeft, wantRight uint64
-		for i := range r1 {
-			for j := range r2 {
+		for i := range keys1 {
+			for j := range keys2 {
 				if keys1[i] == keys2[j] {
 					wantLeft += vals1[i]
 					wantRight += vals2[j]
@@ -111,17 +123,14 @@ func TestJoinGroupSumsAgainstMaterializedJoin(t *testing.T) {
 
 func TestJoinGroupSumsOblivious(t *testing.T) {
 	run := func(k1, k2 []uint64) string {
-		v1 := make([]uint64, len(k1))
-		v2 := make([]uint64, len(k2))
-		r1, _ := valueRows(v1, k1, 1)
-		r2, _ := valueRows(v2, k2, 2)
+		r1 := valueRows(make([]uint64, len(k1)), k1)
+		r2 := valueRows(make([]uint64, len(k2)), k2)
 		h := trace.NewHasher()
 		sp := memory.NewSpace(h, nil)
-		JoinGroupSums(&core.Config{Alloc: table.PlainAlloc(sp)},
-			r1, r2, func(table.Row) uint64 { return 0 })
+		joinSums(t, &core.Config{Alloc: table.PlainAlloc(sp)}, r1, r2)
 		return h.Hex()
 	}
-	// Same sizes, same per-side joinable group counts.
+	// Same sizes, same number of joinable groups.
 	a := run([]uint64{1, 1, 2, 3}, []uint64{1, 2, 2, 9})
 	b := run([]uint64{5, 6, 6, 6}, []uint64{5, 5, 5, 6}) // 2 joinable groups both sides
 	if a != b {
@@ -130,7 +139,7 @@ func TestJoinGroupSumsOblivious(t *testing.T) {
 }
 
 func TestJoinGroupSumsEmpty(t *testing.T) {
-	if got := JoinGroupSums(plainCfg(), nil, nil, func(table.Row) uint64 { return 0 }); len(got) != 0 {
+	if got := joinSums(t, plainCfg(), nil, nil); len(got) != 0 {
 		t.Fatalf("got %+v", got)
 	}
 }

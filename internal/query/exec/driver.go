@@ -11,10 +11,10 @@ import (
 // data, flowing in DefaultBatch-row batches) or as a materialized
 // Relation (keyed join output, aggregates, the result) charged to the
 // run's gauge and discharged the moment the next stage has consumed it.
-// Barrier operators fill their stores straight from the upstream
-// batches and each intermediate store is released the moment it is
-// drained, so the run's peak is the widest adjacent pair of stages, not
-// the sum of every intermediate.
+// Barrier operators (Streamers and Feeders) fill their stores straight
+// from the upstream batches and each intermediate store is released the
+// moment it is drained, so the run's peak is the widest adjacent pair
+// of stages, not the sum of every intermediate.
 //
 // The recorded access pattern is a function of the pipeline and the
 // public sizes alone: fills defer their write events behind the
@@ -105,7 +105,7 @@ func (d *Driver) Step(op Operator) error {
 		d.relCharge = 0
 		d.setSource(o.Source(d.ctx, d.rel.Pairs, func() { g.Discharge(charge) }))
 		return nil
-	case Join:
+	case Feeder:
 		if d.src == nil {
 			return malformed(op, "a materialized relation")
 		}
@@ -137,21 +137,16 @@ func (d *Driver) Step(op Operator) error {
 	return d.runWhole(op)
 }
 
-// runWhole is the bridge into the whole-relation consumers: a live
-// stream is drained into a slice first, and the input relation's charge
-// drops once the operator has produced its output.
+// runWhole runs a whole-relation consumer on the current materialized
+// relation, whose charge drops once the operator has produced its
+// output.
 func (d *Driver) runWhole(op Operator) error {
+	if d.src != nil {
+		return malformed(op, "a row stream")
+	}
 	w, ok := op.(Whole)
 	if !ok {
 		return malformed(op, "a materialized relation")
-	}
-	if d.src != nil {
-		rows, err := materialize(d.takeSource())
-		if err != nil {
-			return err
-		}
-		rel := Relation{Kind: KindRows, Rows: rows}
-		d.setRel(rel, RelationFootprint(rel))
 	}
 	out, err := w.Run(d.ctx, d.rel)
 	if err != nil {

@@ -64,12 +64,12 @@ func seqRows(first, n int, tag string) []table.Row {
 }
 
 // TestDriverHandOffs drives every kind of stage hand-off — source →
-// streamer, stream → join → pairs → rekey source → join, stream → the
-// whole-relation bridge, and Limit's dummy drain — across more than two
-// batches, once to completion and once with the stream failing on its
-// second batch. Either way every stream a stage was handed is closed
-// exactly once and, the run over, no hand-off stays charged to the
-// gauge.
+// streamer, stream → join → pairs → rekey source → join, stream → an
+// aggregate, and Limit's dummy drain — across more than two batches,
+// once to completion and once with the stream failing on its second
+// batch. Either way every stream a stage was handed is closed exactly
+// once. A completed run leaves nothing charged to the gauge: every
+// stage released its stores and the driver discharged its hand-offs.
 func TestDriverHandOffs(t *testing.T) {
 	const n = 2*DefaultBatch + 7
 	tables := map[string][]table.Row{
@@ -80,7 +80,7 @@ func TestDriverHandOffs(t *testing.T) {
 	odd := func(r table.Row) uint64 { return obliv.Eq(r.J%2, 1) }
 	proj := Project{Items: []ProjItem{{Col: ColKey}, {Col: ColData}}}
 	projPairs := Project{Items: []ProjItem{{Col: ColKey}, {Col: ColLeftData}, {Col: ColRightData}}}
-	projGroups := Project{Items: []ProjItem{{Col: ColKey}, {Agg: AggCount}}}
+	projCount := Project{Items: []ProjItem{{Col: ColKey}, {Agg: AggCount}}}
 
 	cases := []struct {
 		name     string
@@ -94,9 +94,12 @@ func TestDriverHandOffs(t *testing.T) {
 		{"pairs-to-rekey-source", func(tp func(string) tap) []Operator {
 			return []Operator{Scan{Table: "a"}, tp("scan"), Join{Table: "b"}, Rekey{First: true}, tp("rekey"), Join{Table: "c"}, Sort{Free: true}, projPairs}
 		}, n, []int{n, n}},
-		{"stream-to-whole-bridge", func(tp func(string) tap) []Operator {
-			return []Operator{Scan{Table: "a"}, tp("scan"), Sort{}, tp("sort"), GroupBy{}, Limit{N: 3}, projGroups}
+		{"stream-to-group-by", func(tp func(string) tap) []Operator {
+			return []Operator{Scan{Table: "a"}, tp("scan"), Sort{}, tp("sort"), GroupBy{}, Limit{N: 3}, projCount}
 		}, 3, []int{n, n}},
+		{"stream-to-join-aggregate", func(tp func(string) tap) []Operator {
+			return []Operator{Scan{Table: "a"}, tp("scan"), Filter{Pred: odd}, tp("filter"), JoinAggregate{Table: "b"}, projCount}
+		}, n / 2, []int{n, n / 2}},
 		{"limit-dummy-drain", func(tp func(string) tap) []Operator {
 			return []Operator{Scan{Table: "a"}, tp("scan"), Sort{}, tp("sort"), Limit{N: 5}, tp("limit"), proj}
 		}, 5, []int{n, n, 5}},
@@ -155,14 +158,15 @@ func TestDriverHandOffs(t *testing.T) {
 						}
 					}
 				}
-				// The end of a run. The stores no stage releases — a
-				// failed fill's half-built one, aggregate.GroupBy's work
-				// store — die with the run's gauge; releasing every store
-				// here leaves only the driver's hand-off charges, which
-				// must balance.
+				// The end of a run. A failed run abandons the store its
+				// failed fill was building, which dies with the run's
+				// gauge; releasing every store then leaves only the
+				// driver's hand-off charges, which must balance.
 				d.Close()
-				for _, st := range stores {
-					g.Release(st)
+				if fail {
+					for _, st := range stores {
+						g.Release(st)
+					}
 				}
 				if !drained(g) {
 					t.Error("bytes still charged (or discharged twice) after the run")
@@ -197,6 +201,7 @@ func TestDriverRejectsMalformedPipelines(t *testing.T) {
 		"join of pairs":         {Scan{Table: "a"}, Join{Table: "b"}, Join{Table: "b"}},
 		"filter of pairs":       {Scan{Table: "a"}, Join{Table: "b"}, Filter{}},
 		"sort of pairs":         {Scan{Table: "a"}, Join{Table: "b"}, Sort{}},
+		"group-by of pairs":     {Scan{Table: "a"}, Join{Table: "b"}, GroupBy{}},
 		"no project at the end": {Scan{Table: "a"}},
 	} {
 		d := NewDriver(testCtx(tables), nil, nil)

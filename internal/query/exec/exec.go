@@ -8,12 +8,12 @@
 // Every operator has exactly one execution form per shape of input.
 // Row-shaped data flows between stages as a RowSource of
 // DefaultBatch-row batches: Scan opens one, the Streamers (Filter,
-// Distinct, Sort, Semijoin, Limit) turn one into the next, Join
-// consumes one into keyed pairs and Rekey turns pairs back into one.
-// Everything else — keyed pairs, aggregates — is a materialized
-// Relation, and the operators that meet one implement Whole: GroupBy,
-// JoinAggregate and Restore, which need their whole input at once, and
-// Limit, Project and the free Sort over join output.
+// Distinct, Sort, Semijoin, Limit) turn one into the next, the Feeders
+// (Join, GroupBy, JoinAggregate) consume one into a materialized
+// Relation — keyed pairs or aggregates — and Rekey turns pairs back
+// into a stream. The operators that meet a materialized relation
+// implement Whole: Restore, and Limit, Project and the free Sort over
+// join output and aggregates.
 //
 // The context carries a single *core.Config — store allocator (plain or
 // sealed), instrumentation, cancellation — so every stage of a SQL
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"oblivjoin/internal/aggregate"
 	"oblivjoin/internal/catalog"
@@ -53,8 +52,7 @@ type Kind int
 const (
 	// KindNone is the empty pipeline source (before Scan).
 	KindNone Kind = iota
-	// KindRows is a single-payload relation ([]table.Row): a drained
-	// row stream, or one batch of it.
+	// KindRows is one batch of a row stream, as Project renders it.
 	KindRows
 	// KindPairs is keyed join output ([]table.KeyedPair).
 	KindPairs
@@ -84,8 +82,6 @@ type Relation struct {
 // Size returns the (public) cardinality of the relation.
 func (r Relation) Size() int {
 	switch r.Kind {
-	case KindRows:
-		return len(r.Rows)
 	case KindPairs:
 		return len(r.Pairs)
 	case KindGroups:
@@ -111,15 +107,24 @@ type Result struct {
 
 // Operator is one physical plan stage; Name is the stage's label in
 // EXPLAIN output and PlanStats reports. A stage executes through
-// whichever of Scan.Source, Streamer, Join.RunFeed, Rekey.Source,
+// whichever of Scan.Source, Streamer, Feeder, Rekey.Source,
 // Project.RunStream and Whole it has; Driver.Step picks by the shape of
 // the previous stage's output.
 type Operator interface {
 	Name() string
 }
 
-// Whole is implemented by the operators that consume their whole input
-// at once: Run takes the upstream relation and produces the downstream
+// Feeder is implemented by the operators that consume a row stream
+// into a materialized relation: Join, GroupBy and JoinAggregate fill
+// their stores straight from the upstream batches. RunFeed owns src: it
+// is closed by the time RunFeed returns.
+type Feeder interface {
+	Operator
+	RunFeed(ctx *Context, src RowSource) (Relation, error)
+}
+
+// Whole is implemented by the operators that consume a materialized
+// relation: Run takes the upstream relation and produces the downstream
 // one.
 type Whole interface {
 	Operator
@@ -137,7 +142,7 @@ func malformed(op Operator, in string) error {
 }
 
 // probeEvery is the row stride between cancellation probes in the
-// operators' own per-row loops (GroupBy, Restore, Project). The
+// operators' own per-row loops (Restore, Project). The
 // oblivious primitives probe at their round barriers already; this
 // covers the plain-Go loops over m rows, which can dominate when a
 // join output is large. A fixed constant, so the probe cadence is a
@@ -297,69 +302,32 @@ func (j JoinAggregate) Name() string {
 	return fmt.Sprintf("join-group-stats(%s) [§7 fast path]", j.Table)
 }
 
-// Run implements Whole.
-func (j JoinAggregate) Run(ctx *Context, in Relation) (Relation, error) {
-	right, err := lookup(ctx, j.Table, "")
+// RunFeed implements Feeder: the upstream stream and the right table,
+// drained from the catalog in batch windows, append straight into
+// Augment-Tables' combined store, as for Join. The summed sides'
+// payloads are checked as they stream in, before anything is sorted. A
+// side the query does not sum may hold any payload: its value parses
+// to 0 and its sum is never projected.
+func (j JoinAggregate) RunFeed(ctx *Context, src RowSource) (Relation, error) {
+	rows, err := lookup(ctx, j.Table, "")
 	if err != nil {
+		src.Close()
 		return Relation{}, err
 	}
+	right := newSliceSource(ctx, rows)
 	if !j.SumLeft && !j.SumRight {
-		stats := aggregate.JoinGroupStats(ctx.Cfg, in.Rows, right)
-		return Relation{Kind: KindJoinStats, JoinStats: stats}, nil
+		stats, err := aggregate.JoinGroupStats(ctx.Cfg, src, right)
+		return Relation{Kind: KindJoinStats, JoinStats: stats}, err
 	}
-	// Validate the summed sides' payloads up front — BEFORE the
-	// oblivious pass runs — and report every offending value, not just
-	// the first one a side channel happened to catch. A side the query
-	// does not sum may hold any payload: its value parses to 0 and its
-	// sum is never projected.
-	var summed [][]table.Row
+	var check numericCheck
 	if j.SumLeft {
-		summed = append(summed, in.Rows)
+		src = check.wrap(src)
 	}
 	if j.SumRight {
-		summed = append(summed, right)
+		right = check.wrap(right)
 	}
-	if err := checkNumericPayloads(summed...); err != nil {
-		return Relation{}, err
-	}
-	value := func(r table.Row) uint64 {
-		v, _ := strconv.ParseUint(table.DataString(r.D), 10, 64)
-		return v
-	}
-	sums := aggregate.JoinGroupSums(ctx.Cfg, in.Rows, right, value)
-	return Relation{Kind: KindJoinSums, JoinSums: sums}, nil
-}
-
-// checkNumericPayloads rejects SUM-over-JOIN inputs whose payloads do
-// not parse as unsigned integers, listing the distinct offending
-// values (capped for readability).
-func checkNumericPayloads(sides ...[]table.Row) error {
-	const maxListed = 5
-	seen := map[string]bool{}
-	var bad []string
-	truncated := false
-	for _, rows := range sides {
-		for _, r := range rows {
-			s := table.DataString(r.D)
-			if _, err := strconv.ParseUint(s, 10, 64); err == nil || seen[s] {
-				continue
-			}
-			seen[s] = true
-			if len(bad) == maxListed {
-				truncated = true
-				continue
-			}
-			bad = append(bad, strconv.Quote(s))
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	list := strings.Join(bad, ", ")
-	if truncated {
-		list += fmt.Sprintf(", … (%d distinct values)", len(seen))
-	}
-	return fmt.Errorf("query: SUM over a JOIN needs numeric data payloads; found %s", list)
+	sums, err := aggregate.JoinGroupSums(ctx.Cfg, src, right, payloadValue)
+	return Relation{Kind: KindJoinSums, JoinSums: sums}, err
 }
 
 // ── aggregation ──────────────────────────────────────────────────────
@@ -372,22 +340,24 @@ type GroupBy struct{ NeedValue bool }
 // Name implements Operator.
 func (GroupBy) Name() string { return "group-by[oblivious]" }
 
-// Run implements Whole.
-func (g GroupBy) Run(ctx *Context, in Relation) (Relation, error) {
-	items := make([]aggregate.Item, len(in.Rows))
-	for i, r := range in.Rows {
-		if i%probeEvery == 0 {
-			probe(ctx)
-		}
-		items[i] = aggregate.Item{K: r.J}
-		if g.NeedValue {
-			v, err := strconv.ParseUint(table.DataString(r.D), 10, 64)
-			if err != nil {
-				return Relation{}, fmt.Errorf("query: SUM/MIN/MAX need numeric data payloads: row %d holds %q",
-					i, table.DataString(r.D))
-			}
-			items[i].V = v
-		}
+// RunFeed implements Feeder: the upstream batches fill the aggregate's
+// store, their payloads checked on the way when a value is projected.
+func (g GroupBy) RunFeed(ctx *Context, src RowSource) (Relation, error) {
+	if g.NeedValue {
+		var check numericCheck
+		src = check.wrap(src)
 	}
-	return Relation{Kind: KindGroups, Groups: aggregate.GroupBy(ctx.Cfg, items)}, nil
+	a, err := ctx.fillStore(src)
+	if err != nil {
+		return Relation{}, err
+	}
+	return Relation{Kind: KindGroups, Groups: aggregate.GroupBy(ctx.Cfg, a, payloadValue)}, nil
+}
+
+// payloadValue reads a payload as the unsigned decimal SUM, MIN and MAX
+// aggregate. What it makes of a payload numericCheck rejects is never
+// projected.
+func payloadValue(d table.Data) uint64 {
+	v, _ := strconv.ParseUint(table.DataString(d), 10, 64)
+	return v
 }

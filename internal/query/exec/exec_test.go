@@ -106,17 +106,41 @@ func TestRekeyConcatenatesAndOverflows(t *testing.T) {
 }
 
 func TestCheckNumericPayloadsListsValues(t *testing.T) {
-	mk := func(vals ...string) []table.Row {
+	mk := func(vals ...string) RowSource {
 		out := make([]table.Row, len(vals))
 		for i, v := range vals {
 			out[i] = table.Row{J: uint64(i), D: table.MustData(v)}
 		}
-		return out
+		return newSliceSource(nil, out)
 	}
-	if err := checkNumericPayloads(mk("1", "22", "333")); err != nil {
+	// check wraps every stream in one numericCheck and drains them in
+	// turn, as a join aggregate's feeds are drained; only the last one
+	// to end may fail.
+	check := func(srcs ...RowSource) error {
+		var c numericCheck
+		for i := range srcs {
+			srcs[i] = c.wrap(srcs[i])
+		}
+		for i, src := range srcs {
+			for {
+				b, err := src.Next()
+				if err != nil {
+					if i < len(srcs)-1 {
+						t.Fatalf("stream %d of %d failed before the last one ended: %v", i+1, len(srcs), err)
+					}
+					return err
+				}
+				if b == nil {
+					break
+				}
+			}
+		}
+		return nil
+	}
+	if err := check(mk("1", "22", "333")); err != nil {
 		t.Fatalf("numeric payloads rejected: %v", err)
 	}
-	err := checkNumericPayloads(mk("1", "bad", "bad"), mk("worse", "3"))
+	err := check(mk("1", "bad", "bad"), mk("worse", "3"))
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -128,9 +152,9 @@ func TestCheckNumericPayloadsListsValues(t *testing.T) {
 		t.Fatalf("error %q repeats duplicate values", msg)
 	}
 	// More than five distinct offenders: the list is capped and counted.
-	err = checkNumericPayloads(mk("a", "b", "c", "d", "e", "f", "g"))
-	if err == nil || !strings.Contains(err.Error(), "7 distinct values") {
-		t.Fatalf("err = %v, want truncation note", err)
+	err = check(mk("a", "b", "c", "d", "e", "f", "g"))
+	if err == nil || !strings.Contains(err.Error(), "7 distinct values") || strings.Contains(err.Error(), `"f"`) {
+		t.Fatalf("err = %v, want the first five and a truncation note", err)
 	}
 }
 

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"math/big"
 	"strconv"
 
+	"oblivjoin/internal/aggregate"
 	"oblivjoin/internal/table"
 )
 
@@ -192,7 +194,7 @@ func (p Project) rowEmitter(in Relation) (func(i int) ([]string, error), error) 
 			case AggCount:
 				return u(g.Count, 10), nil
 			case AggSum:
-				return u(g.Sum, 10), nil
+				return decimal(g.Sum), nil
 			case AggMin:
 				return u(g.Min, 10), nil
 			case AggMax:
@@ -217,9 +219,9 @@ func (p Project) rowEmitter(in Relation) (func(i int) ([]string, error), error) 
 			case it.Agg == AggCount:
 				return u(s.Pairs, 10), nil
 			case it.Agg == AggSum && it.Col == ColRightData:
-				return u(s.RightTotal(), 10), nil
+				return decimal(s.RightTotal()), nil
 			case it.Agg == AggSum:
-				return u(s.LeftTotal(), 10), nil
+				return decimal(s.LeftTotal()), nil
 			case it.Col == ColKey && it.Agg == AggNone:
 				return u(s.J, 10), nil
 			}
@@ -238,4 +240,10 @@ func (p Project) rowEmitter(in Relation) (func(i int) ([]string, error), error) 
 		}
 		return out, nil
 	}, nil
+}
+
+// decimal renders an exact 128-bit sum.
+func decimal(v aggregate.Uint128) string {
+	x := new(big.Int).SetUint64(v.Hi)
+	return x.Lsh(x, 64).Or(x, new(big.Int).SetUint64(v.Lo)).String()
 }

@@ -1,6 +1,10 @@
 package exec
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"oblivjoin/internal/core"
 	"oblivjoin/internal/ops"
 	"oblivjoin/internal/table"
@@ -255,22 +259,70 @@ func (l *limitSource) Next() (Batch, error) {
 
 func (l *limitSource) Close() { l.src.Close() }
 
-// materialize drains src into one contiguous slice — the bridge from a
-// row stream to the operators that need the whole relation at once
-// (GroupBy, the §7 join aggregates). It closes src in all cases.
-func materialize(src RowSource) ([]table.Row, error) {
-	out := make([]table.Row, 0, src.Len())
-	defer src.Close()
-	for {
-		b, err := src.Next()
-		if err != nil {
-			return nil, err
+// numericCheck checks, as they stream past, the payloads of the
+// streams it wraps: the ones a SUM, MIN or MAX reads as unsigned
+// decimals. The last wrapped stream to end fails, listing every wrapped
+// stream's distinct offenders (capped for readability), so the error
+// names them all and comes before the consuming operator sorts
+// anything.
+type numericCheck struct {
+	open int             // wrapped streams not yet ended
+	seen map[string]bool // distinct offenders
+	bad  []string        // the first maxListed of them, quoted
+}
+
+const maxListed = 5
+
+func (c *numericCheck) wrap(src RowSource) RowSource {
+	c.open++
+	return &checkedSource{RowSource: src, check: c}
+}
+
+func (c *numericCheck) see(b Batch) {
+	for _, r := range b {
+		s := table.DataString(r.D)
+		if _, err := strconv.ParseUint(s, 10, 64); err == nil || c.seen[s] {
+			continue
 		}
-		if b == nil {
-			return out, nil
+		if c.seen == nil {
+			c.seen = map[string]bool{}
 		}
-		out = append(out, b...)
+		c.seen[s] = true
+		if len(c.bad) < maxListed {
+			c.bad = append(c.bad, strconv.Quote(s))
+		}
 	}
+}
+
+// verdict is the check's error, once the last wrapped stream has ended.
+func (c *numericCheck) verdict() error {
+	if c.open--; c.open > 0 || len(c.seen) == 0 {
+		return nil
+	}
+	list := strings.Join(c.bad, ", ")
+	if len(c.seen) > maxListed {
+		list += fmt.Sprintf(", … (%d distinct values)", len(c.seen))
+	}
+	return fmt.Errorf("query: SUM/MIN/MAX need numeric data payloads; found %s", list)
+}
+
+type checkedSource struct {
+	RowSource
+	check *numericCheck
+	ended bool
+}
+
+func (s *checkedSource) Next() (Batch, error) {
+	b, err := s.RowSource.Next()
+	if err != nil || s.ended {
+		return b, err
+	}
+	s.check.see(b)
+	if b == nil {
+		s.ended = true
+		return nil, s.check.verdict()
+	}
+	return b, nil
 }
 
 // ── the row-stream operators ─────────────────────────────────────────
@@ -328,7 +380,7 @@ func (s Semijoin) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 	return newStoreSource(ctx, a, int(k)), nil
 }
 
-// RunFeed is Join's execution form: both inputs arrive batch-wise and
+// RunFeed implements Feeder: both inputs arrive batch-wise and
 // append straight into the join's combined store
 // (core.JoinKeyedFeed2), so neither relation is ever staged as an
 // extra slice — the left is the upstream stage's stream, the right is
@@ -362,16 +414,14 @@ func (l Limit) RunStream(ctx *Context, src RowSource) (RowSource, error) {
 // platforms and GC schedules, and therefore CI-gateable.
 func RelationFootprint(r Relation) int64 {
 	switch r.Kind {
-	case KindRows:
-		return int64(len(r.Rows)) * int64(8+table.DataLen)
 	case KindPairs:
 		return int64(len(r.Pairs)) * int64(8+2*table.DataLen)
 	case KindGroups:
-		return int64(len(r.Groups)) * 40
+		return int64(len(r.Groups)) * 48
 	case KindJoinStats:
 		return int64(len(r.JoinStats)) * 32
 	case KindJoinSums:
-		return int64(len(r.JoinSums)) * 48
+		return int64(len(r.JoinSums)) * 64
 	case KindResult:
 		return ResultFootprint(r.Result)
 	}

@@ -230,8 +230,13 @@ func TestQueryGroupBy(t *testing.T) {
 
 func TestQueryGroupByNonNumericFails(t *testing.T) {
 	e := engineFixture(t)
-	if _, err := e.Query("SELECT key, SUM(data) FROM users GROUP BY key"); err == nil {
+	_, err := e.Query("SELECT key, SUM(data) FROM users GROUP BY key")
+	if err == nil {
 		t.Fatal("expected numeric-payload error")
+	}
+	// The error lists the offending payload and names no row index.
+	if msg := err.Error(); !strings.Contains(msg, `"ann"`) || strings.Contains(msg, "row") {
+		t.Fatalf("error %q: want the payload listed and no row index", msg)
 	}
 	// COUNT alone works on non-numeric payloads.
 	res := mustQuery(t, e, "SELECT key, COUNT(*) FROM users GROUP BY key")

@@ -415,14 +415,14 @@ func TestStreamedCancellation(t *testing.T) {
 	}
 }
 
-// tamperedStore is a test-only Whole stage that fails the way a sealed
-// store fails when the untrusted memory under it was tampered with: a
-// typed *table.Fault panic from inside the operator stack.
+// tamperedStore is a test-only Streamer stage that fails the way a
+// sealed store fails when the untrusted memory under it was tampered
+// with: a typed *table.Fault panic from inside the operator stack.
 type tamperedStore struct{}
 
 func (tamperedStore) Name() string { return "tampered-store" }
 
-func (tamperedStore) Run(*exec.Context, exec.Relation) (exec.Relation, error) {
+func (tamperedStore) RunStream(*exec.Context, exec.RowSource) (exec.RowSource, error) {
 	panic(&table.Fault{Err: fmt.Errorf("%w: block 0: injected", table.ErrSealedAuth)})
 }
 
@@ -461,19 +461,25 @@ func TestSealedFaultContained(t *testing.T) {
 }
 
 // TestStreamerInterfaces pins which operators turn one row stream into
-// the next, and which take a whole relation.
+// the next, which consume one into a materialized relation, and which
+// take a materialized relation.
 func TestStreamerInterfaces(t *testing.T) {
 	for _, op := range []exec.Operator{exec.Filter{}, exec.Distinct{}, exec.Sort{}, exec.Semijoin{}, exec.Limit{}} {
 		if _, ok := op.(exec.Streamer); !ok {
 			t.Fatalf("%T does not implement Streamer", op)
 		}
 	}
-	for _, op := range []exec.Operator{exec.GroupBy{}, exec.JoinAggregate{}, exec.Restore{}, exec.Limit{}, exec.Project{}, exec.Sort{Free: true}} {
+	for _, op := range []exec.Operator{exec.Join{}, exec.GroupBy{}, exec.JoinAggregate{}} {
+		if _, ok := op.(exec.Feeder); !ok {
+			t.Fatalf("%T does not implement Feeder", op)
+		}
+	}
+	for _, op := range []exec.Operator{exec.Restore{}, exec.Limit{}, exec.Project{}, exec.Sort{Free: true}} {
 		if _, ok := op.(exec.Whole); !ok {
 			t.Fatalf("%T does not implement Whole", op)
 		}
 	}
-	for _, op := range []exec.Operator{exec.Scan{}, exec.Filter{}, exec.Distinct{}, exec.Semijoin{}, exec.Rekey{}, exec.Join{}} {
+	for _, op := range []exec.Operator{exec.Scan{}, exec.Filter{}, exec.Distinct{}, exec.Semijoin{}, exec.Rekey{}, exec.Join{}, exec.GroupBy{}, exec.JoinAggregate{}} {
 		if _, ok := op.(exec.Whole); ok {
 			t.Fatalf("%T still has a whole-relation form", op)
 		}
