@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"fmt"
-	"math/big"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -118,26 +117,6 @@ func TestGroupBySingleKey(t *testing.T) {
 
 // maxPayload is the largest value a 16-byte decimal payload holds.
 const maxPayload = 9999999999999999
-
-// toBig converts an exact sum for comparison with math/big.
-func toBig(u Uint128) *big.Int {
-	v := new(big.Int).SetUint64(u.Hi)
-	return v.Lsh(v, 64).Add(v, new(big.Int).SetUint64(u.Lo))
-}
-
-// TestGroupBySumIsExact: 2 000 copies of the largest payload sum past
-// 2⁶⁴, into the high word.
-func TestGroupBySumIsExact(t *testing.T) {
-	items := make([]item, 2000)
-	for i := range items {
-		items[i] = item{k: 1, v: maxPayload}
-	}
-	got := groupBy(plainCfg(), items)
-	want := new(big.Int).Mul(big.NewInt(maxPayload), big.NewInt(2000))
-	if len(got) != 1 || toBig(got[0].Sum).Cmp(want) != 0 || got[0].Sum.Hi == 0 {
-		t.Fatalf("got %+v, want sum %s", got, want)
-	}
-}
 
 func TestGroupByProperty(t *testing.T) {
 	f := func(raw []uint16) bool {

@@ -1,7 +1,6 @@
 package aggregate
 
 import (
-	"math/big"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -54,28 +53,6 @@ func TestJoinGroupSumsFixed(t *testing.T) {
 	// SUM(right value over join) = α1·SumRight: 2·3 + 1·15 = 21.
 	if r := g1.RightTotal().Lo + g2.RightTotal().Lo; r != 21 {
 		t.Fatalf("right total = %d", r)
-	}
-}
-
-// TestJoinGroupSumsExact: a 45 × 45 one-key join of the largest
-// payload, where every row appears 45 times in the join, totals past
-// 2⁶⁴ on both sides.
-func TestJoinGroupSumsExact(t *testing.T) {
-	const n = 45
-	vals, keys := make([]uint64, n), make([]uint64, n)
-	for i := range vals {
-		vals[i] = maxPayload
-	}
-	rows := valueRows(vals, keys)
-	sums := joinSums(t, plainCfg(), rows, rows)
-	if len(sums) != 1 {
-		t.Fatalf("sums = %+v", sums)
-	}
-	want := new(big.Int).Mul(big.NewInt(maxPayload), big.NewInt(n*n))
-	for _, got := range []Uint128{sums[0].LeftTotal(), sums[0].RightTotal()} {
-		if toBig(got).Cmp(want) != 0 {
-			t.Fatalf("total = %s, want %s", toBig(got), want)
-		}
 	}
 }
 

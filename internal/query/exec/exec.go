@@ -12,8 +12,8 @@
 // (Join, GroupBy, JoinAggregate) consume one into a materialized
 // Relation — keyed pairs or aggregates — and Rekey turns pairs back
 // into a stream. The operators that meet a materialized relation
-// implement Whole: Restore, and Limit, Project and the free Sort over
-// join output and aggregates.
+// implement Whole: Restore, Limit and Project, and the free Sort over
+// join output.
 //
 // The context carries a single *core.Config — store allocator (plain or
 // sealed), instrumentation, cancellation — so every stage of a SQL

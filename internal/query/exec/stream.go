@@ -268,27 +268,24 @@ func (l *limitSource) Close() { l.src.Close() }
 type numericCheck struct {
 	open int             // wrapped streams not yet ended
 	seen map[string]bool // distinct offenders
-	bad  []string        // the first maxListed of them, quoted
+	bad  []string        // the same, quoted, in the order met
 }
 
 const maxListed = 5
 
 func (c *numericCheck) wrap(src RowSource) RowSource {
 	c.open++
+	if c.seen == nil {
+		c.seen = map[string]bool{}
+	}
 	return &checkedSource{RowSource: src, check: c}
 }
 
 func (c *numericCheck) see(b Batch) {
 	for _, r := range b {
 		s := table.DataString(r.D)
-		if _, err := strconv.ParseUint(s, 10, 64); err == nil || c.seen[s] {
-			continue
-		}
-		if c.seen == nil {
-			c.seen = map[string]bool{}
-		}
-		c.seen[s] = true
-		if len(c.bad) < maxListed {
+		if _, err := strconv.ParseUint(s, 10, 64); err != nil && !c.seen[s] {
+			c.seen[s] = true
 			c.bad = append(c.bad, strconv.Quote(s))
 		}
 	}
@@ -296,12 +293,12 @@ func (c *numericCheck) see(b Batch) {
 
 // verdict is the check's error, once the last wrapped stream has ended.
 func (c *numericCheck) verdict() error {
-	if c.open--; c.open > 0 || len(c.seen) == 0 {
+	if c.open--; c.open > 0 || len(c.bad) == 0 {
 		return nil
 	}
-	list := strings.Join(c.bad, ", ")
-	if len(c.seen) > maxListed {
-		list += fmt.Sprintf(", … (%d distinct values)", len(c.seen))
+	list := strings.Join(c.bad[:min(len(c.bad), maxListed)], ", ")
+	if len(c.bad) > maxListed {
+		list += fmt.Sprintf(", … (%d distinct values)", len(c.bad))
 	}
 	return fmt.Errorf("query: SUM/MIN/MAX need numeric data payloads; found %s", list)
 }
