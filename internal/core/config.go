@@ -147,29 +147,6 @@ func (c *Config) SortStore(st table.Store, less bitonic.LessFunc[table.Entry], b
 	bitonic.SortCheck[table.Entry](st, less, table.CondSwapEntry, bs, c.checkFn())
 }
 
-// pairArray adapts a plain KeyedPair slice to the sorting networks'
-// Array interface. Pair relations travel between operators as plain
-// slices (their per-element access pattern is already fixed by the
-// networks' schedules), so no store allocation is involved.
-type pairArray []table.KeyedPair
-
-func (p pairArray) Len() int                     { return len(p) }
-func (p pairArray) Get(i int) table.KeyedPair    { return p[i] }
-func (p pairArray) Set(i int, v table.KeyedPair) { p[i] = v }
-
-// SortPairs runs the configured sorting network over a KeyedPair slice
-// in place, with cancellation probes between rounds. Comparator counts
-// land in bs (nil to skip). The canonicalize stage of a reordered join
-// chain sorts through this, so its network choice and instrumentation
-// match the rest of the pipeline.
-func (c *Config) SortPairs(pairs []table.KeyedPair, less bitonic.LessFunc[table.KeyedPair], bs *bitonic.Stats) {
-	if c.Net == MergeExchange {
-		bitonic.MergeExchangeSortCheck[table.KeyedPair](pairArray(pairs), less, table.CondSwapKeyedPair, bs, c.checkFn())
-		return
-	}
-	bitonic.SortCheck[table.KeyedPair](pairArray(pairs), less, table.CondSwapKeyedPair, bs, c.checkFn())
-}
-
 func (c *Config) stats() *Stats {
 	if c.Stats != nil {
 		return c.Stats

@@ -45,26 +45,21 @@ var benchmarkPlanCases = []struct {
 // TestBenchmarkPlansPinned pins the plan of every query shape the SQL
 // workloads run, at their public sizes (sql-serve: dim 64, mid and mid2
 // 512, fact 2048; sql-durable-rw: a and b 128, each client's hot table
-// 64, in the sealed store mode it runs). Planning reads public sizes,
-// so a planner change that would alter what the benchmark executes
-// shows here first.
+// 64). Planning reads public sizes, so a planner change that would
+// alter what the benchmark executes shows here first.
 func TestBenchmarkPlansPinned(t *testing.T) {
-	workloads := map[string]struct {
-		card StaticCard
-		opts Options
-	}{
-		"sql-serve": {StaticCard{"dim": 64, "mid": 512, "mid2": 512, "fact": 2048}, Options{}},
-		"sql-durable-rw": {StaticCard{"a": 128, "b": 128, "hot0": 64, "hot1": 64},
-			Options{Encrypted: true}},
+	workloads := map[string]StaticCard{
+		"sql-serve":      {"dim": 64, "mid": 512, "mid2": 512, "fact": 2048},
+		"sql-durable-rw": {"a": 128, "b": 128, "hot0": 64, "hot1": 64},
 	}
 	for _, c := range benchmarkPlanCases {
-		w := workloads[c.workload]
+		card := workloads[c.workload]
 		q, err := Parse(c.sql)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", c.workload, c.shape, err)
 		}
-		has := func(name string) bool { _, ok := w.card[name]; return ok }
-		plan, err := BuildPlanCfg(q, has, PlanConfig{Card: w.card, Opts: w.opts})
+		has := func(name string) bool { _, ok := card[name]; return ok }
+		plan, err := BuildPlanCfg(q, has, PlanConfig{Card: card})
 		if err != nil {
 			t.Fatalf("%s/%s: %v", c.workload, c.shape, err)
 		}

@@ -9,10 +9,9 @@ package query
 // counts the instrumented executor reports in PlanStats — so modeled
 // and observed comparators are equal whenever the model's output-size
 // inputs are exact, and the difference between them is exactly the
-// estimation error of the intermediate sizes (Card.JoinRows feeds exact
-// ones in). The planner prices join orders with the same model: it
-// reorders a chain only when the greedy order plus restore(m) is
-// strictly cheaper than the written order (plan.go, orderJoins).
+// estimation error of the intermediate sizes. The planner does not
+// price join orders with it: a join's output size m is public only
+// after the join has run, so join chains run in written order (plan.go).
 //
 // Formula provenance (all mirrored from the executing code, and pinned
 // by cost_test.go against instrumented runs):
@@ -26,7 +25,6 @@ package query
 //   join-agg(n, r)          internal/aggregate: Augment-Tables only —
 //                           two sorts of n+r.
 //   filter(n)               scans and compaction only: no comparators.
-//   restore(m)              one canonical sort of m (internal/query/exec).
 //
 // Compaction route-ops are excluded: the executor runs its compactions
 // uninstrumented (internal/ops passes nil stats), so the model matches
@@ -42,26 +40,16 @@ import (
 )
 
 // Card supplies the public cardinalities the planner and the cost
-// model consume. Rows reports a base table's (public) row count.
-// JoinRows optionally reports the output size of joining the
-// accumulated left side (identified by its table list, in execution
-// order) with one more table — the seam through which an observed m
-// replaces the estimate: join output sizes are public by design (§3.2
-// of the paper reveals m), so feeding them in never consults data
-// contents.
+// model consume: Rows reports a base table's (public) row count.
 type Card interface {
 	Rows(table string) (n int, ok bool)
-	JoinRows(left []string, right string) (m int, ok bool)
 }
 
-// StaticCard is a fixed table-size map with no join-size feedback.
+// StaticCard is a fixed table-size map.
 type StaticCard map[string]int
 
 // Rows implements Card.
 func (c StaticCard) Rows(t string) (int, bool) { n, ok := c[t]; return n, ok }
-
-// JoinRows implements Card.
-func (StaticCard) JoinRows([]string, string) (int, bool) { return 0, false }
 
 // tablesCard adapts the single-user engine's table map to Card.
 type tablesCard map[string][]table.Row
@@ -70,8 +58,6 @@ func (c tablesCard) Rows(t string) (int, bool) {
 	rows, ok := c[t]
 	return len(rows), ok
 }
-
-func (tablesCard) JoinRows([]string, string) (int, bool) { return 0, false }
 
 // StageCost is one plan stage's modeled cost.
 type StageCost struct {
@@ -91,7 +77,7 @@ type StageCost struct {
 	// Estimated marks stages whose Rows (and the costs derived from
 	// downstream sizes) rest on an estimate — a data-dependent-but-
 	// public output size the model cannot know before execution
-	// (filter/semijoin survivors, unfed join sizes).
+	// (filter/semijoin survivors, join sizes).
 	Estimated bool
 }
 
@@ -172,11 +158,10 @@ func (cm *costModel) join(n1, n2, m int) (comp, route uint64, bytes int64) {
 	return comp, route, bytes
 }
 
-// estJoinRows is the default intermediate-size estimator when no
-// feedback is available: min(n1, n2), the exact answer when the
-// smaller side's keys each match at most one row of the larger (the
-// foreign-key shape). Fan-out joins exceed it, and the model's
-// comparators then differ from the observed ones.
+// estJoinRows is the model's join output size: min(n1, n2), the exact
+// answer when the smaller side's keys each match at most one row of
+// the larger (the foreign-key shape). Fan-out joins exceed it, and the
+// model's comparators then differ from the observed ones.
 func estJoinRows(n1, n2 int) int { return min(n1, n2) }
 
 // ComputePlanCost walks a linear plan and models every stage's
@@ -195,9 +180,8 @@ func ComputePlanCost(plan PlanNode, card Card, opts Options) *PlanCostReport {
 
 	cm := newCostModel(opts)
 	rep := &PlanCostReport{}
-	cur := 0          // modeled cardinality flowing into the next stage
-	est := false      // cur rests on an estimate
-	var left []string // accumulated join-chain tables, execution order
+	cur := 0     // modeled cardinality flowing into the next stage
+	est := false // cur rests on an estimate
 
 	for _, n := range nodes {
 		sc := StageCost{Op: n.Describe()}
@@ -205,7 +189,6 @@ func ComputePlanCost(plan PlanNode, card Card, opts Options) *PlanCostReport {
 		case ScanNode:
 			nrows, ok := card.Rows(v.Table)
 			cur, est = nrows, !ok
-			left = []string{v.Table}
 		case SemijoinNode:
 			ns, _ := card.Rows(v.Table)
 			sc.Comparators = cm.sortC(cur + ns)
@@ -216,18 +199,12 @@ func ComputePlanCost(plan PlanNode, card Card, opts Options) *PlanCostReport {
 			est = true
 		case JoinNode:
 			nr, _ := card.Rows(v.Table)
-			m, fed := card.JoinRows(left, v.Table)
-			if !fed {
-				m = estJoinRows(cur, nr)
-				est = true
-			}
+			m := estJoinRows(cur, nr)
 			sc.Comparators, sc.RouteOps, sc.Bytes = cm.join(cur, nr, m)
 			cur = m
-			left = append(left, v.Table)
+			est = true // m is public only once the join has run
 		case RekeyNode:
 			// Plain per-row repackaging: no sorts, no stores.
-		case RestoreNode:
-			sc.Comparators = cm.sortC(cur) // the canonical (j,d1,d2) sort
 		case JoinAggNode:
 			nr, _ := card.Rows(v.Table)
 			sc.Comparators = 2 * cm.sortC(cur+nr) // Augment-Tables only

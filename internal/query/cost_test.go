@@ -7,23 +7,6 @@ import (
 	"oblivjoin/internal/table"
 )
 
-// feedCard is a test Card with explicit join-size feedback, keyed by
-// the execution-order left table list.
-type feedCard struct {
-	tables map[string][]table.Row
-	feed   map[string]int
-}
-
-func (c feedCard) Rows(t string) (int, bool) {
-	rows, ok := c.tables[t]
-	return len(rows), ok
-}
-
-func (c feedCard) JoinRows(left []string, right string) (int, bool) {
-	m, ok := c.feed[strings.Join(left, ",")+"→"+right]
-	return m, ok
-}
-
 // seqTable builds count rows with keys first..first+count-1.
 func seqTable(first, count int, tag string) []table.Row {
 	rows := make([]table.Row, count)
@@ -34,16 +17,17 @@ func seqTable(first, count int, tag string) []table.Row {
 }
 
 // TestJoinCostModelExact pins the cost model against the instrumented
-// executor: with the true join output size fed in, modeled comparator
-// and route-op counts must equal the observed counts exactly, in every
-// execution configuration.
+// executor: where the estimated join output size is the true one,
+// modeled comparator and route-op counts must equal the observed counts
+// exactly, in every execution configuration.
 func TestJoinCostModelExact(t *testing.T) {
-	// t1 keys 0..19, t2 keys 5..16 → every t2 key matches once: m = 12.
+	// t1 keys 0..19, t2 keys 5..16 → every t2 key matches once:
+	// m = 12 = min(20, 12), the estimate.
 	tables := map[string][]table.Row{
 		"t1": seqTable(0, 20, "a"),
 		"t2": seqTable(5, 12, "b"),
 	}
-	card := feedCard{tables: tables, feed: map[string]int{"t1→t2": 12}}
+	card := tablesCard(tables)
 	sql := "SELECT key, left.data, right.data FROM t1 JOIN t2 USING (key)"
 
 	for name, opts := range map[string]Options{
@@ -71,9 +55,6 @@ func TestJoinCostModelExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			rep := ComputePlanCost(plan, card, opts)
-			if rep.Estimated {
-				t.Fatalf("report estimated with full feedback: %+v", rep)
-			}
 			if rep.Comparators != ps.Comparators {
 				t.Errorf("modeled comparators = %d, observed = %d", rep.Comparators, ps.Comparators)
 			}

@@ -12,8 +12,8 @@
 // (Join, GroupBy, JoinAggregate) consume one into a materialized
 // Relation — keyed pairs or aggregates — and Rekey turns pairs back
 // into a stream. The operators that meet a materialized relation
-// implement Whole: Restore, Limit and Project, and the free Sort over
-// join output.
+// implement Whole: Limit and Project, and the free Sort over join
+// output.
 //
 // The context carries a single *core.Config — store allocator (plain or
 // sealed), instrumentation, cancellation — so every stage of a SQL
@@ -142,7 +142,7 @@ func malformed(op Operator, in string) error {
 }
 
 // probeEvery is the row stride between cancellation probes in the
-// operators' own per-row loops (Restore, Project). The
+// operators' own per-row loops (Project). The
 // oblivious primitives probe at their round barriers already; this
 // covers the plain-Go loops over m rows, which can dominate when a
 // join output is large. A fixed constant, so the probe cadence is a
@@ -264,12 +264,11 @@ const RekeySep = "+"
 // constants; growing them is a schema decision, not a runtime one).
 //
 // Payload segments are escape-encoded (see encodeSegment) so an
-// accumulated payload splits unambiguously at its separators — the
-// Restore stage of a reordered join chain depends on this. First marks
-// the chain's first rekey, whose left side is a raw scan payload that
-// still needs encoding; later rekeys receive an already-encoded
+// accumulated payload splits unambiguously at its separators. First
+// marks the chain's first rekey, whose left side is a raw scan payload
+// that still needs encoding; later rekeys receive an already-encoded
 // accumulation on the left. Payloads free of '+' and '\' encode as
-// themselves, so the common case concatenates exactly as before.
+// themselves.
 type Rekey struct{ First bool }
 
 // Name implements Operator.
@@ -342,16 +341,20 @@ func (GroupBy) Name() string { return "group-by[oblivious]" }
 
 // RunFeed implements Feeder: the upstream batches fill the aggregate's
 // store, their payloads checked on the way when a value is projected.
+// Without one, no payload is parsed: a COUNT-only GROUP BY does no work
+// whose time depends on payload contents.
 func (g GroupBy) RunFeed(ctx *Context, src RowSource) (Relation, error) {
+	value := zeroValue
 	if g.NeedValue {
 		var check numericCheck
 		src = check.wrap(src)
+		value = payloadValue
 	}
 	a, err := ctx.fillStore(src)
 	if err != nil {
 		return Relation{}, err
 	}
-	return Relation{Kind: KindGroups, Groups: aggregate.GroupBy(ctx.Cfg, a, payloadValue)}, nil
+	return Relation{Kind: KindGroups, Groups: aggregate.GroupBy(ctx.Cfg, a, value)}, nil
 }
 
 // payloadValue reads a payload as the unsigned decimal SUM, MIN and MAX
@@ -361,3 +364,6 @@ func payloadValue(d table.Data) uint64 {
 	v, _ := strconv.ParseUint(table.DataString(d), 10, 64)
 	return v
 }
+
+// zeroValue is the value of every payload when no aggregate reads one.
+func zeroValue(table.Data) uint64 { return 0 }

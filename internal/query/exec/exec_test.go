@@ -197,3 +197,41 @@ func TestPipelineComposition(t *testing.T) {
 		t.Fatalf("columns = %s", got)
 	}
 }
+
+func TestSegmentCodecRoundTrip(t *testing.T) {
+	for _, s := range []string{
+		"", "a", "abc", "a+b", "+", "++", `\`, `\\`, `\+`, `a\+b+c\`,
+	} {
+		enc := encodeSegment(s)
+		dec, bare := decodeSegment(enc)
+		if strings.Contains(bare, RekeySep) {
+			t.Errorf("encodeSegment(%q) = %q leaves an unescaped separator", s, enc)
+		}
+		if dec != s {
+			t.Errorf("decode(encode(%q)) = %q", s, dec)
+		}
+	}
+}
+
+// decodeSegment reverses encodeSegment. bare holds the bytes no escape
+// covers: the ones a reader would split the accumulation at.
+func decodeSegment(s string) (dec, bare string) {
+	var d, b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] == rekeyEscape && i+1 < len(s) {
+			i++
+		} else {
+			b.WriteByte(s[i])
+		}
+		d.WriteByte(s[i])
+	}
+	return d.String(), b.String()
+}
+
+func TestCleanPayloadEncodesAsItself(t *testing.T) {
+	for _, s := range []string{"", "alice", "a b c", "123"} {
+		if enc := encodeSegment(s); enc != s {
+			t.Errorf("encodeSegment(%q) = %q, want unchanged", s, enc)
+		}
+	}
+}

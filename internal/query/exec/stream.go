@@ -172,6 +172,45 @@ func (s *storeSource) Close() {
 	}
 }
 
+// rekeyEscape is the escape character of the accumulated-payload
+// encoding: a raw payload's '\' becomes `\\` and its '+' becomes `\+`,
+// so RekeySep occurrences in the accumulation always separate segments.
+// Payloads free of both characters are encoded as themselves.
+const rekeyEscape = '\\'
+
+// encodeSegment escapes a raw payload for inclusion in an accumulated
+// rekey payload. The common case (no separator or escape byte in the
+// payload) returns s unchanged.
+func encodeSegment(s string) string {
+	if !strings.ContainsAny(s, RekeySep+string(rekeyEscape)) {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s) + 2)
+	for i := 0; i < len(s); i++ {
+		if s[i] == rekeyEscape || s[i] == RekeySep[0] {
+			b.WriteByte(rekeyEscape)
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
+}
+
+// rekeyJoin builds one accumulated payload from an already-encoded
+// left accumulation and a raw right payload, reporting the shared
+// width-overflow error when the result exceeds the public payload
+// width.
+func rekeyJoin(d1Encoded, d2Raw string) (table.Data, error) {
+	joined := d1Encoded + RekeySep + encodeSegment(d2Raw)
+	d, err := table.MakeData(joined)
+	if err != nil {
+		return d, fmt.Errorf(
+			"query: intermediate join payload %q exceeds %d bytes; project fewer columns or shorten payloads",
+			joined, table.DataLen)
+	}
+	return d, nil
+}
+
 // rekeySource converts keyed join output into a row stream batch-wise,
 // so a join feeding a downstream stage never materializes the rekeyed
 // whole-relation slice.

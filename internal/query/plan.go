@@ -51,23 +51,11 @@ type JoinNode struct {
 // chain's next join can consume it (§7 composition). First marks the
 // chain's first rekey: it escape-encodes the raw left payload before
 // accumulation (later rekeys receive an already-encoded accumulation),
-// so a Restore stage can split the accumulated payload unambiguously
-// even when payloads contain the separator byte.
+// so the accumulated payload's segments stay unambiguous even when
+// payloads contain the separator byte.
 type RekeyNode struct {
 	In    PlanNode
 	First bool
-}
-
-// RestoreNode ends a join chain the planner reordered: it maps the
-// executed join order's payload layout back onto the written order and
-// canonically sorts the output, so the reordered chain returns exactly
-// the bytes of the written order canonicalized (see exec.Restore). Perm
-// maps written table slots onto execution slots; the identity
-// permutation canonicalizes without rewriting. The planner adds one
-// only where the cost model says the reordering pays for its sort.
-type RestoreNode struct {
-	In   PlanNode
-	Perm []int
 }
 
 // JoinAggNode is the §7 fast path: COUNT/SUM aggregation over a join
@@ -114,7 +102,6 @@ func (n SemijoinNode) Input() PlanNode { return n.In }
 func (n FilterNode) Input() PlanNode   { return n.In }
 func (n JoinNode) Input() PlanNode     { return n.In }
 func (n RekeyNode) Input() PlanNode    { return n.In }
-func (n RestoreNode) Input() PlanNode  { return n.In }
 func (n JoinAggNode) Input() PlanNode  { return n.In }
 func (n GroupByNode) Input() PlanNode  { return n.In }
 func (n DistinctNode) Input() PlanNode { return n.In }
@@ -130,7 +117,6 @@ func (n SemijoinNode) Describe() string { return exec.Semijoin{Table: n.Table}.N
 func (FilterNode) Describe() string     { return exec.Filter{}.Name() }
 func (n JoinNode) Describe() string     { return exec.Join{Table: n.Table}.Name() }
 func (RekeyNode) Describe() string      { return exec.Rekey{}.Name() }
-func (n RestoreNode) Describe() string  { return exec.Restore{Perm: n.Perm}.Name() }
 func (n JoinAggNode) Describe() string {
 	return exec.JoinAggregate{Table: n.Table, SumLeft: n.SumLeft, SumRight: n.SumRight}.Name()
 }
@@ -196,19 +182,16 @@ func (e *Engine) plan(q *Query) (PlanNode, error) {
 		return nil, fmt.Errorf("query: AS OF requires the versioned catalog of the service engine")
 	}
 	has := func(name string) bool { _, ok := e.tables[name]; return ok }
-	return BuildPlanCfg(q, has, PlanConfig{Card: tablesCard(e.tables), Opts: e.opts})
+	return BuildPlanCfg(q, has, PlanConfig{Card: tablesCard(e.tables)})
 }
 
 // PlanConfig is what the planner reads besides the query and the
-// catalog's table names: public cardinalities and the store mode the
-// cost model prices with. The zero value plans as if every table were
-// empty — deterministic, and it keeps every chain in written order.
+// catalog's table names: public cardinalities. The zero value plans as
+// if every table were empty.
 type PlanConfig struct {
-	// Card supplies the public cardinalities the join-ordering decision
-	// consumes; nil means StaticCard{}.
+	// Card supplies the public row counts the semijoin order consumes;
+	// nil means StaticCard{}.
 	Card Card
-	// Opts selects the store mode the cost model prices with.
-	Opts Options
 }
 
 func (pc PlanConfig) card() Card {
@@ -224,13 +207,13 @@ func (pc PlanConfig) card() Card {
 // unknown tables — as *catalog.UnknownTableError — without touching
 // any data.
 //
-// The planner consults pc.Card — public row counts and (optionally)
-// observed join output sizes, never table contents — to order
-// semijoins by sub-table size and to reorder a JOIN ... USING chain of
-// three or more tables where the exact cost model says the reordering,
-// plus the Restore sort it needs, is strictly cheaper than the written
-// order (see orderJoins). The plan remains a pure function of (query,
-// catalog, cardinalities, options): two databases with equal public
+// The planner consults pc.Card — public row counts, never table
+// contents — only to order semijoins by sub-table size. A JOIN ...
+// USING chain runs in the order the query wrote it: a join's output
+// size m is public only once Augment-Tables has computed it (§3.2), and
+// no public size before the run bounds it, so no order chosen from
+// sizes can be shown to cost less. The plan remains a pure function of
+// (query, catalog, cardinalities): two databases with equal public
 // sizes always yield the identical plan.
 func BuildPlanCfg(q *Query, has func(string) bool, pc PlanConfig) (PlanNode, error) {
 	if !has(q.From) {
@@ -284,34 +267,20 @@ func BuildPlanCfg(q *Query, has func(string) bool, pc PlanConfig) (PlanNode, err
 	}
 
 	switch {
-	case q.Joined() && q.GroupBy:
-		// All but the last join materialize and re-key; the last one
-		// runs as the §7 aggregation fast path — COUNT and SUM need the
-		// group dimensions, never the m-row expansion. The fast path
-		// pins the written order: its SUM payloads parse positionally,
-		// so reordering would change aggregate inputs, not just layout.
-		for i, t := range q.Joins[:len(q.Joins)-1] {
+	case q.Joined():
+		// All but the last join materialize and re-key. With GROUP BY
+		// the last one runs as the §7 aggregation fast path — COUNT and
+		// SUM need the group dimensions, never the m-row expansion.
+		last := len(q.Joins) - 1
+		for i, t := range q.Joins[:last] {
 			n = JoinNode{In: n, Table: t}
 			n = RekeyNode{In: n, First: i == 0}
 		}
-		n = JoinAggNode{In: n, Table: q.Joins[len(q.Joins)-1], SumLeft: sumLeft, SumRight: sumRight}
-	case q.Joined():
-		order, reordered := orderJoins(q.From, q.Joins, pc.card(), newCostModel(pc.Opts))
-		for pos, idx := range order {
-			if pos > 0 {
-				n = RekeyNode{In: n, First: pos == 1}
-			}
-			n = JoinNode{In: n, Table: q.Joins[idx]}
+		if q.GroupBy {
+			n = JoinAggNode{In: n, Table: q.Joins[last], SumLeft: sumLeft, SumRight: sumRight}
+			break
 		}
-		if reordered {
-			// Restore.Perm maps written table slots (From = slot 0,
-			// q.Joins[i] = slot i+1) onto execution slots.
-			perm := make([]int, len(q.Joins)+1)
-			for pos, idx := range order {
-				perm[idx+1] = pos + 1
-			}
-			n = RestoreNode{In: n, Perm: perm}
-		}
+		n = JoinNode{In: n, Table: q.Joins[last]}
 		if q.OrderBy {
 			// Join output is already key-ordered (S1 is sorted by
 			// (j, d)), so ORDER BY key is free; keep the stage in the
@@ -362,95 +331,6 @@ func orderSemis(semis []string, card Card) []string {
 	return out
 }
 
-// orderJoins picks the execution order of a JOIN ... USING chain,
-// returned as q.Joins indices. A chain of three or more tables takes
-// the greedy order when its modeled comparators plus Restore's
-// canonical sort of the final output are strictly below the written
-// order's; otherwise — on a tie, too — the chain runs as written and
-// needs no Restore stage. reordered reports the first case. Both sides
-// are priced by one cost model from public cardinalities alone.
-func orderJoins(from string, joins []string, card Card, cm *costModel) (order []int, reordered bool) {
-	written := make([]int, len(joins))
-	for i := range written {
-		written[i] = i
-	}
-	if len(joins) < 2 {
-		return written, false
-	}
-	greedy := greedyJoins(from, joins, card, cm)
-	wComp, _ := chainCost(from, joins, written, card, cm)
-	gComp, m := chainCost(from, joins, greedy, card, cm)
-	if gComp+cm.sortC(m) < wComp {
-		return greedy, true
-	}
-	return written, false
-}
-
-// chainCost models the comparators of joining from with the tables
-// joins[order[0]], joins[order[1]], … in that order, and the chain's
-// output size — the sizes ComputePlanCost charges the same JoinNodes.
-func chainCost(from string, joins []string, order []int, card Card, cm *costModel) (comp uint64, m int) {
-	m, _ = card.Rows(from)
-	left := []string{from}
-	for _, idx := range order {
-		nr, _ := card.Rows(joins[idx])
-		out, fed := card.JoinRows(left, joins[idx])
-		if !fed {
-			out = estJoinRows(m, nr)
-		}
-		c, _, _ := cm.join(m, nr, out)
-		comp += c
-		m = out
-		left = append(left, joins[idx])
-	}
-	return comp, m
-}
-
-// greedyJoins picks the execution order of a JOIN ... USING chain: at
-// each step it joins the accumulated left side with the remaining
-// table whose modeled join is cheapest. The decision reads only public
-// cardinalities (and optional public observed join sizes), so the
-// order — like the rest of the plan — is content-independent. Ties
-// break deterministically on (comparators, store bytes, written
-// position). Returns the chosen q.Joins indices in execution order.
-func greedyJoins(from string, joins []string, card Card, cm *costModel) []int {
-	cur, _ := card.Rows(from)
-	left := []string{from}
-	remaining := make([]int, len(joins))
-	for i := range remaining {
-		remaining[i] = i
-	}
-	chosen := make([]int, 0, len(joins))
-	for len(remaining) > 0 {
-		best := -1
-		var bestComp uint64
-		var bestBytes int64
-		bestM := 0
-		for _, idx := range remaining {
-			nr, _ := card.Rows(joins[idx])
-			m, fed := card.JoinRows(left, joins[idx])
-			if !fed {
-				m = estJoinRows(cur, nr)
-			}
-			comp, _, bytes := cm.join(cur, nr, m)
-			if best == -1 || comp < bestComp ||
-				(comp == bestComp && (bytes < bestBytes || (bytes == bestBytes && idx < best))) {
-				best, bestComp, bestBytes, bestM = idx, comp, bytes, m
-			}
-		}
-		chosen = append(chosen, best)
-		for i, idx := range remaining {
-			if idx == best {
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				break
-			}
-		}
-		cur = bestM
-		left = append(left, joins[best])
-	}
-	return chosen
-}
-
 // LowerPlan maps a logical plan onto its physical operator pipeline.
 // The operators are immutable values: one lowered pipeline may execute
 // from any number of goroutines at once, each run threading its own
@@ -479,8 +359,6 @@ func lower(n PlanNode) ([]exec.Operator, error) {
 		op = exec.Join{Table: v.Table}
 	case RekeyNode:
 		op = exec.Rekey{First: v.First}
-	case RestoreNode:
-		op = exec.Restore{Perm: v.Perm}
 	case JoinAggNode:
 		op = exec.JoinAggregate{Table: v.Table, SumLeft: v.SumLeft, SumRight: v.SumRight}
 	case GroupByNode:

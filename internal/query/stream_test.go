@@ -474,7 +474,7 @@ func TestStreamerInterfaces(t *testing.T) {
 			t.Fatalf("%T does not implement Feeder", op)
 		}
 	}
-	for _, op := range []exec.Operator{exec.Restore{}, exec.Limit{}, exec.Project{}, exec.Sort{Free: true}} {
+	for _, op := range []exec.Operator{exec.Limit{}, exec.Project{}, exec.Sort{Free: true}} {
 		if _, ok := op.(exec.Whole); !ok {
 			t.Fatalf("%T does not implement Whole", op)
 		}

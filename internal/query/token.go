@@ -67,17 +67,15 @@
 // exact closed form, not an estimate: ComputePlanCost prices each
 // stage in compare–exchanges, routing hops and padded store bytes
 // from the catalog cardinalities alone (cost.go), and RenderPlanCost
-// prints the table EXPLAIN shows. The planner uses it: BuildPlanCfg
-// greedily orders a JOIN chain of three or more tables by modeled
-// comparator count, and keeps that order — ending the chain in a
-// restore stage, so its rows are byte-identical to the written order
-// canonicalized — only when the model prices the greedy chain plus the
-// restore sort strictly below the written chain. Otherwise the plan is
-// the written order, unchanged. Plans remain a pure function of the
-// query text and public cardinalities — the Card interface is
-// planning's only window onto the catalog — so reordering reveals
-// nothing the sizes do not already reveal; see
-// docs/PLANNING.md at the repository root for the full model.
+// prints the table EXPLAIN shows. A join's output size m enters that
+// table as the estimate min(n₁, n₂): m is public only once the join has
+// run, and fan-out keys exceed the estimate without bound. So the
+// planner does not order joins by the model — a JOIN chain runs in the
+// order the query wrote it — and public row counts only order
+// semijoins. Plans remain a pure function of the query text and public
+// cardinalities — the Card interface is planning's only window onto the
+// catalog; see docs/PLANNING.md at the repository root for the full
+// model.
 package query
 
 import (

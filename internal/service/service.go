@@ -461,8 +461,6 @@ func (c svcCard) Rows(t string) (int, bool) {
 	return sch.Rows, true
 }
 
-func (svcCard) JoinRows([]string, string) (int, bool) { return 0, false }
-
 // isCancellation reports whether err is a context-driven abort (either
 // typed sentinel).
 func isCancellation(err error) bool {
@@ -531,7 +529,7 @@ func (s *Service) Prepare(ctx context.Context, sql string, opts ...SessionOption
 		return nil, catalog.ErrNoTables
 	}
 	card := svcCard{view}
-	plan, err := query.BuildPlanCfg(q, view.Has, query.PlanConfig{Card: card, Opts: eff})
+	plan, err := query.BuildPlanCfg(q, view.Has, query.PlanConfig{Card: card})
 	if err != nil {
 		return nil, err
 	}

@@ -246,22 +246,6 @@ type KeyedPair struct {
 	D2 Data
 }
 
-// LessKeyedPair orders keyed join output by ⟨j↑, d1↑, d2↑⟩ — the
-// canonical row order of a multi-way join chain. Branch-free, so a
-// sorting network over pairs stays data-oblivious.
-func LessKeyedPair(x, y KeyedPair) uint64 {
-	return lexLess3(obliv.Less(x.J, y.J), obliv.Eq(x.J, y.J),
-		LessData(x.D1, y.D1), EqData(x.D1, y.D1), LessData(x.D2, y.D2))
-}
-
-// CondSwapKeyedPair swaps x and y in constant time when c == 1. Every
-// field of both pairs is touched regardless of c.
-func CondSwapKeyedPair(c uint64, x, y *KeyedPair) {
-	obliv.CondSwap(c, &x.J, &y.J)
-	CondSwapData(c, &x.D1, &y.D1)
-	CondSwapData(c, &x.D2, &y.D2)
-}
-
 // Row is the external representation of an input row, used by loaders
 // and the public API.
 type Row struct {

@@ -174,24 +174,6 @@ func TestEntryOrdersMatchBytewise(t *testing.T) {
 	}
 }
 
-func TestLessKeyedPairMatchesBytewise(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	data := testData(rng)
-	pick := func() KeyedPair {
-		return KeyedPair{J: testWord(rng), D1: data[rng.Intn(len(data))], D2: data[rng.Intn(len(data))]}
-	}
-	for i := 0; i < 50000; i++ {
-		x, y := pick(), pick()
-		if i%4 == 0 {
-			y.J, y.D1 = x.J, x.D1 // decided by d2 alone
-		}
-		want := refLess(refCmp(x.J, y.J), refCmpData(x.D1, y.D1), refCmpData(x.D2, y.D2))
-		if got := LessKeyedPair(x, y); got != want {
-			t.Fatalf("LessKeyedPair(%+v, %+v) = %d, want %d", x, y, got, want)
-		}
-	}
-}
-
 func TestCondSwapCopyMatchBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	data := testData(rng)
@@ -218,17 +200,6 @@ func TestCondSwapCopyMatchBytewise(t *testing.T) {
 		refCondCopyData(c, &want.D, b.D)
 		if dst != want {
 			t.Fatalf("CondCopyEntry(%d, %+v, %+v) = %+v", c, a, b, dst)
-		}
-
-		p := KeyedPair{J: a.J, D1: a.D, D2: data[rng.Intn(len(data))]}
-		q := KeyedPair{J: b.J, D1: b.D, D2: data[rng.Intn(len(data))]}
-		sp, sq, rp, rq := p, q, p, q
-		CondSwapKeyedPair(c, &sp, &sq)
-		refCondSwapWord(c, &rp.J, &rq.J)
-		refCondSwapData(c, &rp.D1, &rq.D1)
-		refCondSwapData(c, &rp.D2, &rq.D2)
-		if sp != rp || sq != rq {
-			t.Fatalf("CondSwapKeyedPair(%d, %+v, %+v) = %+v, %+v", c, p, q, sp, sq)
 		}
 	}
 }
